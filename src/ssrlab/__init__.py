@@ -6,166 +6,33 @@ the weights, and the corrected state is the weighted combination of the
 window. The package also ships the synthetic subspace-trajectory
 generator, baselines, metrics, and the experiment harness used to
 evaluate the corrector.
+
+The package namespace holds the entry points; everything else is
+imported from its submodule (ssrlab.affinity, ssrlab.grassmann, ...).
 """
 
 from ._version import TOOL_VERSION as __version__
-from .affinity import (
-    AFFINITY_MODES,
-    MODE_RAW_SUM,
-    MODE_SOFTMAX,
-    AffinityMatrix,
-    HeatmapGrid,
-    StateVector,
-    StateWindow,
-    affinity_to_heatmap,
-    compute_affinity,
-    default_temperature,
-    self_expressive_residual,
-)
-from .config import (
-    KNOWN_METHODS,
-    METHOD_EMA,
-    METHOD_PASSTHROUGH,
-    METHOD_SSR,
-    ExperimentConfig,
-    build_experiment_config,
-    config_to_dict,
-    load_config,
-    parse_config_text,
-)
-from .errors import (
-    NUMERIC_ERRORS,
-    AlphaOutOfRange,
-    ConfigInvalid,
-    DegenerateGeodesic,
-    DegenerateRow,
-    DimensionMismatch,
-    LengthMismatch,
-    RankDeficient,
-    RankMismatch,
-    RankParamInvalid,
-    SsrLabError,
-)
-from .grassmann import (
-    PrincipalAngles,
-    SubspacePoint,
-    geodesic,
-    orthonormalize,
-    principal_angles,
-    projection_distance,
-    span_membership_residual,
-)
-from .harness import (
-    MethodResult,
-    ResultBundle,
-    run_experiment,
-    summary_table,
-    write_experiment_outputs,
-)
-from .metrics import (
-    AblationRow,
-    RunSummary,
-    StepRecord,
-    ablate_window,
-    improvement_ratio,
-    score_run,
-    singular_tail_energy,
-)
-from .regularizer import (
-    BUFFER_POLICIES,
-    STORE_CORRECTED,
-    STORE_RAW,
-    SsrConfig,
-    SsrState,
-    ema_fuse,
-    passthrough_step,
-    run_stream,
-    ssr_step,
-)
-from .synth import (
-    NOISE_BURST,
-    NOISE_DRIFT_WALK,
-    NOISE_GAUSSIAN,
-    NOISE_KINDS,
-    NoiseModel,
-    ScenarioFrame,
-    TrajectoryConfig,
-    derive_trial_seed,
-    drift_walk,
-    generate_scenario,
-    sample_waypoints,
-)
+from .affinity import compute_affinity
+from .config import build_experiment_config
+from .errors import SsrLabError
+from .harness import run_experiment
+from .metrics import ablate_window, score_run
+from .regularizer import SsrConfig, run_stream, ssr_step
+from .synth import NoiseModel, TrajectoryConfig, derive_trial_seed, generate_scenario
 
 __all__ = [
     "__version__",
-    "AFFINITY_MODES",
-    "MODE_RAW_SUM",
-    "MODE_SOFTMAX",
-    "AffinityMatrix",
-    "HeatmapGrid",
-    "StateVector",
-    "StateWindow",
-    "affinity_to_heatmap",
     "compute_affinity",
-    "default_temperature",
-    "self_expressive_residual",
-    "KNOWN_METHODS",
-    "METHOD_EMA",
-    "METHOD_PASSTHROUGH",
-    "METHOD_SSR",
-    "ExperimentConfig",
     "build_experiment_config",
-    "config_to_dict",
-    "load_config",
-    "parse_config_text",
-    "NUMERIC_ERRORS",
-    "AlphaOutOfRange",
-    "ConfigInvalid",
-    "DegenerateGeodesic",
-    "DegenerateRow",
-    "DimensionMismatch",
-    "LengthMismatch",
-    "RankDeficient",
-    "RankMismatch",
-    "RankParamInvalid",
     "SsrLabError",
-    "PrincipalAngles",
-    "SubspacePoint",
-    "geodesic",
-    "orthonormalize",
-    "principal_angles",
-    "projection_distance",
-    "span_membership_residual",
-    "MethodResult",
-    "ResultBundle",
     "run_experiment",
-    "summary_table",
-    "write_experiment_outputs",
-    "AblationRow",
-    "RunSummary",
-    "StepRecord",
     "ablate_window",
-    "improvement_ratio",
     "score_run",
-    "singular_tail_energy",
-    "BUFFER_POLICIES",
-    "STORE_CORRECTED",
-    "STORE_RAW",
     "SsrConfig",
-    "SsrState",
-    "ema_fuse",
-    "passthrough_step",
     "run_stream",
     "ssr_step",
-    "NOISE_BURST",
-    "NOISE_DRIFT_WALK",
-    "NOISE_GAUSSIAN",
-    "NOISE_KINDS",
     "NoiseModel",
-    "ScenarioFrame",
     "TrajectoryConfig",
     "derive_trial_seed",
-    "drift_walk",
     "generate_scenario",
-    "sample_waypoints",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRow, DimensionMismatch
+from .errors import DegenerateRow, DimensionMismatch, NonFiniteAffinity
 
 __all__ = [
     "MODE_SOFTMAX",
@@ -26,11 +26,9 @@ __all__ = [
     "StateVector",
     "StateWindow",
     "AffinityMatrix",
-    "HeatmapGrid",
     "default_temperature",
     "compute_affinity",
     "self_expressive_residual",
-    "affinity_to_heatmap",
 ]
 
 MODE_SOFTMAX = "softmax"
@@ -126,7 +124,8 @@ class StateWindow:
         """Stack the window into an L x d matrix, oldest row first."""
         if not self.states:
             raise ValueError("cannot stack an empty window")
-        return np.stack([s.values for s in self.states])
+        # np.array copies the same rows as np.stack with far less per-call overhead.
+        return np.array([s.values for s in self.states])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,20 +174,6 @@ class AffinityMatrix:
         return self.entries[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class HeatmapGrid:
-    """Lossless dense dump of an affinity matrix plus its value range."""
-
-    values: np.ndarray
-    vmin: float
-    vmax: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
 def default_temperature(dim: int) -> float:
     """Default softmax temperature sqrt(d) for state dimension d."""
     if dim < 1:
@@ -211,6 +196,7 @@ def compute_affinity(
             omitted in raw-sum mode.
 
     Raises:
+        NonFiniteAffinity: some dot product overflows float64.
         DegenerateRow: raw-sum mode and some |row sum| < 1e-12.
     """
     if len(window) == 0:
@@ -218,7 +204,10 @@ def compute_affinity(
     if mode not in AFFINITY_MODES:
         raise ValueError(f"unknown affinity mode {mode!r}")
     stacked = window.as_matrix()
-    gram = stacked @ stacked.T
+    with np.errstate(over="ignore"):
+        gram = stacked @ stacked.T
+    if not np.isfinite(gram).all():
+        raise NonFiniteAffinity("window dot products overflow float64")
     if mode == MODE_SOFTMAX:
         if temperature is None:
             temperature = default_temperature(window.dim)
@@ -255,12 +244,3 @@ def self_expressive_residual(window: StateWindow, affinity: AffinityMatrix) -> f
     defect = stacked - affinity.entries @ stacked
     return float(np.linalg.norm(defect) / max(np.linalg.norm(stacked), _NORM_FLOOR))
 
-
-def affinity_to_heatmap(affinity: AffinityMatrix) -> HeatmapGrid:
-    """Dense value dump with (min, max); values are not rescaled."""
-    values = affinity.entries
-    return HeatmapGrid(
-        values=values,
-        vmin=float(values.min()),
-        vmax=float(values.max()),
-    )

@@ -13,24 +13,22 @@ Exit codes: 0 success, 1 selfcheck failure, 2 bad config or arguments,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .config import METHOD_SSR, load_config
+from .config import METHOD_SSR, load_config, parse_int_list
 from .errors import ConfigInvalid, NUMERIC_ERRORS
 from .harness import (
-    _fmt,
     dump_heatmaps,
     run_experiment,
     summary_table,
+    write_ablation_outputs,
     write_experiment_outputs,
 )
 from .metrics import ablate_window
-from .config import config_to_dict
 
 __all__ = ["main", "build_parser"]
 
@@ -65,19 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
-        raise ConfigInvalid(f"{what}: expected at least one integer")
-    values = []
-    for piece in items:
-        try:
-            values.append(int(piece))
-        except ValueError:
-            raise ConfigInvalid(f"{what}: {piece!r} is not an integer") from None
-    return tuple(values)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     bundle = run_experiment(config)
@@ -90,50 +75,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    sizes = _parse_int_list(args.sizes, "--sizes")
+    sizes = parse_int_list(args.sizes, "--sizes")
     if any(k < 1 for k in sizes):
         raise ConfigInvalid("--sizes: window sizes must be at least 1")
     rows = ablate_window(
         sizes, config.trajectory, config.noise, config.trials, config.ssr
     )
-    os.makedirs(config.output_dir, exist_ok=True)
-    csv_path = os.path.join(config.output_dir, "ablation.csv")
-    json_path = os.path.join(config.output_dir, "ablation.json")
-    lines = ["window_k,mean_improvement_ratio,std_improvement_ratio"]
-    for row in rows:
-        lines.append(
-            f"{row.window_k},{_fmt(row.mean_improvement_ratio)},"
-            f"{_fmt(row.std_improvement_ratio)}"
-        )
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    payload = {
-        "config": config_to_dict(config),
-        "rows": [
-            {
-                "window_k": row.window_k,
-                "mean_improvement_ratio": row.mean_improvement_ratio,
-                "std_improvement_ratio": row.std_improvement_ratio,
-            }
-            for row in rows
-        ],
-    }
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    paths = write_ablation_outputs(config, rows)
     print(f"{'window_k':>9} {'mean_improve':>13} {'std_improve':>12}")
     for row in rows:
         print(
             f"{row.window_k:>9} {row.mean_improvement_ratio:>13.6f} "
             f"{row.std_improvement_ratio:>12.6f}"
         )
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    print(f"wrote {paths['csv']}")
+    print(f"wrote {paths['json']}")
     return 0
 
 
 def _cmd_affinity_dump(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    frames = _parse_int_list(args.frames, "--frames")
+    frames = parse_int_list(args.frames, "--frames")
     config = replace(
         config,
         methods=(METHOD_SSR,),

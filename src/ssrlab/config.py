@@ -28,6 +28,7 @@ __all__ = [
     "KNOWN_METHODS",
     "ExperimentConfig",
     "parse_config_text",
+    "parse_int_list",
     "load_config",
     "config_to_dict",
 ]
@@ -164,14 +165,13 @@ def _parse_bool(values: dict[str, str], key: str, default: bool) -> bool:
     raise ConfigInvalid(f"{key}: expected true or false, got {values[key]!r}")
 
 
-def _parse_int_list(values: dict[str, str], key: str) -> tuple[int, ...]:
-    if key not in values or not values[key]:
-        return ()
+def parse_int_list(raw: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers such as "0,64,128"; at least one."""
     try:
-        return tuple(int(part.strip()) for part in values[key].split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise ConfigInvalid(
-            f"{key}: expected comma-separated integers, got {values[key]!r}"
+            f"{what}: expected comma-separated integers, got {raw!r}"
         ) from None
 
 
@@ -212,7 +212,10 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
         temperature = _parse_float(values, "ssr.temperature", 0.0)
     else:
         # Default softmax temperature sqrt(d); harness states live in R^n.
-        temperature = math.sqrt(float(n))
+        try:
+            temperature = math.sqrt(float(n))
+        except OverflowError:
+            raise ConfigInvalid("scenario.n: too large for a float") from None
     try:
         ssr = SsrConfig(
             window_k=_parse_int(values, "ssr.window_k", 8),
@@ -225,6 +228,7 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
     methods = tuple(
         part.strip() for part in values["methods"].split(",") if part.strip()
     )
+    frames = values.get("output.heatmap_frames", "")
     return ExperimentConfig(
         trajectory=trajectory,
         noise=noise,
@@ -234,7 +238,7 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
         trials=_parse_int(values, "trials", 1),
         output_dir=values["output.dir"],
         emit_heatmaps=_parse_bool(values, "output.emit_heatmaps", False),
-        heatmap_frames=_parse_int_list(values, "output.heatmap_frames"),
+        heatmap_frames=parse_int_list(frames, "output.heatmap_frames") if frames else (),
     )
 
 
@@ -243,7 +247,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config file {path!r}: {exc}") from exc
     return build_experiment_config(parse_config_text(text))
 

@@ -15,7 +15,7 @@ __all__ = [
     "DegenerateRow",
     "AlphaOutOfRange",
     "LengthMismatch",
-    "RankParamInvalid",
+    "NonFiniteAffinity",
     "ConfigInvalid",
     "NUMERIC_ERRORS",
 ]
@@ -53,8 +53,8 @@ class LengthMismatch(SsrLabError):
     """Paired sequences have different lengths."""
 
 
-class RankParamInvalid(SsrLabError):
-    """Rank parameter outside the valid range for the given matrix."""
+class NonFiniteAffinity(SsrLabError):
+    """Window states are so large that their dot products overflow."""
 
 
 class ConfigInvalid(SsrLabError):
@@ -70,5 +70,5 @@ NUMERIC_ERRORS = (
     DegenerateRow,
     AlphaOutOfRange,
     LengthMismatch,
-    RankParamInvalid,
+    NonFiniteAffinity,
 )

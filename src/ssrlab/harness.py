@@ -2,17 +2,17 @@
 
 A run streams each trial's noisy states through every configured method
 in arrival order and scores the outputs against the clean states. All
-emitted payloads (CSV, summary JSON, heatmap grids) are byte-identical
-across reruns and across SSRLAB_THREADS settings; the wall-clock
-timestamp lives in its own run_meta.json, outside the determinism
-guarantee. Files are written to a temp name and atomically renamed.
+emitted payloads (CSV, summary JSON, heatmap grids, ablation tables)
+are byte-identical across reruns; the wall-clock timestamp lives in its
+own run_meta.json, outside the determinism guarantee. Every file is
+written to a temp name and atomically renamed.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import secrets
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -20,13 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .affinity import (
-    HeatmapGrid,
-    StateVector,
-    affinity_to_heatmap,
-    compute_affinity,
-    self_expressive_residual,
-)
+from .affinity import StateVector, self_expressive_residual
 from .config import (
     METHOD_EMA,
     METHOD_PASSTHROUGH,
@@ -35,12 +29,11 @@ from .config import (
     config_to_dict,
 )
 from .errors import ConfigInvalid, NUMERIC_ERRORS
-from .metrics import RunSummary, StepRecord, score_run
-from .regularizer import SsrState, ema_fuse, passthrough_step, ssr_step
+from .metrics import AblationRow, RunSummary, StepRecord, score_run
+from .regularizer import STORE_CORRECTED, SsrState, ema_fuse, passthrough_step, ssr_step
 from .synth import ScenarioFrame, derive_trial_seed, generate_scenario
 
 __all__ = [
-    "THREADS_ENV_VAR",
     "CSV_HEADER",
     "MethodResult",
     "ResultBundle",
@@ -49,11 +42,11 @@ __all__ = [
     "dump_summary_json",
     "dump_heatmaps",
     "write_experiment_outputs",
+    "write_ablation_outputs",
     "summary_table",
     "heatmap_filename",
 ]
 
-THREADS_ENV_VAR = "SSRLAB_THREADS"
 CSV_HEADER = "frame,method,trial,raw_error,corrected_error,subspace_residual,se_residual"
 
 _SUMMARY_FIELDS = tuple(f.name for f in fields(RunSummary))
@@ -73,31 +66,17 @@ class MethodResult:
 class ResultBundle:
     """Scored experiment plus provenance.
 
+    heatmaps maps a captured frame to its read-only affinity entries.
     The timestamp is the only field excluded from the byte-determinism
     guarantee; writers keep it out of the payload files.
     """
 
     config: ExperimentConfig
     methods: dict[str, MethodResult]
-    heatmaps: dict[int, HeatmapGrid]
+    heatmaps: dict[int, np.ndarray]
     seed: int
     tool_version: str
     timestamp: str
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigInvalid(
-            f"{THREADS_ENV_VAR}: expected an integer, got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ConfigInvalid(f"{THREADS_ENV_VAR}: must be at least 1, got {count}")
-    return count
 
 
 def _annotate(exc: Exception, method: str, trial: int, frame: int) -> Exception:
@@ -109,23 +88,25 @@ def _run_ssr(
     frames: list[ScenarioFrame],
     trial: int,
     capture_heatmaps: bool,
-) -> tuple[list[StateVector], list[float], dict[int, HeatmapGrid]]:
+) -> tuple[list[StateVector], list[float], dict[int, np.ndarray]]:
     state = SsrState.initial(config.ssr)
+    store_corrected = config.ssr.buffer_policy == STORE_CORRECTED
     corrected: list[StateVector] = []
     residuals: list[float] = []
-    heatmaps: dict[int, HeatmapGrid] = {}
+    heatmaps: dict[int, np.ndarray] = {}
     wanted = set(config.heatmap_frames) if capture_heatmaps else set()
     for t, frame in enumerate(frames):
         incoming = frame.noisy_state
-        seen = state.window.push(incoming)  # the window this step scores
         try:
             out, aff, state = ssr_step(state, incoming)
         except NUMERIC_ERRORS as exc:
             raise _annotate(exc, METHOD_SSR, trial, t) from exc
+        # The affinity scored the window with the raw incoming state last.
+        seen = state.window.replace_current(incoming) if store_corrected else state.window
         corrected.append(out)
         residuals.append(self_expressive_residual(seen, aff))
         if t in wanted:
-            heatmaps[t] = affinity_to_heatmap(aff)
+            heatmaps[t] = aff.entries
     return corrected, residuals, heatmaps
 
 
@@ -149,14 +130,14 @@ def _run_ema(
 
 def _run_trial(
     config: ExperimentConfig, trial: int
-) -> tuple[dict[str, tuple[tuple[StepRecord, ...], RunSummary]], dict[int, HeatmapGrid]]:
+) -> tuple[dict[str, tuple[tuple[StepRecord, ...], RunSummary]], dict[int, np.ndarray]]:
     seed = derive_trial_seed(config.trajectory.seed, trial)
     try:
         frames = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
     except NUMERIC_ERRORS as exc:
         raise type(exc)(f"(scenario generation, trial={trial}): {exc}") from exc
     out: dict[str, tuple[tuple[StepRecord, ...], RunSummary]] = {}
-    heatmaps: dict[int, HeatmapGrid] = {}
+    heatmaps: dict[int, np.ndarray] = {}
     for method in config.methods:
         residuals: list[float] | None = None
         if method == METHOD_SSR:
@@ -186,20 +167,8 @@ def _aggregate(summaries: tuple[RunSummary, ...]) -> tuple[dict[str, float], dic
 
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:
-    """Run all configured methods over all trials and score them.
-
-    Trials run independently (optionally on a thread pool capped by
-    SSRLAB_THREADS); outputs are assembled in trial order, so results do
-    not depend on scheduling.
-    """
-    workers = min(_thread_count(), config.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trial_results = list(
-                pool.map(lambda i: _run_trial(config, i), range(config.trials))
-            )
-    else:
-        trial_results = [_run_trial(config, i) for i in range(config.trials)]
+    """Run all configured methods over all trials, in trial order, and score them."""
+    trial_results = [_run_trial(config, i) for i in range(config.trials)]
     methods: dict[str, MethodResult] = {}
     for method in config.methods:
         records = tuple(result[0][method][0] for result in trial_results)
@@ -211,7 +180,7 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
             aggregate_mean=mean,
             aggregate_std=std,
         )
-    heatmaps: dict[int, HeatmapGrid] = {}
+    heatmaps: dict[int, np.ndarray] = {}
     for _, grabbed in trial_results:
         heatmaps.update(grabbed)
     return ResultBundle(
@@ -231,7 +200,9 @@ def _fmt(value: float) -> str:
 
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    # Mode 0o666 lets the process umask decide the final permissions.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -282,16 +253,12 @@ def summary_payload(bundle: ResultBundle) -> dict:
 
 def dump_summary_json(bundle: ResultBundle, path: str) -> None:
     """Canonical summary JSON; keys sorted, no volatile fields."""
-    import json
-
     payload = summary_payload(bundle)
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def dump_run_meta(bundle: ResultBundle, path: str) -> None:
     """Volatile provenance (the timestamp), kept out of the payload files."""
-    import json
-
     meta = {"timestamp_utc": bundle.timestamp}
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
@@ -304,7 +271,7 @@ def dump_heatmaps(bundle: ResultBundle, directory: str) -> list[str]:
     """One CSV grid per captured frame; returns the written paths."""
     written = []
     for frame, grid in sorted(bundle.heatmaps.items()):
-        rows = [",".join(_fmt(v) for v in row) for row in grid.values]
+        rows = [",".join(_fmt(v) for v in row) for row in grid]
         path = os.path.join(directory, heatmap_filename(frame))
         _atomic_write_text(path, "\n".join(rows) + "\n")
         written.append(path)
@@ -325,6 +292,37 @@ def write_experiment_outputs(bundle: ResultBundle, directory: str | None = None)
     dump_run_meta(bundle, paths["meta"])
     if bundle.heatmaps:
         dump_heatmaps(bundle, out_dir)
+    return paths
+
+
+def write_ablation_outputs(
+    config: ExperimentConfig, rows: list[AblationRow]
+) -> dict[str, str]:
+    """Write ablation.csv and ablation.json into config.output_dir."""
+    os.makedirs(config.output_dir, exist_ok=True)
+    paths = {
+        "csv": os.path.join(config.output_dir, "ablation.csv"),
+        "json": os.path.join(config.output_dir, "ablation.json"),
+    }
+    lines = ["window_k,mean_improvement_ratio,std_improvement_ratio"]
+    for row in rows:
+        lines.append(
+            f"{row.window_k},{_fmt(row.mean_improvement_ratio)},"
+            f"{_fmt(row.std_improvement_ratio)}"
+        )
+    _atomic_write_text(paths["csv"], "\n".join(lines) + "\n")
+    payload = {
+        "config": config_to_dict(config),
+        "rows": [
+            {
+                "window_k": row.window_k,
+                "mean_improvement_ratio": row.mean_improvement_ratio,
+                "std_improvement_ratio": row.std_improvement_ratio,
+            }
+            for row in rows
+        ],
+    }
+    _atomic_write_text(paths["json"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return paths
 
 

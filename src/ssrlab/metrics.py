@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .affinity import StateVector, StateWindow
-from .errors import LengthMismatch, RankParamInvalid
+from .affinity import StateVector
+from .errors import LengthMismatch
 from .grassmann import span_membership_residual
 from .regularizer import SsrConfig, run_stream
 from .synth import (
@@ -30,12 +30,10 @@ __all__ = [
     "AblationRow",
     "score_run",
     "improvement_ratio",
-    "singular_tail_energy",
     "ablate_window",
 ]
 
 _RAW_FLOOR = 1e-12
-_ENERGY_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -149,28 +147,6 @@ def summarize(records: list[StepRecord]) -> RunSummary:
         tail_error_mean=float(corr[tail_start:].mean()),
         win_fraction=float(np.mean(corr < raw)),
     )
-
-
-def singular_tail_energy(window: StateWindow, r: int) -> float:
-    """Energy of the window matrix beyond its leading r singular values.
-
-    Returns sum_{i > r} sigma_i^2 / sum_i sigma_i^2, which is 0 when the
-    stacked window has rank <= r.
-
-    Raises:
-        RankParamInvalid: unless 1 <= r < min(L, d).
-    """
-    if len(window) == 0:
-        raise ValueError("cannot analyze an empty window")
-    stacked = window.as_matrix()
-    limit = min(stacked.shape)
-    if not 1 <= r < limit:
-        raise RankParamInvalid(f"need 1 <= r < {limit}, got r={r}")
-    energies = np.linalg.svd(stacked, compute_uv=False) ** 2
-    total = float(energies.sum())
-    if total < _ENERGY_FLOOR:
-        return 0.0
-    return float(energies[r:].sum() / total)
 
 
 def ablate_window(

@@ -43,7 +43,6 @@ __all__ = [
     "ScenarioFrame",
     "sample_waypoints",
     "generate_scenario",
-    "drift_walk",
     "derive_trial_seed",
 ]
 
@@ -298,77 +297,34 @@ def _clean_states(
     return states
 
 
-def _noise_draw(config: TrajectoryConfig, t: int) -> np.ndarray:
-    return _frame_rng(config.seed, _STREAM_NOISE, t).standard_normal(config.n)
-
-
 def generate_scenario(
     config: TrajectoryConfig, noise: NoiseModel
 ) -> list[ScenarioFrame]:
     """Full scenario: truth subspaces, clean states, corrupted states.
 
-    Bitwise deterministic for identical (config, noise).
+    Frame t's noise is sigma * g_t; the drift walk adds the running sum
+    sigma * sum_{i <= t} g_i instead, so its expected error norm grows
+    like sqrt(t + 1). Bitwise deterministic for identical (config, noise).
     """
     subspaces = _truth_subspaces(config)
     cleans = _clean_states(config, subspaces)
-    if noise.kind == NOISE_DRIFT_WALK:
-        bare = [
-            ScenarioFrame(clean_state=c, noisy_state=c, truth_subspace=u)
-            for c, u in zip(cleans, subspaces)
-        ]
-        return drift_walk(bare, noise, config.seed)
     frames: list[ScenarioFrame] = []
+    walk: np.ndarray | None = None
     for t, (clean, subspace) in enumerate(zip(cleans, subspaces)):
         if noise.sigma == 0.0:
             noisy = clean
         else:
+            draw = _frame_rng(config.seed, _STREAM_NOISE, t).standard_normal(config.n)
             scale = noise.sigma
-            if noise.kind == NOISE_BURST:
+            if noise.kind == NOISE_DRIFT_WALK:
+                walk = draw if walk is None else walk + draw
+                draw = walk
+            elif noise.kind == NOISE_BURST:
                 hit = _frame_rng(config.seed, _STREAM_BURST, t).random()
                 if hit < noise.burst_prob:
                     scale = noise.sigma * noise.burst_scale
-            noisy = StateVector(clean.values + scale * _noise_draw(config, t))
+            noisy = StateVector(clean.values + scale * draw)
         frames.append(
             ScenarioFrame(clean_state=clean, noisy_state=noisy, truth_subspace=subspace)
         )
     return frames
-
-
-def drift_walk(
-    frames: list[ScenarioFrame], noise: NoiseModel, seed: int
-) -> list[ScenarioFrame]:
-    """Re-corrupt frames with accumulating noise.
-
-    noisy_t = clean_t + sum_{i <= t} sigma * g_i, so the expected error
-    norm grows like sqrt(t + 1). Truth subspaces and clean states are
-    preserved.
-    """
-    if noise.kind != NOISE_DRIFT_WALK:
-        raise ValueError(f"drift_walk requires kind {NOISE_DRIFT_WALK!r}")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError("seed must fit in uint64")
-    if noise.sigma == 0.0:
-        return [
-            ScenarioFrame(
-                clean_state=f.clean_state,
-                noisy_state=f.clean_state,
-                truth_subspace=f.truth_subspace,
-            )
-            for f in frames
-        ]
-    out: list[ScenarioFrame] = []
-    walk: np.ndarray | None = None
-    for t, frame in enumerate(frames):
-        draw = _frame_rng(seed, _STREAM_NOISE, t).standard_normal(
-            frame.clean_state.dim
-        )
-        walk = draw if walk is None else walk + draw
-        noisy = StateVector(frame.clean_state.values + noise.sigma * walk)
-        out.append(
-            ScenarioFrame(
-                clean_state=frame.clean_state,
-                noisy_state=noisy,
-                truth_subspace=frame.truth_subspace,
-            )
-        )
-    return out

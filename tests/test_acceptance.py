@@ -16,29 +16,23 @@ import numpy as np
 import pytest
 
 import ssrlab.harness as harness_mod
-from ssrlab import (
+from ssrlab.affinity import (
     MODE_RAW_SUM,
     MODE_SOFTMAX,
-    NoiseModel,
-    SsrConfig,
-    SsrState,
     StateVector,
     StateWindow,
-    SubspacePoint,
-    TrajectoryConfig,
-    ablate_window,
     compute_affinity,
-    derive_trial_seed,
-    ema_fuse,
-    generate_scenario,
+)
+from ssrlab.grassmann import (
+    SubspacePoint,
     orthonormalize,
     principal_angles,
     projection_distance,
-    run_stream,
-    score_run,
     span_membership_residual,
-    ssr_step,
 )
+from ssrlab.metrics import ablate_window, score_run
+from ssrlab.regularizer import SsrConfig, SsrState, ema_fuse, run_stream, ssr_step
+from ssrlab.synth import NoiseModel, TrajectoryConfig, derive_trial_seed, generate_scenario
 from ssrlab.cli import main
 from ssrlab.synth import ScenarioFrame
 
@@ -329,10 +323,10 @@ def test_drift_error_scaling():
     )
 
 
-def test_outputs_byte_identical_across_threads(tmp_path, monkeypatch):
-    # identical config, two runs into the same directory; only the
-    # thread count differs, so every payload byte must match (the
-    # timestamp lives in run_meta.json, outside the comparison)
+def test_outputs_byte_identical_across_reruns(tmp_path):
+    # identical config, two runs into the same directory: every payload
+    # byte must match (the timestamp lives in run_meta.json, outside the
+    # comparison)
     out_dir = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -359,28 +353,21 @@ def test_outputs_byte_identical_across_threads(tmp_path, monkeypatch):
     names = ("results.csv", "summary.json", "affinity_f00000.csv",
              "affinity_f00007.csv", "affinity_f00040.csv")
 
-    def run_and_snapshot(threads: str | None) -> dict[str, bytes]:
-        if threads is None:
-            monkeypatch.delenv("SSRLAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("SSRLAB_THREADS", threads)
+    def run_and_snapshot() -> dict[str, bytes]:
         assert main(["simulate", str(cfg)]) == 0
         snapshot = {}
         for name in names:
-            with open(os.path.join(out_dir, name), "rb") as fh:
+            path = os.path.join(out_dir, name)
+            with open(path, "rb") as fh:
                 snapshot[name] = fh.read()
+            os.remove(path)  # the rerun must write every file afresh
         return snapshot
 
-    sequential = run_and_snapshot(None)
-    threaded = run_and_snapshot("4")
+    first = run_and_snapshot()
+    second = run_and_snapshot()
     for name in names:
-        assert sequential[name] == threaded[name], (
-            f"{name} differs across thread counts"
-        )
-    report(
-        f"PASS determinism: {', '.join(names)} byte-identical with "
-        f"SSRLAB_THREADS unset vs 4"
-    )
+        assert first[name] == second[name], f"{name} differs across reruns"
+    report(f"PASS determinism: {', '.join(names)} byte-identical across reruns")
 
 
 def test_degenerate_row_failure_is_structured(tmp_path, monkeypatch, capsys):

@@ -6,24 +6,24 @@ by their sum, raw-sum rows phi / sum_j phi.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrlab import (
+from ssrlab.affinity import (
     MODE_RAW_SUM,
     MODE_SOFTMAX,
     AffinityMatrix,
-    DegenerateRow,
     StateVector,
     StateWindow,
-    affinity_to_heatmap,
     compute_affinity,
     default_temperature,
     self_expressive_residual,
 )
+from ssrlab.errors import DegenerateRow, NonFiniteAffinity
 
 E = math.e
 
@@ -251,15 +251,6 @@ class TestResidualAndHeatmap:
         with pytest.raises(Exception):
             self_expressive_residual(window, aff)
 
-    def test_heatmap_preserves_values_and_range(self):
-        rng = np.random.default_rng(101)
-        rows = rng.standard_normal((4, 3))
-        aff = compute_affinity(window_of(rows))
-        grid = affinity_to_heatmap(aff)
-        assert np.array_equal(grid.values, aff.entries)
-        assert grid.vmin == aff.entries.min()
-        assert grid.vmax == aff.entries.max()
-
 
 class TestAffinityMatrixValidation:
     def test_rows_must_sum_to_one(self):
@@ -283,6 +274,16 @@ class TestAffinityMatrixValidation:
             entries=np.array([[1.5, -0.5], [0.0, 1.0]]), mode=MODE_RAW_SUM
         )
         assert aff.current_row()[1] == 1.0
+
+
+@pytest.mark.parametrize("mode", [MODE_SOFTMAX, MODE_RAW_SUM])
+def test_overflowing_dot_products_raise_numeric_error(mode):
+    # entries of 1e160 are finite, but their squares overflow float64
+    rows = np.array([[1e160, 1.0], [1.0, -1e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteAffinity):
+            compute_affinity(window_of(rows), mode=mode)
 
 
 @settings(max_examples=80, deadline=None)

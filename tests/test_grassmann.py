@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrlab import (
+from ssrlab.errors import (
     DegenerateGeodesic,
     DimensionMismatch,
     RankDeficient,
     RankMismatch,
+)
+from ssrlab.grassmann import (
     SubspacePoint,
     geodesic,
     orthonormalize,

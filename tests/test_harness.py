@@ -7,25 +7,37 @@ exception: the frozen full-scale regression in TestBenchmarkRegression.
 import json
 import math
 import os
+import stat
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ssrlab
 import ssrlab.harness as harness_mod
-from ssrlab import (
-    ConfigInvalid,
-    DegenerateRow,
-    StateVector,
-    SubspacePoint,
+from ssrlab.affinity import StateVector
+from ssrlab.cli import main
+from ssrlab.config import (
+    _KNOWN_KEYS,
+    ExperimentConfig,
     build_experiment_config,
     load_config,
     parse_config_text,
+)
+from ssrlab.errors import ConfigInvalid, DegenerateRow
+from ssrlab.grassmann import SubspacePoint
+from ssrlab.harness import (
+    CSV_HEADER,
+    dump_csv,
     run_experiment,
+    summary_payload,
     write_experiment_outputs,
 )
-from ssrlab.cli import main
-from ssrlab.harness import CSV_HEADER, THREADS_ENV_VAR, dump_csv, summary_payload
-from ssrlab.synth import ScenarioFrame
+from ssrlab.synth import ScenarioFrame, derive_trial_seed, generate_scenario
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -157,15 +169,11 @@ class TestRunExperiment:
                 assert record.corrected_error < 1e-9
 
     def test_ema_matches_local_recursion(self, tmp_path):
-        from dataclasses import replace as dc_replace
-
-        from ssrlab.synth import derive_trial_seed, generate_scenario
-
         config = make_config(tmp_path, methods="ema", trials=1)
         bundle = run_experiment(config)
         seed = derive_trial_seed(config.trajectory.seed, 0)
         frames = generate_scenario(
-            dc_replace(config.trajectory, seed=seed), config.noise
+            replace(config.trajectory, seed=seed), config.noise
         )
         fused = frames[0].noisy_state.values
         expected_errors = [np.linalg.norm(fused - frames[0].clean_state.values)]
@@ -233,29 +241,52 @@ class TestRunExperiment:
         assert "trial=0" in message
         assert "frame=1" in message
 
-
-class TestThreading:
-    def test_thread_count_env_parsing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigInvalid):
-            run_experiment(make_config(tmp_path, trials=1))
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        with pytest.raises(ConfigInvalid):
-            run_experiment(make_config(tmp_path, trials=1))
-
-    def test_results_identical_across_thread_counts(self, tmp_path, monkeypatch):
+    def test_records_identical_across_reruns(self, tmp_path):
         config = make_config(tmp_path, trials=4)
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        sequential = run_experiment(config)
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        threaded = run_experiment(config)
+        first = run_experiment(config)
+        second = run_experiment(config)
         for method in config.methods:
-            a = sequential.methods[method]
-            b = threaded.methods[method]
-            for ra, rb in zip(a.records, b.records):
-                for x, y in zip(ra, rb):
-                    assert x == y
+            a = first.methods[method]
+            b = second.methods[method]
+            assert a.records == b.records
             assert a.aggregate_mean == b.aggregate_mean
+
+    @pytest.mark.parametrize("policy", ["store-raw", "store-corrected"])
+    def test_se_residual_matches_list_oracle(self, tmp_path, policy):
+        # plain-list oracle: score S = stored[-k:] + [raw incoming] with
+        # C = softmax(S S^T / tau), residual ||S - CS||_F / ||S||_F, then
+        # store C[-1] @ S (store-corrected) or the raw state (store-raw)
+        config = make_config(
+            tmp_path, methods="ssr", trials=2, **{"ssr.buffer_policy": policy}
+        )
+        paths = write_experiment_outputs(run_experiment(config))
+        with open(paths["csv"], encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        k, tau = config.ssr.window_k, config.ssr.temperature
+        for trial in range(config.trials):
+            seed = derive_trial_seed(config.trajectory.seed, trial)
+            frames = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+            stored, residuals, errors = [], [], []
+            for frame in frames:
+                incoming = frame.noisy_state.values
+                window = np.array(stored[-k:] + [incoming])
+                logits = window @ window.T / tau
+                weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+                c = weights / weights.sum(axis=1, keepdims=True)
+                residuals.append(
+                    np.linalg.norm(window - c @ window) / np.linalg.norm(window)
+                )
+                out = c[-1] @ window
+                errors.append(np.linalg.norm(out - frame.clean_state.values))
+                stored.append(out if policy == "store-corrected" else incoming)
+            got = [row for row in rows if int(row[2]) == trial]
+            assert len(got) == len(frames)
+            np.testing.assert_allclose(
+                [float(row[6]) for row in got], residuals, rtol=1e-12, atol=0.0
+            )
+            np.testing.assert_allclose(
+                [float(row[4]) for row in got], errors, rtol=1e-12, atol=0.0
+            )
 
 
 class TestWriters:
@@ -323,7 +354,8 @@ class TestWriters:
             grid = np.loadtxt(path, delimiter=",", ndmin=2)
             rows = min(frame + 1, config.ssr.window_k + 1)
             assert grid.shape == (rows, rows)
-            assert np.array_equal(grid, bundle.heatmaps[frame].values)
+            assert np.array_equal(grid, bundle.heatmaps[frame])
+            assert not bundle.heatmaps[frame].flags.writeable
             assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-9)
 
     def test_no_heatmaps_without_flag(self, tmp_path):
@@ -546,6 +578,104 @@ class TestCli:
         cfg = write_cfg_file(tmp_path)
         assert main(["affinity-dump", cfg, "--frames", "999"]) == 2
 
+    def test_ablate_failed_rename_keeps_previous_json(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = write_cfg_file(tmp_path, trials=1)
+        out = tmp_path / "out"
+        out.mkdir()
+        previous = b'{"rows": "from an earlier sweep"}\n'
+        (out / "ablation.json").write_bytes(previous)
+        real_replace = os.replace
+
+        def replace_failing_on_json(src, dst):
+            if os.path.basename(dst) == "ablation.json":
+                raise OSError("simulated rename failure")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_on_json)
+        assert main(["ablate-window", cfg, "--sizes", "1,2"]) == 4
+        assert "io error" in capsys.readouterr().err
+        assert (out / "ablation.json").read_bytes() == previous
+        assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        cfg = write_cfg_file(tmp_path, trials=1)
+        old = os.umask(0o027)
+        try:
+            assert main(["simulate", cfg]) == 0
+            assert main(["ablate-window", cfg, "--sizes", "1,2"]) == 0
+        finally:
+            os.umask(old)
+        for name in ("results.csv", "ablation.csv"):
+            mode = stat.S_IMODE(os.stat(tmp_path / "out" / name).st_mode)
+            assert mode == 0o666 & ~0o027, f"{name}: {oct(mode)}"
+
+    def test_overflowing_states_exit_three_without_traceback(self, tmp_path):
+        # entries near 1e160 are finite but their dot products are not
+        cfg = write_cfg_file(
+            tmp_path,
+            methods="ssr",
+            trials=1,
+            **{"scenario.length": "16", "noise.sigma": "1e160"},
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ssrlab.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "ssrlab.cli", "simulate", cfg],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "numeric error:" in done.stderr
+        assert "method=ssr, trial=0, frame=0" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"scenario.n = 8\xff\n")
+        assert main(["simulate", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_affinity_dump_empty_frames_exits_two(self, tmp_path):
+        cfg = write_cfg_file(tmp_path)
+        assert main(["affinity-dump", cfg, "--frames", ""]) == 2
+
     def test_selfcheck_passes(self, capsys):
         assert main(["selfcheck"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+
+# Values that reach every branch of the typed parsers: numbers of every
+# size, non-numbers, enum members, and arbitrary text.
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=10),
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(
+        ["1" + "0" * 400, "1e400", "-0", "nan", "inf", "1,,2", "0,5", "",
+         "true", "raw-sum", "store-corrected", "drift-random-walk", "ssr,ema"]
+    ),
+)
+
+
+@st.composite
+def config_texts(draw) -> str:
+    values = {**BASE, "output.dir": "out"}
+    for key in draw(st.lists(st.sampled_from(sorted(_KNOWN_KEYS)), max_size=6)):
+        values[key] = draw(_CONFIG_VALUES)
+    return "\n".join(f"{key} = {value}" for key, value in values.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.text(), config_texts()))
+@example(text="\n".join(f"{key} = {value}" for key, value in {
+    **BASE, "output.dir": "out", "scenario.n": "1" + "0" * 400}.items()))
+def test_property_config_text_parses_or_raises_config_invalid(text):
+    try:
+        config = build_experiment_config(parse_config_text(text))
+    except ConfigInvalid:
+        return
+    assert isinstance(config, ExperimentConfig)

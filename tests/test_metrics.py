@@ -7,25 +7,19 @@ so the corrector removed exactly half the mean error.
 import numpy as np
 import pytest
 
-from ssrlab import (
-    LengthMismatch,
-    NoiseModel,
-    RankParamInvalid,
+from ssrlab.affinity import StateVector
+from ssrlab.errors import LengthMismatch
+from ssrlab.grassmann import SubspacePoint
+from ssrlab.metrics import (
     RunSummary,
-    SsrConfig,
-    StateVector,
-    StateWindow,
     StepRecord,
-    SubspacePoint,
-    TrajectoryConfig,
     ablate_window,
-    generate_scenario,
     improvement_ratio,
     score_run,
-    singular_tail_energy,
+    summarize,
 )
-from ssrlab.metrics import summarize
-from ssrlab.synth import ScenarioFrame
+from ssrlab.regularizer import SsrConfig
+from ssrlab.synth import NoiseModel, ScenarioFrame, TrajectoryConfig, generate_scenario
 
 
 def line_span() -> SubspacePoint:
@@ -164,40 +158,6 @@ class TestSummaryValidation:
                 tail_error_mean=1.0,
                 win_fraction=1.5,
             )
-
-
-class TestSingularTailEnergy:
-    def test_identity_window_splits_energy_evenly(self):
-        window = StateWindow(
-            states=tuple(StateVector(row) for row in np.eye(3)), capacity=4
-        )
-        assert singular_tail_energy(window, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert singular_tail_energy(window, 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_rank_one_window_has_no_tail(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        window = StateWindow(
-            states=(StateVector(v), StateVector(2.0 * v)), capacity=4
-        )
-        assert singular_tail_energy(window, 1) < 1e-24
-
-    def test_scaling_invariance(self):
-        rng = np.random.default_rng(7)
-        rows = rng.standard_normal((5, 8))
-        w1 = StateWindow(states=tuple(StateVector(r) for r in rows), capacity=8)
-        w2 = StateWindow(states=tuple(StateVector(9.0 * r) for r in rows), capacity=8)
-        assert singular_tail_energy(w1, 2) == pytest.approx(
-            singular_tail_energy(w2, 2), rel=1e-12
-        )
-
-    def test_rank_param_bounds(self):
-        window = StateWindow(
-            states=tuple(StateVector(row) for row in np.eye(3)), capacity=4
-        )
-        with pytest.raises(RankParamInvalid):
-            singular_tail_energy(window, 0)
-        with pytest.raises(RankParamInvalid):
-            singular_tail_energy(window, 3)
 
 
 class TestAblateWindow:

@@ -12,20 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrlab import (
-    MODE_RAW_SUM,
+from ssrlab.affinity import MODE_RAW_SUM, StateVector
+from ssrlab.errors import AlphaOutOfRange, DimensionMismatch
+from ssrlab.grassmann import orthonormalize, span_membership_residual
+from ssrlab.regularizer import (
     STORE_CORRECTED,
     STORE_RAW,
-    AlphaOutOfRange,
-    DimensionMismatch,
     SsrConfig,
     SsrState,
-    StateVector,
     ema_fuse,
-    orthonormalize,
     passthrough_step,
     run_stream,
-    span_membership_residual,
     ssr_step,
 )
 
@@ -212,7 +209,7 @@ class TestConfigValidation:
             SsrConfig(buffer_policy="store-everything")
 
     def test_state_window_length_invariant(self):
-        from ssrlab import StateWindow
+        from ssrlab.affinity import StateWindow
 
         config = SsrConfig(window_k=2)
         with pytest.raises(ValueError):
