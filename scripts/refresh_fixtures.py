@@ -71,9 +71,9 @@ def denoising_fixture() -> dict:
         seed = derive_trial_seed(BASE_SEED, trial)
         frames = generate_scenario(replace(TRAJECTORY, seed=seed), NOISE)
         noisy = [f.noisy_state for f in frames]
-        corrected, _ = run_stream(SSR, noisy)
+        corrected, _, _ = run_stream(SSR, noisy)
         _, summary = score_run(frames, corrected)
-        _, base = score_run(frames, noisy)
+        _, base = score_run(frames, [s.values for s in noisy])
         wins += int(summary.mean_corrected_error < base.mean_corrected_error)
         ratios.append(summary.improvement_ratio)
     return {

@@ -112,13 +112,8 @@ def _cmd_affinity_dump(args: argparse.Namespace) -> int:
 
 
 def _selfcheck_cases() -> list[tuple[str, object]]:
-    from .affinity import MODE_RAW_SUM, StateVector, StateWindow, compute_affinity
-    from .grassmann import (
-        SubspacePoint,
-        geodesic,
-        orthonormalize,
-        projection_distance,
-    )
+    from .affinity import MODE_RAW_SUM, StateVector, compute_affinity
+    from .grassmann import geodesic, orthonormalize, projection_distance
     from .regularizer import SsrConfig, ema_fuse, run_stream
 
     def check_orthonormalize_idempotent() -> None:
@@ -144,35 +139,21 @@ def _selfcheck_cases() -> list[tuple[str, object]]:
         assert projection_distance(geodesic(a, b, 1.0), b) < 1e-9
 
     def check_affinity_rows() -> None:
-        rng = np.random.default_rng(17)
-        window = StateWindow(
-            states=tuple(StateVector(rng.standard_normal(5)) for _ in range(4)),
-            capacity=8,
-        )
+        window = np.random.default_rng(17).standard_normal((4, 5))
         soft = compute_affinity(window)
-        assert np.allclose(soft.entries.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-9)
         raw = compute_affinity(window, mode=MODE_RAW_SUM)
-        assert np.allclose(raw.entries.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(raw.sum(axis=1), 1.0, atol=1e-9)
 
     def check_single_frame_identity() -> None:
-        window = StateWindow(
-            states=(StateVector(np.array([3.0, -1.0])),), capacity=4
-        )
-        aff = compute_affinity(window)
-        assert aff.entries.shape == (1, 1)
-        assert aff.entries[0, 0] == 1.0
+        aff = compute_affinity(np.array([[3.0, -1.0]]))
+        assert aff.shape == (1, 1)
+        assert aff[0, 0] == 1.0
 
     def check_softmax_pair_value() -> None:
-        window = StateWindow(
-            states=(
-                StateVector(np.array([1.0, 0.0])),
-                StateVector(np.array([0.0, 0.0])),
-            ),
-            capacity=4,
-        )
-        aff = compute_affinity(window, temperature=1.0)
+        aff = compute_affinity(np.array([[1.0, 0.0], [0.0, 0.0]]), temperature=1.0)
         expected = np.exp(1.0) / (np.exp(1.0) + 1.0)
-        assert abs(aff.entries[0, 0] - expected) < 1e-15
+        assert abs(aff[0, 0] - expected) < 1e-15
 
     def check_ema_endpoints() -> None:
         cur = StateVector(np.array([1.0, 2.0]))
@@ -182,9 +163,8 @@ def _selfcheck_cases() -> list[tuple[str, object]]:
 
     def check_constant_stream_fixed_point() -> None:
         vec = StateVector(np.array([0.6, 0.8, 0.0]))
-        corrected, _ = run_stream(SsrConfig(window_k=4), [vec] * 12)
-        for out in corrected:
-            assert np.allclose(out.values, vec.values, rtol=0.0, atol=1e-12)
+        corrected, _, _ = run_stream(SsrConfig(window_k=4), [vec] * 12)
+        assert np.allclose(corrected, vec.values, rtol=0.0, atol=1e-12)
 
     return [
         ("orthonormalize is idempotent", check_orthonormalize_idempotent),
@@ -230,6 +210,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(
+            f"config error: the configured scenario does not fit in memory ({exc})",
+            file=sys.stderr,
+        )
         return 2
     except NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -22,7 +22,9 @@ __all__ = [
 
 
 class SsrLabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; frame is the failing frame, if known."""
+
+    frame: int | None = None
 
 
 class DimensionMismatch(SsrLabError):

@@ -1,7 +1,8 @@
 """Experiment runner and deterministic result writers.
 
 A run streams each trial's noisy states through every configured method
-in arrival order and scores the outputs against the clean states. All
+(the corrector is one run_stream call, which also yields the heatmaps
+and residuals) and scores the outputs against the clean states. All
 emitted payloads (CSV, summary JSON, heatmap grids, ablation tables)
 are byte-identical across reruns; the wall-clock timestamp lives in its
 own run_meta.json, outside the determinism guarantee. Every file is
@@ -20,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .affinity import StateVector, self_expressive_residual
+from .affinity import StateVector
 from .config import (
     METHOD_EMA,
     METHOD_PASSTHROUGH,
@@ -30,7 +31,7 @@ from .config import (
 )
 from .errors import ConfigInvalid, NUMERIC_ERRORS
 from .metrics import AblationRow, RunSummary, StepRecord, score_run
-from .regularizer import STORE_CORRECTED, SsrState, ema_fuse, passthrough_step, ssr_step
+from .regularizer import ema_fuse, passthrough_step, run_stream
 from .synth import ScenarioFrame, derive_trial_seed, generate_scenario
 
 __all__ = [
@@ -79,41 +80,14 @@ class ResultBundle:
     timestamp: str
 
 
-def _annotate(exc: Exception, method: str, trial: int, frame: int) -> Exception:
+def _annotate(exc: Exception, method: str, trial: int, frame: int | None) -> Exception:
     return type(exc)(f"(method={method}, trial={trial}, frame={frame}): {exc}")
-
-
-def _run_ssr(
-    config: ExperimentConfig,
-    frames: list[ScenarioFrame],
-    trial: int,
-    capture_heatmaps: bool,
-) -> tuple[list[StateVector], list[float], dict[int, np.ndarray]]:
-    state = SsrState.initial(config.ssr)
-    store_corrected = config.ssr.buffer_policy == STORE_CORRECTED
-    corrected: list[StateVector] = []
-    residuals: list[float] = []
-    heatmaps: dict[int, np.ndarray] = {}
-    wanted = set(config.heatmap_frames) if capture_heatmaps else set()
-    for t, frame in enumerate(frames):
-        incoming = frame.noisy_state
-        try:
-            out, aff, state = ssr_step(state, incoming)
-        except NUMERIC_ERRORS as exc:
-            raise _annotate(exc, METHOD_SSR, trial, t) from exc
-        # The affinity scored the window with the raw incoming state last.
-        seen = state.window.replace_current(incoming) if store_corrected else state.window
-        corrected.append(out)
-        residuals.append(self_expressive_residual(seen, aff))
-        if t in wanted:
-            heatmaps[t] = aff.entries
-    return corrected, residuals, heatmaps
 
 
 def _run_ema(
     config: ExperimentConfig, frames: list[ScenarioFrame], trial: int
-) -> list[StateVector]:
-    corrected: list[StateVector] = []
+) -> np.ndarray:
+    corrected: list[np.ndarray] = []
     previous: StateVector | None = None
     for t, frame in enumerate(frames):
         if previous is None:
@@ -123,9 +97,9 @@ def _run_ema(
                 fused = ema_fuse(frame.noisy_state, previous, config.ema_alpha)
             except NUMERIC_ERRORS as exc:
                 raise _annotate(exc, METHOD_EMA, trial, t) from exc
-        corrected.append(fused)
+        corrected.append(fused.values)
         previous = fused
-    return corrected
+    return np.array(corrected)
 
 
 def _run_trial(
@@ -141,14 +115,18 @@ def _run_trial(
     for method in config.methods:
         residuals: list[float] | None = None
         if method == METHOD_SSR:
-            corrected, residuals, grabbed = _run_ssr(
-                config, frames, trial, config.emit_heatmaps and trial == 0
-            )
-            heatmaps.update(grabbed)
+            try:
+                corrected, affinities, residuals = run_stream(
+                    config.ssr, [f.noisy_state for f in frames]
+                )
+            except NUMERIC_ERRORS as exc:
+                raise _annotate(exc, METHOD_SSR, trial, exc.frame) from exc
+            if config.emit_heatmaps and trial == 0:
+                heatmaps.update((t, affinities[t]) for t in config.heatmap_frames)
         elif method == METHOD_EMA:
             corrected = _run_ema(config, frames, trial)
         elif method == METHOD_PASSTHROUGH:
-            corrected = [passthrough_step(f.noisy_state) for f in frames]
+            corrected = np.array([passthrough_step(f.noisy_state).values for f in frames])
         else:  # pragma: no cover - methods validated at config build
             raise ConfigInvalid(f"methods: unknown method {method!r}")
         records, summary = score_run(frames, corrected, residuals)

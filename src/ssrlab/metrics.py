@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .affinity import StateVector
 from .errors import LengthMismatch
 from .grassmann import span_membership_residual
 from .regularizer import SsrConfig, run_stream
@@ -90,14 +89,14 @@ def improvement_ratio(mean_raw: float, mean_corrected: float) -> float:
 
 def score_run(
     frames: list[ScenarioFrame],
-    corrected: list[StateVector],
+    corrected: np.ndarray,
     se_residuals: list[float] | None = None,
 ) -> tuple[list[StepRecord], RunSummary]:
     """Score a corrected stream frame by frame.
 
     Args:
         frames: the scenario that produced the stream.
-        corrected: the method's outputs, aligned with frames.
+        corrected: the method's outputs, a T x d array aligned with frames.
         se_residuals: optional per-frame self-expression residuals
             (methods without a window report 0).
 
@@ -121,10 +120,8 @@ def score_run(
             StepRecord(
                 frame=t,
                 raw_error=float(np.linalg.norm(frame.noisy_state.values - clean)),
-                corrected_error=float(np.linalg.norm(state.values - clean)),
-                subspace_residual=span_membership_residual(
-                    state.values, frame.truth_subspace
-                ),
+                corrected_error=float(np.linalg.norm(state - clean)),
+                subspace_residual=span_membership_residual(state, frame.truth_subspace),
                 se_residual=float(se),
             )
         )
@@ -179,7 +176,7 @@ def ablate_window(
         config = replace(base, window_k=k)
         ratios = []
         for frames in scenarios:
-            corrected, _ = run_stream(config, [f.noisy_state for f in frames])
+            corrected, _, _ = run_stream(config, [f.noisy_state for f in frames])
             _, summary = score_run(frames, corrected)
             ratios.append(summary.improvement_ratio)
         values = np.array(ratios)

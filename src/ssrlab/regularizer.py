@@ -1,19 +1,20 @@
 """Closed-form streaming correction of latent-state sequences.
 
-Every incoming state is appended to a sliding window of the window_k most
-recent predecessors, a row-normalized affinity is computed over the
-window, and the corrected state is the affinity-weighted combination of
-the window rows (the current frame's row of the matrix applied to the
-stacked window). No training, no iteration: one small matrix product per
-frame.
+run_stream stacks a sequence into one T x d buffer and walks it once.
+At frame t the window is the current state plus its window_k most recent
+predecessors, a row-normalized affinity is computed over it, and the
+corrected state is the current frame's affinity row applied to the
+window. No training, no iteration: one small matrix product per frame.
 
-Two buffer policies control what the window retains: "store-raw" keeps
-the observed states (the default; feedback cannot compound smoothing),
-"store-corrected" writes the corrected state back into the window.
+Two buffer policies control what the window holds: "store-raw" keeps the
+observed states (the default; feedback cannot compound smoothing),
+"store-corrected" writes each corrected state back into the buffer once
+its frame is done.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +22,17 @@ import numpy as np
 from .affinity import (
     AFFINITY_MODES,
     MODE_SOFTMAX,
-    AffinityMatrix,
     StateVector,
-    StateWindow,
     compute_affinity,
+    self_expressive_residual,
 )
-from .errors import AlphaOutOfRange, DimensionMismatch
+from .errors import NUMERIC_ERRORS, AlphaOutOfRange, DimensionMismatch
 
 __all__ = [
     "STORE_RAW",
     "STORE_CORRECTED",
     "BUFFER_POLICIES",
     "SsrConfig",
-    "SsrState",
     "ssr_step",
     "run_stream",
     "ema_fuse",
@@ -74,69 +73,55 @@ class SsrConfig:
             raise ValueError(f"unknown buffer policy {self.buffer_policy!r}")
 
 
-@dataclass(frozen=True)
-class SsrState:
-    """Immutable stream state: the window plus a frame counter."""
+def ssr_step(window: np.ndarray, config: SsrConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Correct the current (last) state of an L x d window.
 
-    config: SsrConfig
-    window: StateWindow
-    frames_seen: int
-
-    def __post_init__(self) -> None:
-        if self.frames_seen < 0:
-            raise ValueError("frames_seen must be nonnegative")
-        expected = min(self.frames_seen, self.config.window_k + 1)
-        if len(self.window) != expected:
-            raise ValueError(
-                f"window holds {len(self.window)} states, expected {expected}"
-            )
-
-    @classmethod
-    def initial(cls, config: SsrConfig) -> "SsrState":
-        """Fresh state with an empty window."""
-        window = StateWindow(states=(), capacity=config.window_k + 1)
-        return cls(config=config, window=window, frames_seen=0)
-
-
-def ssr_step(
-    state: SsrState, incoming: StateVector
-) -> tuple[StateVector, AffinityMatrix, SsrState]:
-    """Advance the stream by one frame.
-
-    The incoming state joins the window (evicting the oldest entry at
-    capacity), the affinity is computed over the updated window, and the
-    corrected state is the current frame's affinity row applied to the
-    stacked window. A single-frame window yields affinity [[1.0]] and
-    returns the input unchanged.
+    The corrected state is the current frame's affinity row applied to
+    the window. A single-state window yields affinity [[1.0]] and
+    returns its state unchanged.
 
     Returns:
-        (corrected state, affinity matrix, updated SsrState)
+        (corrected state, read-only L x L affinity)
     """
-    cfg = state.config
-    window = state.window.push(incoming)
-    affinity = compute_affinity(window, mode=cfg.mode, temperature=cfg.temperature)
+    affinity = compute_affinity(window, config.mode, config.temperature)
     if len(window) == 1:
-        corrected = incoming
-    else:
-        corrected = StateVector(affinity.current_row() @ window.as_matrix())
-    if cfg.buffer_policy == STORE_CORRECTED:
-        window = window.replace_current(corrected)
-    new_state = SsrState(config=cfg, window=window, frames_seen=state.frames_seen + 1)
-    return corrected, affinity, new_state
+        return window[0], affinity
+    return affinity[-1] @ window, affinity
 
 
 def run_stream(
-    config: SsrConfig, states: "list[StateVector]"
-) -> tuple[list[StateVector], list[AffinityMatrix]]:
-    """Run ssr_step over a whole sequence, collecting outputs in order."""
-    state = SsrState.initial(config)
-    corrected: list[StateVector] = []
-    affinities: list[AffinityMatrix] = []
-    for incoming in states:
-        out, aff, state = ssr_step(state, incoming)
-        corrected.append(out)
-        affinities.append(aff)
-    return corrected, affinities
+    config: SsrConfig, states: Sequence[StateVector]
+) -> tuple[np.ndarray, list[np.ndarray], list[float]]:
+    """Correct a sequence in arrival order over one T x d buffer.
+
+    The window at frame t is the view buf[max(0, t - k) : t + 1]. Under
+    store-corrected, buf[t] takes the corrected state only after frame t
+    is scored, so each affinity and residual sees the raw current state.
+
+    Returns:
+        (T x d corrected states, per-frame read-only affinities,
+        per-frame self-expression residuals). A numeric error raised on
+        the way has its frame attribute set to the failing frame.
+    """
+    dims = {s.dim for s in states}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"states have mixed dims {sorted(dims)}")
+    k = config.window_k
+    buf = np.array([s.values for s in states])
+    corrected = buf if config.buffer_policy == STORE_CORRECTED else np.empty_like(buf)
+    affinities: list[np.ndarray] = []
+    residuals: list[float] = []
+    for t in range(len(buf)):
+        window = buf[max(0, t - k) : t + 1]
+        try:
+            row, affinity = ssr_step(window, config)
+        except NUMERIC_ERRORS as exc:
+            exc.frame = t
+            raise
+        residuals.append(self_expressive_residual(window, affinity))
+        affinities.append(affinity)
+        corrected[t] = row
+    return corrected, affinities, residuals
 
 
 def ema_fuse(

@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 import ssrlab.harness as harness_mod
-from ssrlab.affinity import (
-    MODE_RAW_SUM,
-    MODE_SOFTMAX,
-    StateVector,
-    StateWindow,
-    compute_affinity,
-)
+from ssrlab.affinity import MODE_RAW_SUM, MODE_SOFTMAX, StateVector, compute_affinity
 from ssrlab.grassmann import (
     SubspacePoint,
     orthonormalize,
@@ -31,7 +25,7 @@ from ssrlab.grassmann import (
     span_membership_residual,
 )
 from ssrlab.metrics import ablate_window, score_run
-from ssrlab.regularizer import SsrConfig, SsrState, ema_fuse, run_stream, ssr_step
+from ssrlab.regularizer import SsrConfig, ema_fuse, run_stream, ssr_step
 from ssrlab.synth import NoiseModel, TrajectoryConfig, derive_trial_seed, generate_scenario
 from ssrlab.cli import main
 from ssrlab.synth import ScenarioFrame
@@ -57,11 +51,6 @@ def load_fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def window_of(rows: np.ndarray) -> StateWindow:
-    states = tuple(StateVector(row) for row in np.atleast_2d(rows))
-    return StateWindow(states=states, capacity=len(states))
-
-
 def test_affinity_rows_are_convex_weights():
     # 10,000 random windows across the full size envelope; every softmax
     # row must be a convex weight vector. Budget: 5 seconds.
@@ -72,7 +61,7 @@ def test_affinity_rows_are_convex_weights():
         dim = int(rng.integers(2, 65))
         length = int(rng.integers(1, 66))
         rows = rng.standard_normal((length, dim))
-        entries = compute_affinity(window_of(rows)).entries
+        entries = compute_affinity(rows)
         assert np.all(entries >= 0.0)
         defect = float(np.abs(entries.sum(axis=1) - 1.0).max())
         assert defect <= 1e-9
@@ -111,15 +100,14 @@ def test_affinity_matches_naive_oracle():
         length = int(rng.integers(1, 6))
         dim = int(rng.integers(1, 5))
         rows = rng.standard_normal((length, dim))
-        window = window_of(rows)
         tau = float(rng.uniform(0.2, 4.0))
-        ours = compute_affinity(window, temperature=tau).entries
+        ours = compute_affinity(rows, temperature=tau)
         gap = float(np.abs(ours - naive(rows, MODE_SOFTMAX, tau)).max())
         assert gap <= 1e-12
         worst = max(worst, gap)
         row_sums = (rows @ rows.T).sum(axis=1)
         if np.all(np.abs(row_sums) >= 1e-9):
-            ours_raw = compute_affinity(window, mode=MODE_RAW_SUM).entries
+            ours_raw = compute_affinity(rows, mode=MODE_RAW_SUM)
             gap = float(np.abs(ours_raw - naive(rows, MODE_RAW_SUM, None)).max())
             assert gap <= 1e-12
             worst = max(worst, gap)
@@ -140,15 +128,13 @@ def test_corrected_state_stays_in_window_span():
     for stream in range(25):
         window_k = int(rng.integers(1, 9))
         dim = int(rng.integers(12, 20))
-        state = SsrState.initial(SsrConfig(window_k=window_k))
-        held: list[np.ndarray] = []
-        for _ in range(40):
-            incoming = StateVector(rng.standard_normal(dim))
-            held.append(incoming.values)
-            corrected, _, state = ssr_step(state, incoming)
-            rows = np.stack(held[-(window_k + 1):])
+        held = rng.standard_normal((40, dim))
+        states = [StateVector(row) for row in held]
+        corrected, _, _ = run_stream(SsrConfig(window_k=window_k), states)
+        for t, out in enumerate(corrected):
+            rows = held[max(0, t - window_k) : t + 1]
             span = orthonormalize(rows.T)
-            residual = span_membership_residual(corrected.values, span)
+            residual = span_membership_residual(out, span)
             assert residual < 1e-9
             worst = max(worst, residual)
             steps += 1
@@ -158,12 +144,11 @@ def test_corrected_state_stays_in_window_span():
 
 def test_identity_calibrations():
     # single frame: bitwise passthrough with affinity [[1.0]]
-    state = SsrState.initial(SsrConfig(window_k=8))
-    incoming = StateVector(np.array([2.5, -1.0, 0.25]))
-    corrected, affinity, _ = ssr_step(state, incoming)
-    assert corrected is incoming
-    assert affinity.entries.shape == (1, 1)
-    assert affinity.entries[0, 0] == 1.0
+    incoming = np.array([[2.5, -1.0, 0.25]])
+    corrected, affinity = ssr_step(incoming, SsrConfig(window_k=8))
+    assert np.array_equal(corrected, incoming[0])
+    assert affinity.shape == (1, 1)
+    assert affinity[0, 0] == 1.0
 
     # constant streams: fixed points within 1e-10, both buffer policies
     anchor = StateVector(np.array([0.6, 0.8, 0.0]))
@@ -171,11 +156,10 @@ def test_identity_calibrations():
     for policy in ("store-raw", "store-corrected"):
         for window_k in (1, 3, 8):
             config = SsrConfig(window_k=window_k, buffer_policy=policy)
-            corrected_stream, _ = run_stream(config, [anchor] * 64)
-            for out in corrected_stream:
-                drift = float(np.max(np.abs(out.values - anchor.values)))
-                assert drift < 1e-10
-                worst = max(worst, drift)
+            corrected_stream, _, _ = run_stream(config, [anchor] * 64)
+            drift = float(np.max(np.abs(corrected_stream - anchor.values)))
+            assert drift < 1e-10
+            worst = max(worst, drift)
 
     # blend endpoints: bitwise
     current = StateVector(np.array([1.0, 2.0]))
@@ -235,9 +219,9 @@ def test_denoising_beats_passthrough():
         seed = derive_trial_seed(BENCH_TRAJECTORY.seed, trial)
         frames = generate_scenario(replace(BENCH_TRAJECTORY, seed=seed), BENCH_NOISE)
         noisy = [f.noisy_state for f in frames]
-        corrected, _ = run_stream(BENCH_SSR, noisy)
+        corrected, _, _ = run_stream(BENCH_SSR, noisy)
         _, summary = score_run(frames, corrected)
-        _, baseline = score_run(frames, noisy)
+        _, baseline = score_run(frames, [s.values for s in noisy])
         wins += int(summary.mean_corrected_error < baseline.mean_corrected_error)
         ratios.append(summary.improvement_ratio)
     elapsed = time.perf_counter() - started
@@ -308,10 +292,10 @@ def test_drift_error_scaling():
         seed = derive_trial_seed(trajectory.seed, trial)
         frames = generate_scenario(replace(trajectory, seed=seed), noise)
         noisy = [f.noisy_state for f in frames]
-        records, baseline = score_run(frames, noisy)
+        records, baseline = score_run(frames, [s.values for s in noisy])
         at_100.append(records[99].raw_error)
         at_400.append(records[399].raw_error)
-        corrected, _ = run_stream(BENCH_SSR, noisy)
+        corrected, _, _ = run_stream(BENCH_SSR, noisy)
         _, summary = score_run(frames, corrected)
         tail_wins += int(summary.tail_error_mean < baseline.tail_error_mean)
     ratio = float(np.mean(at_400)) / float(np.mean(at_100))

@@ -10,27 +10,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssrlab.affinity import (
+    DEGENERATE_ROW_TOL,
     MODE_RAW_SUM,
     MODE_SOFTMAX,
-    AffinityMatrix,
     StateVector,
-    StateWindow,
     compute_affinity,
     default_temperature,
     self_expressive_residual,
 )
-from ssrlab.errors import DegenerateRow, NonFiniteAffinity
+from ssrlab.errors import DegenerateRow, DimensionMismatch, NonFiniteAffinity
 
 E = math.e
-
-
-def window_of(rows: np.ndarray, capacity: int | None = None) -> StateWindow:
-    states = tuple(StateVector(row) for row in np.atleast_2d(rows))
-    return StateWindow(states=states, capacity=capacity or max(len(states), 1))
 
 
 def naive_affinity(rows: np.ndarray, mode: str, temperature: float | None) -> np.ndarray:
@@ -71,136 +65,128 @@ class TestStateVector:
             v.values[0] = 5.0
 
 
-class TestStateWindow:
-    def test_push_evicts_oldest_at_capacity(self):
-        w = window_of(np.eye(3), capacity=3)
-        newcomer = StateVector(np.array([1.0, 1.0, 1.0]))
-        w2 = w.push(newcomer)
-        assert len(w2) == 3
-        assert w2.states[0] is w.states[1]
-        assert w2.current is newcomer
-
-    def test_push_grows_below_capacity(self):
-        w = StateWindow(states=(), capacity=4)
-        v = StateVector(np.array([1.0]))
-        assert len(w.push(v)) == 1
-
-    def test_as_matrix_row_order_is_oldest_first(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        w = window_of(rows)
-        assert np.array_equal(w.as_matrix(), rows)
-
-    def test_replace_current(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        w = window_of(rows)
-        swapped = w.replace_current(StateVector(np.array([5.0, 5.0])))
-        assert np.array_equal(swapped.as_matrix()[0], rows[0])
-        assert np.array_equal(swapped.current.values, [5.0, 5.0])
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(Exception):
-            StateWindow(
-                states=(StateVector(np.array([1.0])), StateVector(np.array([1.0, 2.0]))),
-                capacity=4,
-            )
-
-
 class TestSoftmaxAffinity:
     def test_single_state_gives_exactly_one(self):
-        aff = compute_affinity(window_of(np.array([[3.0, -1.0, 2.0]])))
-        assert aff.entries.shape == (1, 1)
-        assert aff.entries[0, 0] == 1.0
+        aff = compute_affinity(np.array([[3.0, -1.0, 2.0]]))
+        assert aff.shape == (1, 1)
+        assert aff[0, 0] == 1.0
 
     def test_identical_states_give_exactly_uniform_weights_pair(self):
         # equal logits shift to zero, exp gives ones, 1/2 is exact
         rows = np.array([[0.3, 0.4], [0.3, 0.4]])
-        aff = compute_affinity(window_of(rows))
-        assert np.array_equal(aff.entries, np.full((2, 2), 0.5))
+        aff = compute_affinity(rows)
+        assert np.array_equal(aff, np.full((2, 2), 0.5))
 
     def test_orthogonal_pair_matches_closed_form(self):
         # logits row 0: [1, 0] at tau=1 -> [e/(1+e), 1/(1+e)]
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        aff = compute_affinity(window_of(rows), temperature=1.0)
-        assert aff.entries[0, 0] == pytest.approx(E / (1 + E), abs=1e-15)
-        assert aff.entries[0, 1] == pytest.approx(1 / (1 + E), abs=1e-15)
+        aff = compute_affinity(rows, temperature=1.0)
+        assert aff[0, 0] == pytest.approx(E / (1 + E), abs=1e-15)
+        assert aff[0, 1] == pytest.approx(1 / (1 + E), abs=1e-15)
         # frozen decimals, computed with mpmath beforehand
-        assert aff.entries[0, 0] == pytest.approx(0.7310585786300049, abs=1e-15)
-        assert aff.entries[0, 1] == pytest.approx(0.2689414213699951, abs=1e-15)
+        assert aff[0, 0] == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert aff[0, 1] == pytest.approx(0.2689414213699951, abs=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(71)
         for _ in range(50):
             rows = rng.standard_normal((int(rng.integers(1, 9)), 5))
-            aff = compute_affinity(window_of(rows))
-            assert np.allclose(aff.entries.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(aff.entries >= 0.0)
+            aff = compute_affinity(rows)
+            assert np.allclose(aff.sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(aff >= 0.0)
 
     def test_default_temperature_is_sqrt_dim(self):
         assert default_temperature(64) == 8.0
         rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        implicit = compute_affinity(window_of(rows))
-        explicit = compute_affinity(window_of(rows), temperature=2.0)
-        assert np.array_equal(implicit.entries, explicit.entries)
-        assert implicit.temperature == 2.0
+        implicit = compute_affinity(rows)
+        explicit = compute_affinity(rows, temperature=2.0)
+        assert np.array_equal(implicit, explicit)
 
     def test_huge_temperature_flattens_to_uniform(self):
         rng = np.random.default_rng(73)
         rows = rng.standard_normal((4, 3))
-        aff = compute_affinity(window_of(rows), temperature=1e6)
-        assert np.allclose(aff.entries, 0.25, atol=1e-5)
+        aff = compute_affinity(rows, temperature=1e6)
+        assert np.allclose(aff, 0.25, atol=1e-5)
 
     def test_large_logits_do_not_overflow(self):
         rows = np.array([[1e3, 0.0], [0.0, 1e3]])
-        aff = compute_affinity(window_of(rows), temperature=1.0)
-        assert np.all(np.isfinite(aff.entries))
-        assert np.allclose(aff.entries.sum(axis=1), 1.0, atol=1e-9)
+        aff = compute_affinity(rows, temperature=1.0)
+        assert np.all(np.isfinite(aff))
+        assert np.allclose(aff.sum(axis=1), 1.0, atol=1e-9)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(79)
         rows = rng.standard_normal((5, 4))
         perm = rng.permutation(5)
-        direct = compute_affinity(window_of(rows[perm]), temperature=1.3).entries
-        base = compute_affinity(window_of(rows), temperature=1.3).entries
+        direct = compute_affinity(rows[perm], temperature=1.3)
+        base = compute_affinity(rows, temperature=1.3)
         assert np.allclose(direct, base[np.ix_(perm, perm)], atol=1e-12)
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(ValueError):
-            compute_affinity(window_of(np.eye(2)), temperature=0.0)
+            compute_affinity(np.eye(2), temperature=0.0)
 
 
 class TestRawSumAffinity:
     def test_identity_pair_normalizes_rows(self):
         # gram of I_2 is I_2; each row sums to 1 already
-        aff = compute_affinity(window_of(np.eye(2)), mode=MODE_RAW_SUM)
-        assert np.array_equal(aff.entries, np.eye(2))
+        aff = compute_affinity(np.eye(2), mode=MODE_RAW_SUM)
+        assert np.array_equal(aff, np.eye(2))
 
     def test_row_sums_exactly_one_shape(self):
         rng = np.random.default_rng(83)
         for _ in range(30):
             rows = rng.standard_normal((int(rng.integers(1, 7)), 6)) + 0.5
             try:
-                aff = compute_affinity(window_of(rows), mode=MODE_RAW_SUM)
+                aff = compute_affinity(rows, mode=MODE_RAW_SUM)
             except DegenerateRow:
                 continue
-            assert np.allclose(aff.entries.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(aff.sum(axis=1), 1.0, atol=1e-9)
 
     def test_opposite_states_raise_degenerate_row(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateRow) as excinfo:
-            compute_affinity(window_of(rows), mode=MODE_RAW_SUM)
+            compute_affinity(rows, mode=MODE_RAW_SUM)
         assert "row 0" in str(excinfo.value)
 
     def test_temperature_not_allowed(self):
         with pytest.raises(ValueError):
-            compute_affinity(window_of(np.eye(2)), mode=MODE_RAW_SUM, temperature=2.0)
+            compute_affinity(np.eye(2), mode=MODE_RAW_SUM, temperature=2.0)
 
     def test_scale_invariance(self):
         # phi scales quadratically but row normalization cancels it
         rng = np.random.default_rng(89)
         rows = rng.standard_normal((4, 5)) + 1.0
-        a1 = compute_affinity(window_of(rows), mode=MODE_RAW_SUM).entries
-        a2 = compute_affinity(window_of(3.0 * rows), mode=MODE_RAW_SUM).entries
+        a1 = compute_affinity(rows, mode=MODE_RAW_SUM)
+        a2 = compute_affinity(3.0 * rows, mode=MODE_RAW_SUM)
         assert np.allclose(a1, a2, atol=1e-12)
+
+    def test_entries_may_be_negative(self):
+        # gram [[1, -0.5], [-0.5, 1.25]], row sums 0.5 and 0.75
+        aff = compute_affinity(np.array([[1.0, 0.0], [-0.5, 1.0]]), mode=MODE_RAW_SUM)
+        assert np.allclose(aff, [[2.0, -1.0], [-2.0 / 3.0, 5.0 / 3.0]], atol=1e-15)
+
+    def test_guard_is_relative_to_row_magnitude(self):
+        # unit-scale near-cancellation: |sum phi| = 1e-5 against
+        # sum |phi| ~ 2, which an absolute 1e-12 floor let through
+        rows = np.array([[1.0, 0.0], [-0.99999, 1e-3]])
+        with pytest.raises(DegenerateRow):
+            compute_affinity(rows, mode=MODE_RAW_SUM)
+        # the last row sums to 1e-10 against sum |phi| = 2
+        rows = np.array(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.3, -0.7, math.sqrt(0.42 + 1e-10)]]
+        )
+        with pytest.raises(DegenerateRow) as excinfo:
+            compute_affinity(rows, mode=MODE_RAW_SUM)
+        assert "row 2" in str(excinfo.value)
+        # a well-conditioned window at tiny scale passes: every row sum is
+        # below 1e-12 in absolute terms
+        tiny = 1e-8 * np.array([[1.0, 0.0], [0.5, 1.0]])
+        assert np.allclose(
+            compute_affinity(tiny, mode=MODE_RAW_SUM),
+            compute_affinity(tiny / 1e-8, mode=MODE_RAW_SUM),
+            atol=1e-12,
+        )
 
 
 class TestOracleEquivalence:
@@ -212,16 +198,15 @@ class TestOracleEquivalence:
             length = int(rng.integers(1, 6))
             dim = int(rng.integers(1, 5))
             rows = rng.standard_normal((length, dim))
-            window = window_of(rows)
             if mode == MODE_RAW_SUM:
                 gram = rows @ rows.T
                 if np.any(np.abs(gram.sum(axis=1)) < 1e-9):
                     continue  # skip near-degenerate draws, tested separately
-                ours = compute_affinity(window, mode=mode).entries
+                ours = compute_affinity(rows, mode=mode)
                 theirs = naive_affinity(rows, mode, None)
             else:
                 tau = float(rng.uniform(0.2, 5.0))
-                ours = compute_affinity(window, mode=mode, temperature=tau).entries
+                ours = compute_affinity(rows, mode=mode, temperature=tau)
                 theirs = naive_affinity(rows, mode, tau)
             assert np.allclose(ours, theirs, atol=1e-12)
             checked += 1
@@ -232,48 +217,16 @@ class TestResidualAndHeatmap:
     def test_known_residual_halved_reconstruction(self):
         # C maps both rows to their average; S has rows e1, e2, so
         # S - CS has all entries +/- 0.5: frobenius 1, ||S|| = sqrt(2)
-        window = window_of(np.eye(2))
-        aff = AffinityMatrix(
-            entries=np.full((2, 2), 0.5), mode=MODE_SOFTMAX, temperature=1.0
-        )
-        value = self_expressive_residual(window, aff)
+        value = self_expressive_residual(np.eye(2), np.full((2, 2), 0.5))
         assert value == pytest.approx(2**-0.5, abs=1e-15)
         assert value == pytest.approx(0.7071067811865476, abs=1e-15)
 
     def test_perfect_reconstruction_is_zero(self):
-        window = window_of(np.eye(2))
-        aff = AffinityMatrix(entries=np.eye(2), mode=MODE_RAW_SUM)
-        assert self_expressive_residual(window, aff) == 0.0
+        assert self_expressive_residual(np.eye(2), np.eye(2)) == 0.0
 
     def test_size_mismatch_rejected(self):
-        window = window_of(np.eye(3))
-        aff = AffinityMatrix(entries=np.eye(2), mode=MODE_RAW_SUM)
-        with pytest.raises(Exception):
-            self_expressive_residual(window, aff)
-
-
-class TestAffinityMatrixValidation:
-    def test_rows_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            AffinityMatrix(
-                entries=np.array([[0.9, 0.0], [0.0, 1.0]]),
-                mode=MODE_SOFTMAX,
-                temperature=1.0,
-            )
-
-    def test_softmax_entries_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            AffinityMatrix(
-                entries=np.array([[1.5, -0.5], [0.0, 1.0]]),
-                mode=MODE_SOFTMAX,
-                temperature=1.0,
-            )
-
-    def test_raw_sum_entries_may_be_negative(self):
-        aff = AffinityMatrix(
-            entries=np.array([[1.5, -0.5], [0.0, 1.0]]), mode=MODE_RAW_SUM
-        )
-        assert aff.current_row()[1] == 1.0
+        with pytest.raises(DimensionMismatch):
+            self_expressive_residual(np.eye(3), np.eye(2))
 
 
 @pytest.mark.parametrize("mode", [MODE_SOFTMAX, MODE_RAW_SUM])
@@ -283,7 +236,7 @@ def test_overflowing_dot_products_raise_numeric_error(mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteAffinity):
-            compute_affinity(window_of(rows), mode=mode)
+            compute_affinity(rows, mode=mode)
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,10 +248,10 @@ def test_overflowing_dot_products_raise_numeric_error(mode):
 def test_property_softmax_rows_are_convex_weights(seed: int, length: int, dim: int):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((length, dim)) * float(rng.uniform(0.1, 10.0))
-    aff = compute_affinity(window_of(rows))
-    assert np.all(aff.entries >= 0.0)
-    assert np.all(aff.entries <= 1.0 + 1e-12)
-    assert np.allclose(aff.entries.sum(axis=1), 1.0, atol=1e-9)
+    aff = compute_affinity(rows)
+    assert np.all(aff >= 0.0)
+    assert np.all(aff <= 1.0 + 1e-12)
+    assert np.allclose(aff.sum(axis=1), 1.0, atol=1e-9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -313,8 +266,48 @@ def test_property_softmax_invariant_to_logit_shift(seed: int, shift: float):
     rows = rng.standard_normal((4, 3))
     tau = 1.7
     gram = rows @ rows.T
-    ours = compute_affinity(window_of(rows), temperature=tau).entries
+    ours = compute_affinity(rows, temperature=tau)
     logits = gram / tau + shift
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected = shifted / shifted.sum(axis=1, keepdims=True)
     assert np.allclose(ours, expected, atol=1e-12)
+
+
+def _near_cancelling_window(seed: int, length: int, dim: int, lean: float) -> np.ndarray:
+    """Random window whose last row has raw sum lean * ||x_last|| * scale.
+
+    The first row is chosen so that the window sum S is a random vector
+    orthogonal to the last state x plus lean along x, so the last row
+    sums to x . S = lean * ||x||; small leans sit near the guard.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((length, dim))
+    last = rows[-1]
+    unit = last / np.linalg.norm(last)
+    ortho = rng.standard_normal(dim)
+    ortho -= (ortho @ unit) * unit
+    rows[0] += ortho + lean * unit - rows.sum(axis=0)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=2, max_value=65),
+    dim=st.integers(min_value=1, max_value=8),
+    lean=st.floats(min_value=-8.0, max_value=0.0).map(lambda e: 10.0**e),
+)
+@example(seed=0, length=2, dim=2, lean=2.0 * DEGENERATE_ROW_TOL)
+def test_property_raw_sum_guard_bounds_amplification(
+    seed: int, length: int, dim: int, lean: float
+):
+    # an accepted row has sum |C_ij| < 1 / tol, so the corrected state is
+    # at most 1 / tol times the largest window state, and rows sum to 1
+    rows = _near_cancelling_window(seed, length, dim, lean)
+    try:
+        aff = compute_affinity(rows, mode=MODE_RAW_SUM)
+    except DegenerateRow:
+        return
+    bound = np.linalg.norm(rows, axis=1).max() / DEGENERATE_ROW_TOL
+    assert np.linalg.norm(aff[-1] @ rows) <= bound * (1.0 + 1e-9)
+    assert np.allclose(aff.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)

@@ -38,6 +38,7 @@ from ssrlab.harness import (
     write_experiment_outputs,
 )
 from ssrlab.synth import ScenarioFrame, derive_trial_seed, generate_scenario
+from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -253,32 +254,25 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("policy", ["store-raw", "store-corrected"])
     def test_se_residual_matches_list_oracle(self, tmp_path, policy):
-        # plain-list oracle: score S = stored[-k:] + [raw incoming] with
-        # C = softmax(S S^T / tau), residual ||S - CS||_F / ||S||_F, then
-        # store C[-1] @ S (store-corrected) or the raw state (store-raw)
         config = make_config(
             tmp_path, methods="ssr", trials=2, **{"ssr.buffer_policy": policy}
         )
         paths = write_experiment_outputs(run_experiment(config))
         with open(paths["csv"], encoding="utf-8") as fh:
             rows = [line.split(",") for line in fh.read().splitlines()[1:]]
-        k, tau = config.ssr.window_k, config.ssr.temperature
         for trial in range(config.trials):
             seed = derive_trial_seed(config.trajectory.seed, trial)
             frames = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
-            stored, residuals, errors = [], [], []
-            for frame in frames:
-                incoming = frame.noisy_state.values
-                window = np.array(stored[-k:] + [incoming])
-                logits = window @ window.T / tau
-                weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-                c = weights / weights.sum(axis=1, keepdims=True)
-                residuals.append(
-                    np.linalg.norm(window - c @ window) / np.linalg.norm(window)
-                )
-                out = c[-1] @ window
-                errors.append(np.linalg.norm(out - frame.clean_state.values))
-                stored.append(out if policy == "store-corrected" else incoming)
+            outputs, _, residuals = list_oracle(
+                [f.noisy_state.values for f in frames],
+                config.ssr.window_k,
+                config.ssr.mode,
+                config.ssr.temperature,
+                policy,
+            )
+            errors = [
+                np.linalg.norm(out - f.clean_state.values) for out, f in zip(outputs, frames)
+            ]
             got = [row for row in rows if int(row[2]) == trial]
             assert len(got) == len(frames)
             np.testing.assert_allclose(
@@ -543,6 +537,47 @@ class TestCli:
         assert main(["simulate", cfg]) == 3
         err = capsys.readouterr().err
         assert "method=ssr" in err and "trial=0" in err and "frame=1" in err
+
+    def test_near_cancelling_raw_sum_row_exits_three(self, tmp_path, monkeypatch, capsys):
+        # the third state's raw row sums to 1e-10 against sum |phi| = 2:
+        # the relative guard rejects it where an absolute 1e-12 floor did not
+        span = SubspacePoint(np.eye(3, 1))
+        clean = StateVector(np.array([1.0, 0.0, 0.0]))
+        noisy = [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [-0.3, -0.7, math.sqrt(0.42 + 1e-10)],
+        ]
+        crafted = [
+            ScenarioFrame(clean_state=clean, noisy_state=StateVector(np.array(row)),
+                          truth_subspace=span)
+            for row in noisy
+        ]
+        monkeypatch.setattr(
+            harness_mod, "generate_scenario", lambda cfg, noise: crafted
+        )
+        cfg = write_cfg_file(
+            tmp_path,
+            methods="ssr",
+            trials=1,
+            **{
+                "scenario.n": "3",
+                "scenario.r": "1",
+                "scenario.length": "3",
+                "ssr.mode": "raw-sum",
+            },
+        )
+        assert main(["simulate", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "(method=ssr, trial=0, frame=2)" in err
+        assert "Traceback" not in err
+
+    def test_unallocatable_scenario_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg_file(tmp_path, **{"scenario.n": "1000000000000000"})
+        assert main(["simulate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "does not fit in memory" in err
+        assert "Traceback" not in err
 
     def test_unwritable_output_exits_four(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -56,10 +56,7 @@ class TestScoreRun:
             frame_with_error(np.array([0.0, 2.0, 0.0])),
             frame_with_error(np.array([0.0, 0.0, 2.0])),
         ]
-        corrected = [
-            StateVector(np.array([1.0, 1.0, 0.0])),
-            StateVector(np.array([1.0, 0.0, 1.0])),
-        ]
+        corrected = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
         records, summary = score_run(frames, corrected)
         assert [r.raw_error for r in records] == [2.0, 2.0]
         assert [r.corrected_error for r in records] == [1.0, 1.0]
@@ -70,25 +67,24 @@ class TestScoreRun:
 
     def test_identity_method_scores_zero_even_noiseless(self):
         clean = frame_with_error(np.zeros(3))
-        records, summary = score_run([clean], [clean.noisy_state])
+        records, summary = score_run([clean], [clean.noisy_state.values])
         assert records[0].raw_error == 0.0
         assert summary.improvement_ratio == 0.0
         assert summary.win_fraction == 0.0
 
     def test_subspace_residual_tracks_leakage(self):
         frames = [frame_with_error(np.zeros(3))]
-        off_axis = StateVector(np.array([0.6, 0.8, 0.0]))
-        records, _ = score_run(frames, [off_axis])
+        records, _ = score_run(frames, np.array([[0.6, 0.8, 0.0]]))
         assert records[0].subspace_residual == pytest.approx(0.8, abs=1e-15)
 
     def test_se_residuals_default_to_zero(self):
         frames = [frame_with_error(np.zeros(3))]
-        records, _ = score_run(frames, [frames[0].clean_state])
+        records, _ = score_run(frames, [frames[0].clean_state.values])
         assert records[0].se_residual == 0.0
 
     def test_se_residuals_passed_through(self):
         frames = [frame_with_error(np.zeros(3))]
-        records, _ = score_run(frames, [frames[0].clean_state], [0.25])
+        records, _ = score_run(frames, [frames[0].clean_state.values], [0.25])
         assert records[0].se_residual == 0.25
 
     def test_length_mismatch(self):
@@ -96,13 +92,11 @@ class TestScoreRun:
         with pytest.raises(LengthMismatch):
             score_run(frames, [])
         with pytest.raises(LengthMismatch):
-            score_run(frames, [frames[0].clean_state], [0.1, 0.2])
+            score_run(frames, [frames[0].clean_state.values], [0.1, 0.2])
 
     def test_tail_window_is_final_quarter(self):
         frames = [frame_with_error(np.zeros(3)) for _ in range(8)]
-        corrected = [
-            StateVector(np.array([1.0 + 0.1 * t, 0.0, 0.0])) for t in range(8)
-        ]
+        corrected = np.array([[1.0 + 0.1 * t, 0.0, 0.0] for t in range(8)])
         _, summary = score_run(frames, corrected)
         # tail indices 6, 7: errors 0.6 and 0.7
         assert summary.tail_error_mean == pytest.approx(0.65, abs=1e-12)
@@ -112,7 +106,7 @@ class TestScoreRun:
             frame_with_error(np.array([0.0, 1.0, 0.0])),
             frame_with_error(np.array([0.0, 1.0, 0.0])),
         ]
-        corrected = [frames[0].noisy_state, frames[1].clean_state]
+        corrected = [frames[0].noisy_state.values, frames[1].clean_state.values]
         _, summary = score_run(frames, corrected)
         # one tie (no win), one strict win
         assert summary.win_fraction == 0.5
@@ -213,7 +207,7 @@ def test_scenario_scoring_round_trip():
     # full pipeline sanity: generated noise magnitudes show up in raw_error
     traj = TrajectoryConfig(n=16, r=3, length=50, seed=11)
     frames = generate_scenario(traj, NoiseModel(sigma=0.2))
-    noisy = [f.noisy_state for f in frames]
+    noisy = np.array([f.noisy_state.values for f in frames])
     records, summary = score_run(frames, noisy)
     assert summary.improvement_ratio == 0.0
     assert summary.mean_raw_error == summary.mean_corrected_error

@@ -9,22 +9,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssrlab.affinity import MODE_RAW_SUM, StateVector
-from ssrlab.errors import AlphaOutOfRange, DimensionMismatch
+from ssrlab.errors import AlphaOutOfRange, DegenerateRow, DimensionMismatch
 from ssrlab.grassmann import orthonormalize, span_membership_residual
 from ssrlab.regularizer import (
     STORE_CORRECTED,
     STORE_RAW,
     SsrConfig,
-    SsrState,
     ema_fuse,
     passthrough_step,
     run_stream,
     ssr_step,
 )
+from stream_oracle import list_oracle
 
 E = math.e
 
@@ -33,103 +33,93 @@ def vec(*values: float) -> StateVector:
     return StateVector(np.array(values, dtype=np.float64))
 
 
+def random_states(rng: np.random.Generator, count: int, dim: int) -> list[StateVector]:
+    return [StateVector(row) for row in rng.standard_normal((count, dim))]
+
+
 class TestSsrStep:
     def test_first_frame_returns_input_bitwise(self):
-        state = SsrState.initial(SsrConfig(window_k=4))
-        incoming = vec(3.0, -2.0, 0.5)
-        corrected, affinity, after = ssr_step(state, incoming)
-        assert corrected is incoming
-        assert affinity.entries.shape == (1, 1)
-        assert affinity.entries[0, 0] == 1.0
-        assert after.frames_seen == 1
+        window = np.array([[3.0, -2.0, 0.5]])
+        corrected, affinity = ssr_step(window, SsrConfig(window_k=4))
+        assert np.array_equal(corrected, window[0])
+        assert affinity.shape == (1, 1)
+        assert affinity[0, 0] == 1.0
 
     def test_two_frame_example_matches_hand_solution(self):
         config = SsrConfig(window_k=4, temperature=1.0)
-        state = SsrState.initial(config)
-        u, v = vec(1.0, 0.0), vec(0.0, 1.0)
-        _, _, state = ssr_step(state, u)
-        corrected, affinity, _ = ssr_step(state, v)
+        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        corrected, affinity = ssr_step(np.array([u, v]), config)
         w_new = E / (1 + E)
         expected_row = np.array([1 / (1 + E), w_new])
-        assert np.allclose(affinity.current_row(), expected_row, atol=1e-15)
-        expected = expected_row[0] * u.values + expected_row[1] * v.values
-        assert np.allclose(corrected.values, expected, atol=1e-15)
+        assert np.allclose(affinity[-1], expected_row, atol=1e-15)
+        expected = expected_row[0] * u + expected_row[1] * v
+        assert np.allclose(corrected, expected, atol=1e-15)
 
     def test_window_grows_one_per_frame_until_capacity(self):
         config = SsrConfig(window_k=3)
-        state = SsrState.initial(config)
-        rng = np.random.default_rng(5)
-        for t in range(10):
-            incoming = StateVector(rng.standard_normal(4))
-            _, affinity, state = ssr_step(state, incoming)
+        states = random_states(np.random.default_rng(5), 10, 4)
+        _, affinities, _ = run_stream(config, states)
+        for t, affinity in enumerate(affinities):
             expected_rows = min(t + 1, config.window_k + 1)
-            assert affinity.entries.shape == (expected_rows, expected_rows)
-            assert len(state.window) == expected_rows
+            assert affinity.shape == (expected_rows, expected_rows)
 
     def test_corrected_stays_in_window_span(self):
-        rng = np.random.default_rng(9)
-        config = SsrConfig(window_k=5)
-        state = SsrState.initial(config)
-        history = []
-        for _ in range(30):
-            incoming = StateVector(rng.standard_normal(12))
-            history.append(incoming)
-            corrected, _, state = ssr_step(state, incoming)
-            window_rows = np.stack([s.values for s in history[-6:]])
+        states = random_states(np.random.default_rng(9), 30, 12)
+        corrected, _, _ = run_stream(SsrConfig(window_k=5), states)
+        for t, out in enumerate(corrected):
+            window_rows = np.stack([s.values for s in states[max(0, t - 5) : t + 1]])
             span = orthonormalize(window_rows.T)
-            assert span_membership_residual(corrected.values, span) < 1e-9
+            assert span_membership_residual(out, span) < 1e-9
 
     def test_corrected_norm_bounded_by_window_max(self):
         # convex softmax weights cannot exceed the largest window norm
         rng = np.random.default_rng(13)
-        config = SsrConfig(window_k=6)
-        state = SsrState.initial(config)
-        norms = []
-        for _ in range(40):
-            incoming = StateVector(rng.standard_normal(8) * rng.uniform(0.1, 3.0))
-            norms.append(np.linalg.norm(incoming.values))
-            corrected, _, state = ssr_step(state, incoming)
-            bound = max(norms[-7:])
-            assert np.linalg.norm(corrected.values) <= bound + 1e-12
+        states = [
+            StateVector(rng.standard_normal(8) * rng.uniform(0.1, 3.0)) for _ in range(40)
+        ]
+        corrected, _, _ = run_stream(SsrConfig(window_k=6), states)
+        norms = [np.linalg.norm(s.values) for s in states]
+        for t, out in enumerate(corrected):
+            bound = max(norms[max(0, t - 6) : t + 1])
+            assert np.linalg.norm(out) <= bound + 1e-12
 
     def test_constant_stream_is_fixed_point_store_raw(self):
         anchor = vec(0.6, 0.8, 0.0)
-        corrected, _ = run_stream(SsrConfig(window_k=8), [anchor] * 100)
-        for out in corrected:
-            assert np.max(np.abs(out.values - anchor.values)) < 1e-10
+        corrected, _, _ = run_stream(SsrConfig(window_k=8), [anchor] * 100)
+        assert np.max(np.abs(corrected - anchor.values)) < 1e-10
 
     def test_constant_stream_is_fixed_point_store_corrected(self):
         anchor = vec(0.6, 0.8, 0.0)
         config = SsrConfig(window_k=8, buffer_policy=STORE_CORRECTED)
-        corrected, _ = run_stream(config, [anchor] * 100)
-        for out in corrected:
-            assert np.max(np.abs(out.values - anchor.values)) < 1e-10
+        corrected, _, _ = run_stream(config, [anchor] * 100)
+        assert np.max(np.abs(corrected - anchor.values)) < 1e-10
 
     def test_store_corrected_window_holds_outputs(self):
-        rng = np.random.default_rng(17)
+        # frame t sees the k previous outputs followed by the raw state
+        states = random_states(np.random.default_rng(17), 6, 5)
         config = SsrConfig(window_k=3, buffer_policy=STORE_CORRECTED)
-        state = SsrState.initial(config)
-        for _ in range(6):
-            corrected, _, state = ssr_step(state, StateVector(rng.standard_normal(5)))
-            assert state.window.current is corrected
+        corrected, _, _ = run_stream(config, states)
+        for t in range(1, len(states)):
+            window = np.vstack([corrected[max(0, t - 3) : t], states[t].values])
+            assert np.array_equal(ssr_step(window, config)[0], corrected[t])
 
     def test_store_raw_window_holds_inputs(self):
-        rng = np.random.default_rng(19)
+        states = random_states(np.random.default_rng(19), 6, 5)
         config = SsrConfig(window_k=3, buffer_policy=STORE_RAW)
-        state = SsrState.initial(config)
-        for _ in range(6):
-            incoming = StateVector(rng.standard_normal(5))
-            _, _, state = ssr_step(state, incoming)
-            assert state.window.current is incoming
+        corrected, _, _ = run_stream(config, states)
+        raw = np.array([s.values for s in states])
+        for t in range(len(states)):
+            window = raw[max(0, t - 3) : t + 1]
+            assert np.array_equal(ssr_step(window, config)[0], corrected[t])
 
     def test_raw_sum_mode_runs(self):
         rng = np.random.default_rng(23)
         config = SsrConfig(window_k=4, mode=MODE_RAW_SUM)
         states = [StateVector(rng.standard_normal(6) + 1.0) for _ in range(12)]
-        corrected, affinities = run_stream(config, states)
-        assert len(corrected) == 12
+        corrected, affinities, _ = run_stream(config, states)
+        assert corrected.shape == (12, 6)
         for aff in affinities:
-            assert np.allclose(aff.entries.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(aff.sum(axis=1), 1.0, atol=1e-9)
 
     def test_smoothing_contracts_iid_noise_around_a_constant(self):
         # mean corrected error over a long run must undercut the raw one
@@ -137,23 +127,82 @@ class TestSsrStep:
         anchor = rng.standard_normal(16)
         anchor /= np.linalg.norm(anchor)
         noisy = [StateVector(anchor + 0.1 * rng.standard_normal(16)) for _ in range(200)]
-        corrected, _ = run_stream(SsrConfig(window_k=8), noisy)
+        corrected, _, _ = run_stream(SsrConfig(window_k=8), noisy)
         raw_err = np.mean([np.linalg.norm(s.values - anchor) for s in noisy])
-        corr_err = np.mean([np.linalg.norm(s.values - anchor) for s in corrected])
+        corr_err = np.mean(np.linalg.norm(corrected - anchor, axis=1))
         assert corr_err < 0.6 * raw_err
 
 
 class TestRunStream:
     def test_outputs_align_with_inputs(self):
-        rng = np.random.default_rng(31)
-        states = [StateVector(rng.standard_normal(4)) for _ in range(15)]
-        corrected, affinities = run_stream(SsrConfig(window_k=2), states)
-        assert len(corrected) == len(states)
-        assert len(affinities) == len(states)
+        states = random_states(np.random.default_rng(31), 15, 4)
+        corrected, affinities, residuals = run_stream(SsrConfig(window_k=2), states)
+        assert corrected.shape == (15, 4)
+        assert len(affinities) == len(residuals) == len(states)
 
     def test_empty_stream_gives_empty_outputs(self):
-        corrected, affinities = run_stream(SsrConfig(), [])
-        assert corrected == [] and affinities == []
+        corrected, affinities, residuals = run_stream(SsrConfig(), [])
+        assert len(corrected) == 0 and affinities == [] and residuals == []
+
+    def test_inputs_are_not_modified(self):
+        states = random_states(np.random.default_rng(37), 8, 3)
+        before = [s.values.copy() for s in states]
+        run_stream(SsrConfig(window_k=2, buffer_policy=STORE_CORRECTED), states)
+        assert all(np.array_equal(s.values, b) for s, b in zip(states, before))
+
+    def test_affinities_are_read_only(self):
+        states = random_states(np.random.default_rng(41), 4, 3)
+        _, affinities, _ = run_stream(SsrConfig(window_k=2), states)
+        with pytest.raises(ValueError):
+            affinities[-1][0, 0] = 0.5
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            run_stream(SsrConfig(), [vec(1.0), vec(1.0, 2.0)])
+
+    def test_numeric_error_carries_its_frame(self):
+        config = SsrConfig(window_k=4, mode=MODE_RAW_SUM)
+        with pytest.raises(DegenerateRow) as excinfo:
+            run_stream(config, [vec(1.0, 0.0), vec(2.0, 1.0), vec(-3.0, -1.0)])
+        assert excinfo.value.frame == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=1, max_value=40),
+    dim=st.integers(min_value=1, max_value=8),
+    window_k=st.integers(min_value=1, max_value=10),
+    mode=st.sampled_from(["softmax", MODE_RAW_SUM]),
+    policy=st.sampled_from([STORE_RAW, STORE_CORRECTED]),
+    temperature=st.one_of(st.none(), st.floats(min_value=0.2, max_value=5.0)),
+)
+def test_property_run_stream_matches_list_oracle(
+    seed, length, dim, window_k, mode, policy, temperature
+):
+    if mode == MODE_RAW_SUM:
+        temperature = None
+    # raw-sum: an offset keeps most dot products positive, so most
+    # streams get past the degenerate-row guard
+    offset = 1.0 if mode == MODE_RAW_SUM else 0.0
+    states = random_states(np.random.default_rng(seed), length, dim)
+    states = [StateVector(s.values + offset) for s in states]
+    config = SsrConfig(
+        window_k=window_k, mode=mode, temperature=temperature, buffer_policy=policy
+    )
+    try:
+        corrected, affinities, residuals = run_stream(config, states)
+    except DegenerateRow:
+        assume(False)
+    outputs, oracle_affinities, oracle_residuals = list_oracle(
+        [s.values for s in states], window_k, mode, temperature, policy
+    )
+    np.testing.assert_allclose(corrected, outputs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(residuals, oracle_residuals, rtol=1e-12, atol=0.0)
+    for t, (ours, theirs) in enumerate(zip(affinities, oracle_affinities)):
+        size = min(t + 1, window_k + 1)
+        assert ours.shape == (size, size)
+        np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0.0)
 
 
 class TestEmaFuse:
@@ -208,17 +257,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SsrConfig(buffer_policy="store-everything")
 
-    def test_state_window_length_invariant(self):
-        from ssrlab.affinity import StateWindow
-
-        config = SsrConfig(window_k=2)
-        with pytest.raises(ValueError):
-            SsrState(
-                config=config,
-                window=StateWindow(states=(vec(1.0),), capacity=3),
-                frames_seen=5,
-            )
-
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -226,16 +264,12 @@ class TestConfigValidation:
     window_k=st.integers(min_value=1, max_value=9),
 )
 def test_property_corrected_is_convex_combination(seed: int, window_k: int):
-    rng = np.random.default_rng(seed)
-    state = SsrState.initial(SsrConfig(window_k=window_k))
-    held = []
-    for _ in range(12):
-        incoming = StateVector(rng.standard_normal(5))
-        held.append(incoming.values)
-        corrected, affinity, state = ssr_step(state, incoming)
-        window_rows = np.stack(held[-(window_k + 1):])
-        weights = affinity.current_row()
-        assert np.allclose(corrected.values, weights @ window_rows, atol=1e-12)
+    states = random_states(np.random.default_rng(seed), 12, 5)
+    corrected, affinities, _ = run_stream(SsrConfig(window_k=window_k), states)
+    held = np.array([s.values for s in states])
+    for t, (out, affinity) in enumerate(zip(corrected, affinities)):
+        weights = affinity[-1]
+        assert np.allclose(out, weights @ held[max(0, t - window_k) : t + 1], atol=1e-12)
         assert np.all(weights >= 0.0) and weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
