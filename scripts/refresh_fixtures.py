@@ -26,6 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from ssrlab import (  # noqa: E402
     NoiseModel,
     SsrConfig,
+    StackedScenario,
     TrajectoryConfig,
     ablate_window,
     build_experiment_config,
@@ -69,11 +70,10 @@ def denoising_fixture() -> dict:
     wins = 0
     for trial in range(TRIALS):
         seed = derive_trial_seed(BASE_SEED, trial)
-        frames = generate_scenario(replace(TRAJECTORY, seed=seed), NOISE)
-        noisy = [f.noisy_state for f in frames]
-        corrected, _, _ = run_stream(SSR, noisy)
-        _, summary = score_run(frames, corrected)
-        _, base = score_run(frames, [s.values for s in noisy])
+        scenario = StackedScenario(generate_scenario(replace(TRAJECTORY, seed=seed), NOISE))
+        corrected, _, _ = run_stream(SSR, scenario.noisy)
+        _, summary = score_run(scenario, corrected)
+        _, base = score_run(scenario, scenario.noisy)
         wins += int(summary.mean_corrected_error < base.mean_corrected_error)
         ratios.append(summary.improvement_ratio)
     return {

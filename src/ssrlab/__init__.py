@@ -16,7 +16,7 @@ from .affinity import compute_affinity
 from .config import build_experiment_config
 from .errors import SsrLabError
 from .harness import run_experiment
-from .metrics import ablate_window, score_run
+from .metrics import StackedScenario, ablate_window, score_run
 from .regularizer import SsrConfig, run_stream, ssr_step
 from .synth import NoiseModel, TrajectoryConfig, derive_trial_seed, generate_scenario
 
@@ -27,6 +27,7 @@ __all__ = [
     "SsrLabError",
     "run_experiment",
     "ablate_window",
+    "StackedScenario",
     "score_run",
     "SsrConfig",
     "run_stream",

@@ -8,6 +8,10 @@ nonnegative, numerically stable) or by dividing by the raw row sum
 (entries may be negative). A raw-sum row whose sum is tiny next to the
 magnitudes it sums, |sum phi| <= DEGENERATE_ROW_TOL * sum |phi|, is a
 hard error: its entries, and so the corrected state, would blow up.
+
+compute_affinity and self_expressive_residual also take a stack of
+windows, (..., L, d), and treat every window exactly as they treat one,
+so a block of a stream's windows costs one call.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRow, DimensionMismatch, NonFiniteAffinity
+from .errors import DegenerateRow, DimensionMismatch, NonFiniteAffinity, SsrLabError
 
 __all__ = [
     "MODE_SOFTMAX",
@@ -74,70 +78,111 @@ def compute_affinity(
     mode: str = MODE_SOFTMAX,
     temperature: float | None = None,
 ) -> np.ndarray:
-    """Row-normalized affinity of a window with itself.
+    """Row-normalized affinity of a window, or of a stack of windows, with itself.
 
     Args:
-        window: L x d float array, L >= 1, oldest state first.
+        window: L x d float array, L >= 1, oldest state first, or a
+            stack of such windows with shape (..., L, d).
         mode: "softmax" (row softmax of dot products / temperature) or
             "raw-sum" (each row divided by its plain sum).
         temperature: softmax temperature; defaults to sqrt(d). Must be
             omitted in raw-sum mode.
 
     Returns:
-        The read-only L x L affinity; row i weighs the window for state i.
+        The read-only (..., L, L) affinity; row i weighs the window for
+        state i.
 
     Raises:
         NonFiniteAffinity: some dot product is not finite.
         DegenerateRow: raw-sum mode and some row has
             |sum phi| <= DEGENERATE_ROW_TOL * sum |phi|.
+        For a stack, the error is the one of the first failing window in
+        C order, and its frame attribute is that window's flat index.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[0] < 1 or window.shape[1] < 1:
+    if window.ndim < 2 or window.shape[-2] < 1 or window.shape[-1] < 1:
         raise ValueError(f"window must be a nonempty L x d array, got shape {window.shape}")
     if mode not in AFFINITY_MODES:
         raise ValueError(f"unknown affinity mode {mode!r}")
-    with np.errstate(over="ignore"):
-        gram = window @ window.T
-    if not np.isfinite(gram).all():
-        raise NonFiniteAffinity("window dot products overflow float64")
     if mode == MODE_SOFTMAX:
         if temperature is None:
-            temperature = default_temperature(window.shape[1])
+            temperature = default_temperature(window.shape[-1])
         if not temperature > 0.0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        logits = gram / temperature
-        # Shift by the row max so exp never overflows.
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        weights = np.exp(shifted)
-        entries = weights / weights.sum(axis=1, keepdims=True)
-    else:
-        if temperature is not None:
-            raise ValueError("temperature applies to softmax mode only")
-        row_sums = gram.sum(axis=1)
-        magnitudes = np.abs(gram).sum(axis=1)
-        # <= so that an all-zero row (a zero state) is degenerate too.
-        bad = np.flatnonzero(np.abs(row_sums) <= DEGENERATE_ROW_TOL * magnitudes)
-        if bad.size:
-            row = int(bad[0])
-            raise DegenerateRow(
-                f"row {row} has |sum phi| = {abs(float(row_sums[row])):.3e}, at most"
-                f" {DEGENERATE_ROW_TOL:.0e} of sum |phi| = {float(magnitudes[row]):.3e}"
+    elif temperature is not None:
+        raise ValueError("temperature applies to softmax mode only")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = window @ np.swapaxes(window, -1, -2)
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+        failed = ~finite
+        if mode == MODE_RAW_SUM:
+            row_sums = gram.sum(axis=-1)
+            magnitudes = np.abs(gram).sum(axis=-1)
+            # <= so that an all-zero row (a zero state) is degenerate too.
+            degenerate = np.abs(row_sums) <= DEGENERATE_ROW_TOL * magnitudes
+            failed |= degenerate.any(axis=-1)
+    if failed.any():
+        index = int(np.flatnonzero(failed)[0])
+        if not finite.reshape(-1)[index]:
+            exc: SsrLabError = NonFiniteAffinity("window dot products overflow float64")
+        else:
+            size = gram.shape[-1]
+            row = int(np.flatnonzero(degenerate.reshape(-1, size)[index])[0])
+            row_sum = float(row_sums.reshape(-1, size)[index, row])
+            magnitude = float(magnitudes.reshape(-1, size)[index, row])
+            exc = DegenerateRow(
+                f"row {row} has |sum phi| = {abs(row_sum):.3e}, at most"
+                f" {DEGENERATE_ROW_TOL:.0e} of sum |phi| = {magnitude:.3e}"
             )
-        entries = gram / row_sums[:, None]
+        if window.ndim > 2:
+            exc.frame = index
+        raise exc
+    if mode == MODE_SOFTMAX:
+        # In place: the same operations as out of place, one temporary.
+        entries = gram / temperature
+        # Shift by the row max so exp never overflows.
+        entries -= entries.max(axis=-1, keepdims=True)
+        np.exp(entries, out=entries)
+        entries /= entries.sum(axis=-1, keepdims=True)
+    else:
+        entries = gram / row_sums[..., None]
     entries.flags.writeable = False
     return entries
 
 
-def self_expressive_residual(window: np.ndarray, affinity: np.ndarray) -> float:
+def self_expressive_residual(
+    window: np.ndarray, affinity: np.ndarray
+) -> float | np.ndarray:
     """Relative reconstruction defect ||S - C S||_F / max(||S||_F, 1e-12).
 
-    S is the L x d window and C its L x L affinity.
+    S is the L x d window and C its L x L affinity, or stacks of both
+    with shapes (..., L, d) and (..., L, L). S is first scaled by the
+    power of two just above its largest |entry|: the scaling is exact,
+    so the ratio is that of S itself, and no square can overflow.
+
+    Returns:
+        A float for one window, an array of shape (...) for a stack.
     """
-    if len(window) == 0:
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim < 2 or window.shape[-2] == 0:
         raise ValueError("cannot score an empty window")
-    if affinity.shape != (len(window), len(window)):
+    if affinity.shape != window.shape[:-1] + (window.shape[-2],):
         raise DimensionMismatch(
-            f"affinity has shape {affinity.shape}, window has {len(window)} states"
+            f"affinity has shape {affinity.shape}, window has shape {window.shape}"
         )
-    defect = window - affinity @ window
-    return float(np.linalg.norm(defect) / max(np.linalg.norm(window), _NORM_FLOOR))
+    peak = np.maximum(window.max(axis=(-2, -1)), -window.min(axis=(-2, -1)))
+    scaled = np.ldexp(window, -np.frexp(peak)[1][..., None, None])
+    defect = scaled - affinity @ scaled
+    flat = window.shape[:-2] + (-1,)
+    value = vector_norms(defect.reshape(flat)) / np.maximum(
+        vector_norms(scaled.reshape(flat)), _NORM_FLOOR
+    )
+    return float(value) if window.ndim == 2 else value
+
+
+def vector_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, bit for bit np.linalg.norm of each vector.
+
+    A numeric helper shared with ssrlab.metrics, not part of __all__.
+    """
+    return np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])

@@ -162,9 +162,9 @@ def _selfcheck_cases() -> list[tuple[str, object]]:
         assert ema_fuse(cur, prev, 0.0) is prev
 
     def check_constant_stream_fixed_point() -> None:
-        vec = StateVector(np.array([0.6, 0.8, 0.0]))
-        corrected, _, _ = run_stream(SsrConfig(window_k=4), [vec] * 12)
-        assert np.allclose(corrected, vec.values, rtol=0.0, atol=1e-12)
+        vec = np.array([0.6, 0.8, 0.0])
+        corrected, _, _ = run_stream(SsrConfig(window_k=4), np.tile(vec, (12, 1)))
+        assert np.allclose(corrected, vec, rtol=0.0, atol=1e-12)
 
     return [
         ("orthonormalize is idempotent", check_orthonormalize_idempotent),

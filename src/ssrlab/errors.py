@@ -16,6 +16,7 @@ __all__ = [
     "AlphaOutOfRange",
     "LengthMismatch",
     "NonFiniteAffinity",
+    "InvalidScore",
     "ConfigInvalid",
     "NUMERIC_ERRORS",
 ]
@@ -59,6 +60,10 @@ class NonFiniteAffinity(SsrLabError):
     """Window states are so large that their dot products overflow."""
 
 
+class InvalidScore(SsrLabError):
+    """A per-frame score is not a finite nonnegative number."""
+
+
 class ConfigInvalid(SsrLabError):
     """Configuration error; message names the offending field path."""
 
@@ -73,4 +78,5 @@ NUMERIC_ERRORS = (
     AlphaOutOfRange,
     LengthMismatch,
     NonFiniteAffinity,
+    InvalidScore,
 )

@@ -1,12 +1,15 @@
 """Experiment runner and deterministic result writers.
 
-A run streams each trial's noisy states through every configured method
-(the corrector is one run_stream call, which also yields the heatmaps
-and residuals) and scores the outputs against the clean states. All
-emitted payloads (CSV, summary JSON, heatmap grids, ablation tables)
-are byte-identical across reruns; the wall-clock timestamp lives in its
-own run_meta.json, outside the determinism guarantee. Every file is
-written to a temp name and atomically renamed.
+A run stacks each trial's scenario once (metrics.StackedScenario),
+passes its T x d noisy array through every configured method (the
+corrector is one run_stream call, which also yields the heatmaps and
+residuals; the EMA baseline is one recurrence over the rows) and scores
+each output against the same stacked scenario with one score_run pass,
+which gives a T x 4 array of per-frame scores. All emitted payloads
+(CSV, summary JSON, heatmap grids, ablation tables) are byte-identical
+across reruns; the wall-clock timestamp lives in its own run_meta.json,
+outside the determinism guarantee. Every file is written to a temp name
+and atomically renamed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .affinity import StateVector
 from .config import (
     METHOD_EMA,
     METHOD_PASSTHROUGH,
@@ -30,9 +32,9 @@ from .config import (
     config_to_dict,
 )
 from .errors import ConfigInvalid, NUMERIC_ERRORS
-from .metrics import AblationRow, RunSummary, StepRecord, score_run
-from .regularizer import ema_fuse, passthrough_step, run_stream
-from .synth import ScenarioFrame, derive_trial_seed, generate_scenario
+from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, StackedScenario, score_run
+from .regularizer import passthrough_step, run_stream
+from .synth import derive_trial_seed, generate_scenario
 
 __all__ = [
     "CSV_HEADER",
@@ -48,16 +50,19 @@ __all__ = [
     "heatmap_filename",
 ]
 
-CSV_HEADER = "frame,method,trial,raw_error,corrected_error,subspace_residual,se_residual"
+CSV_HEADER = ",".join(("frame", "method", "trial") + SCORE_COLUMNS)
 
 _SUMMARY_FIELDS = tuple(f.name for f in fields(RunSummary))
 
 
 @dataclass(frozen=True)
 class MethodResult:
-    """Everything one method produced across all trials."""
+    """Everything one method produced across all trials.
 
-    records: tuple[tuple[StepRecord, ...], ...]
+    scores holds one T x 4 array per trial, columns metrics.SCORE_COLUMNS.
+    """
+
+    scores: tuple[np.ndarray, ...]
     summaries: tuple[RunSummary, ...]
     aggregate_mean: dict[str, float]
     aggregate_std: dict[str, float]
@@ -84,53 +89,50 @@ def _annotate(exc: Exception, method: str, trial: int, frame: int | None) -> Exc
     return type(exc)(f"(method={method}, trial={trial}, frame={frame}): {exc}")
 
 
-def _run_ema(
-    config: ExperimentConfig, frames: list[ScenarioFrame], trial: int
-) -> np.ndarray:
-    corrected: list[np.ndarray] = []
-    previous: StateVector | None = None
-    for t, frame in enumerate(frames):
-        if previous is None:
-            fused = frame.noisy_state
-        else:
-            try:
-                fused = ema_fuse(frame.noisy_state, previous, config.ema_alpha)
-            except NUMERIC_ERRORS as exc:
-                raise _annotate(exc, METHOD_EMA, trial, t) from exc
-        corrected.append(fused.values)
-        previous = fused
-    return np.array(corrected)
+def _run_ema(noisy: np.ndarray, alpha: float) -> np.ndarray:
+    """EMA baseline over a T x d stream: row t is alpha x_t + (1 - alpha) y_{t-1}.
+
+    Row 0 passes through. Bit for bit the chain of regularizer.ema_fuse
+    calls, endpoints included.
+    """
+    fused = np.empty_like(noisy)
+    weighted = alpha * noisy
+    decay = 1.0 - alpha
+    fused[:1] = noisy[:1]
+    for t in range(1, len(noisy)):
+        fused[t] = weighted[t] + decay * fused[t - 1]
+    return fused
 
 
 def _run_trial(
     config: ExperimentConfig, trial: int
-) -> tuple[dict[str, tuple[tuple[StepRecord, ...], RunSummary]], dict[int, np.ndarray]]:
+) -> tuple[dict[str, tuple[np.ndarray, RunSummary]], dict[int, np.ndarray]]:
     seed = derive_trial_seed(config.trajectory.seed, trial)
     try:
         frames = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
     except NUMERIC_ERRORS as exc:
         raise type(exc)(f"(scenario generation, trial={trial}): {exc}") from exc
-    out: dict[str, tuple[tuple[StepRecord, ...], RunSummary]] = {}
+    scenario = StackedScenario(frames)
+    noisy = scenario.noisy
+    capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
+    out: dict[str, tuple[np.ndarray, RunSummary]] = {}
     heatmaps: dict[int, np.ndarray] = {}
     for method in config.methods:
-        residuals: list[float] | None = None
-        if method == METHOD_SSR:
-            try:
-                corrected, affinities, residuals = run_stream(
-                    config.ssr, [f.noisy_state for f in frames]
+        residuals = None
+        try:
+            if method == METHOD_SSR:
+                corrected, heatmaps, residuals = run_stream(
+                    config.ssr, noisy, keep_affinities=capture
                 )
-            except NUMERIC_ERRORS as exc:
-                raise _annotate(exc, METHOD_SSR, trial, exc.frame) from exc
-            if config.emit_heatmaps and trial == 0:
-                heatmaps.update((t, affinities[t]) for t in config.heatmap_frames)
-        elif method == METHOD_EMA:
-            corrected = _run_ema(config, frames, trial)
-        elif method == METHOD_PASSTHROUGH:
-            corrected = np.array([passthrough_step(f.noisy_state).values for f in frames])
-        else:  # pragma: no cover - methods validated at config build
-            raise ConfigInvalid(f"methods: unknown method {method!r}")
-        records, summary = score_run(frames, corrected, residuals)
-        out[method] = (tuple(records), summary)
+            elif method == METHOD_EMA:
+                corrected = _run_ema(noisy, config.ema_alpha)
+            elif method == METHOD_PASSTHROUGH:
+                corrected = passthrough_step(noisy)
+            else:  # pragma: no cover - methods validated at config build
+                raise ConfigInvalid(f"methods: unknown method {method!r}")
+            out[method] = score_run(scenario, corrected, residuals)
+        except NUMERIC_ERRORS as exc:
+            raise _annotate(exc, method, trial, exc.frame) from exc
     return out, heatmaps
 
 
@@ -149,11 +151,11 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
     trial_results = [_run_trial(config, i) for i in range(config.trials)]
     methods: dict[str, MethodResult] = {}
     for method in config.methods:
-        records = tuple(result[0][method][0] for result in trial_results)
+        scores = tuple(result[0][method][0] for result in trial_results)
         summaries = tuple(result[0][method][1] for result in trial_results)
         mean, std = _aggregate(summaries)
         methods[method] = MethodResult(
-            records=records,
+            scores=scores,
             summaries=summaries,
             aggregate_mean=mean,
             aggregate_std=std,
@@ -192,17 +194,13 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def dump_csv(bundle: ResultBundle, path: str) -> None:
-    """Per-frame records, one row per (method, trial, frame), sorted."""
+    """Per-frame scores, one row per (method, trial, frame), sorted."""
     lines = [CSV_HEADER]
     for method in sorted(bundle.methods):
-        result = bundle.methods[method]
-        for trial, records in enumerate(result.records):
-            for record in records:
-                lines.append(
-                    f"{record.frame},{method},{trial},"
-                    f"{_fmt(record.raw_error)},{_fmt(record.corrected_error)},"
-                    f"{_fmt(record.subspace_residual)},{_fmt(record.se_residual)}"
-                )
+        for trial, scores in enumerate(bundle.methods[method].scores):
+            for frame, row in enumerate(scores.tolist()):
+                values = ",".join(map(_fmt, row))
+                lines.append(f"{frame},{method},{trial},{values}")
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

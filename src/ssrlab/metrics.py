@@ -1,5 +1,12 @@
 """Scoring of corrected streams against ground truth.
 
+score_run scores a whole stream against a StackedScenario (the
+scenario's clean and noisy states, stacked once and shared by every
+method scored on it) in one array pass and returns the per-frame
+scores as one T x 4 array, columns SCORE_COLUMNS: the raw and corrected
+distances to the clean state, the corrected state's relative distance
+from the true subspace, and the self-expression residual.
+
 improvement_ratio compares mean corrected error to mean raw error:
 1 - mean_corrected / max(mean_raw, 1e-12), except that equal means give
 exactly 0 (so an identity method scores 0 even on a noiseless run where
@@ -8,12 +15,12 @@ the guarded division would otherwise report spurious improvement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .grassmann import span_membership_residual
+from .affinity import vector_norms
+from .errors import DimensionMismatch, InvalidScore, LengthMismatch
 from .regularizer import SsrConfig, run_stream
 from .synth import (
     NoiseModel,
@@ -24,7 +31,8 @@ from .synth import (
 )
 
 __all__ = [
-    "StepRecord",
+    "SCORE_COLUMNS",
+    "StackedScenario",
     "RunSummary",
     "AblationRow",
     "score_run",
@@ -32,26 +40,31 @@ __all__ = [
     "ablate_window",
 ]
 
+SCORE_COLUMNS = ("raw_error", "corrected_error", "subspace_residual", "se_residual")
+
 _RAW_FLOOR = 1e-12
+_NORM_FLOOR = 1e-12
+# Frames per stacked block of subspace bases in score_run.
+_BASIS_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-frame scores; all fields are finite and nonnegative."""
+@dataclass(frozen=True, eq=False)
+class StackedScenario:
+    """A scenario with its clean and noisy states stacked as read-only T x n arrays.
 
-    frame: int
-    raw_error: float
-    corrected_error: float
-    subspace_residual: float
-    se_residual: float
+    Stack a scenario once: the methods run on its noisy array, and every
+    method and window size scored against it reads the same arrays.
+    """
+
+    frames: list[ScenarioFrame]
+    clean: np.ndarray = field(init=False)
+    noisy: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValueError("frame index must be nonnegative")
-        for name in ("raw_error", "corrected_error", "subspace_residual", "se_residual"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("clean", "noisy"):
+            states = np.array([getattr(f, f"{name}_state").values for f in self.frames])
+            states.flags.writeable = False
+            object.__setattr__(self, name, states)
 
 
 @dataclass(frozen=True)
@@ -88,62 +101,78 @@ def improvement_ratio(mean_raw: float, mean_corrected: float) -> float:
 
 
 def score_run(
-    frames: list[ScenarioFrame],
+    scenario: StackedScenario,
     corrected: np.ndarray,
-    se_residuals: list[float] | None = None,
-) -> tuple[list[StepRecord], RunSummary]:
-    """Score a corrected stream frame by frame.
+    se_residuals: np.ndarray | None = None,
+) -> tuple[np.ndarray, RunSummary]:
+    """Score a corrected stream against its scenario in one array pass.
 
     Args:
-        frames: the scenario that produced the stream.
+        scenario: the stacked scenario that produced the stream.
         corrected: the method's outputs, a T x d array aligned with frames.
         se_residuals: optional per-frame self-expression residuals
             (methods without a window report 0).
 
+    Returns:
+        (T x 4 scores, columns SCORE_COLUMNS; the run's summary).
+
     Raises:
-        LengthMismatch: input lengths differ.
+        LengthMismatch: the run is empty or input lengths differ.
+        DimensionMismatch: corrected is not shaped like the clean states.
+        InvalidScore: some score is not finite and nonnegative; its frame
+            attribute is the first such frame.
     """
-    if len(corrected) != len(frames):
-        raise LengthMismatch(
-            f"{len(frames)} frames but {len(corrected)} corrected states"
-        )
-    if se_residuals is None:
-        se_residuals = [0.0] * len(frames)
-    elif len(se_residuals) != len(frames):
-        raise LengthMismatch(
-            f"{len(frames)} frames but {len(se_residuals)} residuals"
-        )
-    records = []
-    for t, (frame, state, se) in enumerate(zip(frames, corrected, se_residuals)):
-        clean = frame.clean_state.values
-        records.append(
-            StepRecord(
-                frame=t,
-                raw_error=float(np.linalg.norm(frame.noisy_state.values - clean)),
-                corrected_error=float(np.linalg.norm(state - clean)),
-                subspace_residual=span_membership_residual(state, frame.truth_subspace),
-                se_residual=float(se),
-            )
-        )
-    return records, summarize(records)
-
-
-def summarize(records: list[StepRecord]) -> RunSummary:
-    """Fold per-frame records into a RunSummary."""
-    if not records:
+    corrected = np.asarray(corrected, dtype=np.float64)
+    frames, clean, noisy = scenario.frames, scenario.clean, scenario.noisy
+    length = len(frames)
+    if len(corrected) != length:
+        raise LengthMismatch(f"{length} frames but {len(corrected)} corrected states")
+    if se_residuals is not None and len(se_residuals) != length:
+        raise LengthMismatch(f"{length} frames but {len(se_residuals)} residuals")
+    if length == 0:
         raise LengthMismatch("cannot summarize an empty run")
-    raw = np.array([r.raw_error for r in records])
-    corr = np.array([r.corrected_error for r in records])
+    if corrected.shape != clean.shape:
+        raise DimensionMismatch(
+            f"corrected states have shape {corrected.shape}, the scenario {clean.shape}"
+        )
+    scores = np.zeros((length, len(SCORE_COLUMNS)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores[:, 0] = vector_norms(noisy - clean)
+        scores[:, 1] = vector_norms(corrected - clean)
+        for start in range(0, length, _BASIS_BLOCK):
+            stop = min(start + _BASIS_BLOCK, length)
+            bases = np.array([f.truth_subspace.basis for f in frames[start:stop]])
+            scores[start:stop, 2] = _span_residuals(corrected[start:stop], bases)
+    if se_residuals is not None:
+        scores[:, 3] = se_residuals
+    valid = (np.isfinite(scores) & (scores >= 0.0)).all(axis=1)
+    if not valid.all():
+        frame = int(np.flatnonzero(~valid)[0])
+        exc = InvalidScore(
+            f"frame scores {dict(zip(SCORE_COLUMNS, scores[frame].tolist()))}"
+            " are not all finite and nonnegative"
+        )
+        exc.frame = frame
+        raise exc
+    raw, corr = scores[:, 0], scores[:, 1]
     mean_raw = float(raw.mean())
     mean_corr = float(corr.mean())
-    tail_start = int(0.75 * len(records))
-    return RunSummary(
+    summary = RunSummary(
         mean_raw_error=mean_raw,
         mean_corrected_error=mean_corr,
         improvement_ratio=improvement_ratio(mean_raw, mean_corr),
-        tail_error_mean=float(corr[tail_start:].mean()),
+        tail_error_mean=float(corr[int(0.75 * length) :].mean()),
         win_fraction=float(np.mean(corr < raw)),
     )
+    return scores, summary
+
+
+def _span_residuals(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """grassmann.span_membership_residual of B vectors against B (n, r) bases."""
+    coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
+    leftover = vectors - (bases @ coords)[:, :, 0]
+    value = vector_norms(leftover) / np.maximum(vector_norms(vectors), _NORM_FLOOR)
+    return np.minimum(value, 1.0)
 
 
 def ablate_window(
@@ -166,8 +195,10 @@ def ablate_window(
         raise ValueError("sizes must be nonempty")
     base = ssr if ssr is not None else SsrConfig()
     scenarios = [
-        generate_scenario(
-            replace(trajectory, seed=derive_trial_seed(trajectory.seed, i)), noise
+        StackedScenario(
+            generate_scenario(
+                replace(trajectory, seed=derive_trial_seed(trajectory.seed, i)), noise
+            )
         )
         for i in range(trials)
     ]
@@ -175,9 +206,9 @@ def ablate_window(
     for k in sizes:
         config = replace(base, window_k=k)
         ratios = []
-        for frames in scenarios:
-            corrected, _, _ = run_stream(config, [f.noisy_state for f in frames])
-            _, summary = score_run(frames, corrected)
+        for scenario in scenarios:
+            corrected = run_stream(config, scenario.noisy, residuals=False)[0]
+            _, summary = score_run(scenario, corrected)
             ratios.append(summary.improvement_ratio)
         values = np.array(ratios)
         std = float(values.std(ddof=1)) if trials > 1 else 0.0

@@ -24,7 +24,7 @@ from ssrlab.grassmann import (
     projection_distance,
     span_membership_residual,
 )
-from ssrlab.metrics import ablate_window, score_run
+from ssrlab.metrics import StackedScenario, ablate_window, score_run
 from ssrlab.regularizer import SsrConfig, ema_fuse, run_stream, ssr_step
 from ssrlab.synth import NoiseModel, TrajectoryConfig, derive_trial_seed, generate_scenario
 from ssrlab.cli import main
@@ -129,8 +129,7 @@ def test_corrected_state_stays_in_window_span():
         window_k = int(rng.integers(1, 9))
         dim = int(rng.integers(12, 20))
         held = rng.standard_normal((40, dim))
-        states = [StateVector(row) for row in held]
-        corrected, _, _ = run_stream(SsrConfig(window_k=window_k), states)
+        corrected, _, _ = run_stream(SsrConfig(window_k=window_k), held)
         for t, out in enumerate(corrected):
             rows = held[max(0, t - window_k) : t + 1]
             span = orthonormalize(rows.T)
@@ -156,7 +155,7 @@ def test_identity_calibrations():
     for policy in ("store-raw", "store-corrected"):
         for window_k in (1, 3, 8):
             config = SsrConfig(window_k=window_k, buffer_policy=policy)
-            corrected_stream, _, _ = run_stream(config, [anchor] * 64)
+            corrected_stream, _, _ = run_stream(config, np.tile(anchor.values, (64, 1)))
             drift = float(np.max(np.abs(corrected_stream - anchor.values)))
             assert drift < 1e-10
             worst = max(worst, drift)
@@ -217,11 +216,12 @@ def test_denoising_beats_passthrough():
     ratios = []
     for trial in range(100):
         seed = derive_trial_seed(BENCH_TRAJECTORY.seed, trial)
-        frames = generate_scenario(replace(BENCH_TRAJECTORY, seed=seed), BENCH_NOISE)
-        noisy = [f.noisy_state for f in frames]
-        corrected, _, _ = run_stream(BENCH_SSR, noisy)
-        _, summary = score_run(frames, corrected)
-        _, baseline = score_run(frames, [s.values for s in noisy])
+        scenario = StackedScenario(
+            generate_scenario(replace(BENCH_TRAJECTORY, seed=seed), BENCH_NOISE)
+        )
+        corrected, _, _ = run_stream(BENCH_SSR, scenario.noisy)
+        _, summary = score_run(scenario, corrected)
+        _, baseline = score_run(scenario, scenario.noisy)
         wins += int(summary.mean_corrected_error < baseline.mean_corrected_error)
         ratios.append(summary.improvement_ratio)
     elapsed = time.perf_counter() - started
@@ -290,13 +290,12 @@ def test_drift_error_scaling():
     tail_wins = 0
     for trial in range(200):
         seed = derive_trial_seed(trajectory.seed, trial)
-        frames = generate_scenario(replace(trajectory, seed=seed), noise)
-        noisy = [f.noisy_state for f in frames]
-        records, baseline = score_run(frames, [s.values for s in noisy])
-        at_100.append(records[99].raw_error)
-        at_400.append(records[399].raw_error)
-        corrected, _, _ = run_stream(BENCH_SSR, noisy)
-        _, summary = score_run(frames, corrected)
+        scenario = StackedScenario(generate_scenario(replace(trajectory, seed=seed), noise))
+        scores, baseline = score_run(scenario, scenario.noisy)
+        at_100.append(scores[99, 0])
+        at_400.append(scores[399, 0])
+        corrected, _, _ = run_stream(BENCH_SSR, scenario.noisy)
+        _, summary = score_run(scenario, corrected)
         tail_wins += int(summary.tail_error_mean < baseline.tail_error_mean)
     ratio = float(np.mean(at_400)) / float(np.mean(at_100))
     assert ratio == pytest.approx(2.0, rel=0.15)

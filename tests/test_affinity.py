@@ -224,9 +224,81 @@ class TestResidualAndHeatmap:
     def test_perfect_reconstruction_is_zero(self):
         assert self_expressive_residual(np.eye(2), np.eye(2)) == 0.0
 
+    def test_zero_window_scores_zero(self):
+        assert self_expressive_residual(np.zeros((3, 2)), np.full((3, 3), 1 / 3)) == 0.0
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             self_expressive_residual(np.eye(3), np.eye(2))
+
+
+class TestStacks:
+    def test_stack_matches_each_window_bitwise(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((2, 5, 4, 6)) + 0.5
+        for mode in (MODE_SOFTMAX, MODE_RAW_SUM):
+            ours = compute_affinity(stack, mode=mode)
+            assert ours.shape == (2, 5, 4, 4)
+            assert not ours.flags.writeable
+            residuals = self_expressive_residual(stack, ours)
+            assert residuals.shape == (2, 5)
+            for i in range(2):
+                for j in range(5):
+                    single = compute_affinity(stack[i, j], mode=mode)
+                    assert np.array_equal(ours[i, j], single)
+                    assert residuals[i, j] == self_expressive_residual(stack[i, j], single)
+
+    @pytest.mark.parametrize("fault", ["overflow", "cancel", "both"])
+    def test_error_names_the_first_failing_window(self, fault):
+        stack = np.random.default_rng(5).uniform(0.5, 1.5, (6, 3, 2))
+        expected = DegenerateRow
+        if fault in ("overflow", "both"):
+            stack[4, 1] = 1e200
+            expected = NonFiniteAffinity
+        if fault in ("cancel", "both"):
+            stack[2, 1] = -stack[2, 0]
+            stack[2, 2] = 0.0
+            expected = DegenerateRow
+        with pytest.raises(expected) as excinfo:
+            compute_affinity(stack, mode=MODE_RAW_SUM)
+        assert excinfo.value.frame == (4 if fault == "overflow" else 2)
+
+    def test_overflowing_row_sum_is_degenerate_without_warning(self):
+        # window 3's dot products are finite (1.69e308) but its row sums
+        # overflow, so its rows cannot be normalized
+        stack = np.random.default_rng(7).uniform(0.5, 1.5, (5, 3, 2))
+        stack[3, :, 0] = 1.3e154
+        stack[3, :, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRow) as excinfo:
+                compute_affinity(stack, mode=MODE_RAW_SUM)
+        assert excinfo.value.frame == 3
+
+    def test_single_window_error_has_no_frame(self):
+        with pytest.raises(DegenerateRow) as excinfo:
+            compute_affinity(np.array([[1.0, 0.0], [-1.0, 0.0]]), mode=MODE_RAW_SUM)
+        assert excinfo.value.frame is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=1, max_value=12),
+    dim=st.integers(min_value=1, max_value=8),
+    exponent=st.floats(min_value=-150.0, max_value=153.0),
+)
+def test_property_residual_is_scale_free(seed, length, dim, exponent):
+    # the affinity is fixed, so ||cS - C cS|| / ||cS|| equals the ratio at
+    # c = 1; up to c = 1e153 no intermediate may overflow either
+    rng = np.random.default_rng(seed)
+    window = rng.standard_normal((length, dim))
+    affinity = compute_affinity(window)
+    scale = 10.0**exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = self_expressive_residual(scale * window, affinity)
+    assert abs(scaled - self_expressive_residual(window, affinity)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", [MODE_SOFTMAX, MODE_RAW_SUM])

@@ -37,6 +37,7 @@ from ssrlab.harness import (
     summary_payload,
     write_experiment_outputs,
 )
+from ssrlab.regularizer import ema_fuse
 from ssrlab.synth import ScenarioFrame, derive_trial_seed, generate_scenario
 from stream_oracle import list_oracle
 
@@ -140,9 +141,9 @@ class TestRunExperiment:
         bundle = run_experiment(config)
         assert set(bundle.methods) == {"ssr", "ema", "passthrough"}
         for result in bundle.methods.values():
-            assert len(result.records) == 3
+            assert len(result.scores) == 3
             assert len(result.summaries) == 3
-            assert all(len(r) == 30 for r in result.records)
+            assert all(scores.shape == (30, 4) for scores in result.scores)
             assert set(result.aggregate_mean) == {
                 "mean_raw_error",
                 "mean_corrected_error",
@@ -165,9 +166,8 @@ class TestRunExperiment:
             **{"noise.sigma": "0.0", "scenario.state_drift": "0.0"},
         )
         bundle = run_experiment(config)
-        for records in bundle.methods["ssr"].records:
-            for record in records:
-                assert record.corrected_error < 1e-9
+        for scores in bundle.methods["ssr"].scores:
+            assert np.all(scores[:, 1] < 1e-9)
 
     def test_ema_matches_local_recursion(self, tmp_path):
         config = make_config(tmp_path, methods="ema", trials=1)
@@ -183,8 +183,18 @@ class TestRunExperiment:
             expected_errors.append(
                 np.linalg.norm(fused - frame.clean_state.values)
             )
-        got = [r.corrected_error for r in bundle.methods["ema"].records[0]]
+        got = bundle.methods["ema"].scores[0][:, 1]
         assert np.allclose(got, expected_errors, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.123456789, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("length", [1, 2, 256, 1024])
+    def test_ema_recursion_is_the_ema_fuse_chain_bit_for_bit(self, alpha, length):
+        noisy = np.random.default_rng(length).standard_normal((length, 5))
+        fused = [StateVector(noisy[0])]
+        for row in noisy[1:]:
+            fused.append(ema_fuse(StateVector(row), fused[-1], alpha))
+        expected = np.array([state.values for state in fused])
+        assert np.array_equal(harness_mod._run_ema(noisy, alpha), expected)
 
     def test_aggregates_are_trial_means(self, tmp_path):
         bundle = run_experiment(make_config(tmp_path, methods="ssr"))
@@ -249,7 +259,7 @@ class TestRunExperiment:
         for method in config.methods:
             a = first.methods[method]
             b = second.methods[method]
-            assert a.records == b.records
+            assert all(np.array_equal(x, y) for x, y in zip(a.scores, b.scores))
             assert a.aggregate_mean == b.aggregate_mean
 
     @pytest.mark.parametrize("policy", ["store-raw", "store-corrected"])
@@ -301,13 +311,10 @@ class TestWriters:
             (row[1], int(row[2]), int(row[0])): row for row in rows
         }
         for method, result in bundle.methods.items():
-            for trial, records in enumerate(result.records):
-                for record in records:
-                    row = by_key[(method, trial, record.frame)]
-                    assert float(row[3]) == record.raw_error
-                    assert float(row[4]) == record.corrected_error
-                    assert float(row[5]) == record.subspace_residual
-                    assert float(row[6]) == record.se_residual
+            for trial, scores in enumerate(result.scores):
+                for frame, values in enumerate(scores):
+                    row = by_key[(method, trial, frame)]
+                    assert [float(v) for v in row[3:]] == values.tolist()
 
     def test_summary_json_payload(self, tmp_path):
         config = make_config(tmp_path, trials=2)
@@ -648,25 +655,47 @@ class TestCli:
 
     def test_overflowing_states_exit_three_without_traceback(self, tmp_path):
         # entries near 1e160 are finite but their dot products are not
-        cfg = write_cfg_file(
+        done = self._simulate_subprocess(tmp_path, methods="ssr", **{"noise.sigma": "1e160"})
+        assert done.returncode == 3, done.stderr
+        assert "numeric error:" in done.stderr
+        assert "method=ssr, trial=0, frame=0" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
+
+    def test_overflowing_scores_exit_three_without_traceback(self, tmp_path):
+        # noise near 1e154 keeps states and the EMA finite, but squared
+        # distances to the clean state overflow
+        done = self._simulate_subprocess(
+            tmp_path, methods="ema,passthrough", **{"noise.sigma": "1e154"}
+        )
+        assert done.returncode == 3, done.stderr
+        assert "numeric error:" in done.stderr
+        assert "(method=ema, trial=0, frame=0)" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
+
+    def test_huge_finite_states_run_without_warnings(self, tmp_path):
+        # at 1e153 every dot product is finite; the self-expression
+        # residual must not overflow on the window's Frobenius norm
+        done = self._simulate_subprocess(
             tmp_path,
             methods="ssr",
-            trials=1,
-            **{"scenario.length": "16", "noise.sigma": "1e160"},
+            **{"noise.sigma": "1e153", "scenario.n": "64", "ssr.window_k": "8"},
         )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
+    @staticmethod
+    def _simulate_subprocess(tmp_path, **overrides):
+        cfg = write_cfg_file(tmp_path, trials=1, **{"scenario.length": "16", **overrides})
         src = os.path.dirname(os.path.dirname(os.path.abspath(ssrlab.__file__)))
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "ssrlab.cli", "simulate", cfg],
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True,
             text=True,
             timeout=120,
         )
-        assert done.returncode == 3, done.stderr
-        assert "numeric error:" in done.stderr
-        assert "method=ssr, trial=0, frame=0" in done.stderr
-        assert "Traceback" not in done.stderr
-        assert "Warning" not in done.stderr
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"

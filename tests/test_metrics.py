@@ -6,20 +6,24 @@ so the corrector removed exactly half the mean error.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrlab.affinity import StateVector
-from ssrlab.errors import LengthMismatch
-from ssrlab.grassmann import SubspacePoint
+from ssrlab.errors import DimensionMismatch, InvalidScore, LengthMismatch
+from ssrlab.grassmann import SubspacePoint, span_membership_residual
 from ssrlab.metrics import (
+    SCORE_COLUMNS,
     RunSummary,
-    StepRecord,
+    StackedScenario,
     ablate_window,
     improvement_ratio,
     score_run,
-    summarize,
 )
 from ssrlab.regularizer import SsrConfig
 from ssrlab.synth import NoiseModel, ScenarioFrame, TrajectoryConfig, generate_scenario
+
+RAW, CORRECTED, SUBSPACE, SE = range(len(SCORE_COLUMNS))
 
 
 def line_span() -> SubspacePoint:
@@ -51,15 +55,26 @@ class TestImprovementRatio:
 
 
 class TestScoreRun:
+    def test_stacked_scenario_holds_read_only_states(self):
+        frames = [frame_with_error(np.array([0.0, 2.0, 0.0])) for _ in range(3)]
+        scenario = StackedScenario(frames)
+        assert scenario.frames is frames
+        assert np.array_equal(scenario.clean, [f.clean_state.values for f in frames])
+        assert np.array_equal(scenario.noisy, [f.noisy_state.values for f in frames])
+        for states in (scenario.clean, scenario.noisy):
+            with pytest.raises(ValueError):
+                states[0, 0] = 1.0
+
     def test_two_frame_hand_example(self):
         frames = [
             frame_with_error(np.array([0.0, 2.0, 0.0])),
             frame_with_error(np.array([0.0, 0.0, 2.0])),
         ]
         corrected = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        records, summary = score_run(frames, corrected)
-        assert [r.raw_error for r in records] == [2.0, 2.0]
-        assert [r.corrected_error for r in records] == [1.0, 1.0]
+        scores, summary = score_run(StackedScenario(frames), corrected)
+        assert scores.shape == (2, 4)
+        assert scores[:, RAW].tolist() == [2.0, 2.0]
+        assert scores[:, CORRECTED].tolist() == [1.0, 1.0]
         assert summary.improvement_ratio == 0.5
         assert summary.win_fraction == 1.0
         # tail of a 2-frame run starts at int(0.75 * 2) = 1
@@ -67,37 +82,42 @@ class TestScoreRun:
 
     def test_identity_method_scores_zero_even_noiseless(self):
         clean = frame_with_error(np.zeros(3))
-        records, summary = score_run([clean], [clean.noisy_state.values])
-        assert records[0].raw_error == 0.0
+        scores, summary = score_run(StackedScenario([clean]), [clean.noisy_state.values])
+        assert scores[0, RAW] == 0.0
         assert summary.improvement_ratio == 0.0
         assert summary.win_fraction == 0.0
 
     def test_subspace_residual_tracks_leakage(self):
         frames = [frame_with_error(np.zeros(3))]
-        records, _ = score_run(frames, np.array([[0.6, 0.8, 0.0]]))
-        assert records[0].subspace_residual == pytest.approx(0.8, abs=1e-15)
+        scores, _ = score_run(StackedScenario(frames), np.array([[0.6, 0.8, 0.0]]))
+        assert scores[0, SUBSPACE] == pytest.approx(0.8, abs=1e-15)
 
     def test_se_residuals_default_to_zero(self):
         frames = [frame_with_error(np.zeros(3))]
-        records, _ = score_run(frames, [frames[0].clean_state.values])
-        assert records[0].se_residual == 0.0
+        scores, _ = score_run(StackedScenario(frames), [frames[0].clean_state.values])
+        assert scores[0, SE] == 0.0
 
     def test_se_residuals_passed_through(self):
         frames = [frame_with_error(np.zeros(3))]
-        records, _ = score_run(frames, [frames[0].clean_state.values], [0.25])
-        assert records[0].se_residual == 0.25
+        scores, _ = score_run(StackedScenario(frames), [frames[0].clean_state.values], [0.25])
+        assert scores[0, SE] == 0.25
 
     def test_length_mismatch(self):
         frames = [frame_with_error(np.zeros(3))]
         with pytest.raises(LengthMismatch):
-            score_run(frames, [])
+            score_run(StackedScenario(frames), [])
         with pytest.raises(LengthMismatch):
-            score_run(frames, [frames[0].clean_state.values], [0.1, 0.2])
+            score_run(StackedScenario(frames), [frames[0].clean_state.values], [0.1, 0.2])
+
+    def test_dimension_mismatch(self):
+        frames = [frame_with_error(np.zeros(3))]
+        with pytest.raises(DimensionMismatch):
+            score_run(StackedScenario(frames), np.zeros((1, 4)))
 
     def test_tail_window_is_final_quarter(self):
         frames = [frame_with_error(np.zeros(3)) for _ in range(8)]
         corrected = np.array([[1.0 + 0.1 * t, 0.0, 0.0] for t in range(8)])
-        _, summary = score_run(frames, corrected)
+        _, summary = score_run(StackedScenario(frames), corrected)
         # tail indices 6, 7: errors 0.6 and 0.7
         assert summary.tail_error_mean == pytest.approx(0.65, abs=1e-12)
 
@@ -107,7 +127,7 @@ class TestScoreRun:
             frame_with_error(np.array([0.0, 1.0, 0.0])),
         ]
         corrected = [frames[0].noisy_state.values, frames[1].clean_state.values]
-        _, summary = score_run(frames, corrected)
+        _, summary = score_run(StackedScenario(frames), corrected)
         # one tie (no win), one strict win
         assert summary.win_fraction == 0.5
 
@@ -115,25 +135,26 @@ class TestScoreRun:
 class TestSummaryValidation:
     def test_empty_run_rejected(self):
         with pytest.raises(LengthMismatch):
-            summarize([])
+            score_run(StackedScenario([]), np.empty((0, 3)))
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            StepRecord(
-                frame=0,
-                raw_error=-1.0,
-                corrected_error=0.0,
-                subspace_residual=0.0,
-                se_residual=0.0,
-            )
-        with pytest.raises(ValueError):
-            StepRecord(
-                frame=0,
-                raw_error=np.inf,
-                corrected_error=0.0,
-                subspace_residual=0.0,
-                se_residual=0.0,
-            )
+        # every score must be finite and nonnegative; the error names the
+        # first frame that is not
+        frames = [frame_with_error(np.zeros(3)) for _ in range(3)]
+        clean = np.array([f.clean_state.values for f in frames])
+        with pytest.raises(InvalidScore) as excinfo:
+            score_run(StackedScenario(frames), clean, [0.0, -1.0, 0.0])
+        assert excinfo.value.frame == 1
+        with pytest.raises(InvalidScore) as excinfo:
+            score_run(StackedScenario(frames), clean, [0.0, 0.0, np.inf])
+        assert excinfo.value.frame == 2
+        overflowing = clean.copy()
+        overflowing[1:] = 1e300
+        with pytest.raises(InvalidScore) as excinfo:
+            score_run(StackedScenario(frames), overflowing)
+        assert excinfo.value.frame == 1
+        with pytest.raises(InvalidScore):
+            score_run(StackedScenario(frames), clean, [np.nan, 0.0, 0.0])
 
     def test_summary_bounds(self):
         with pytest.raises(ValueError):
@@ -207,8 +228,39 @@ def test_scenario_scoring_round_trip():
     # full pipeline sanity: generated noise magnitudes show up in raw_error
     traj = TrajectoryConfig(n=16, r=3, length=50, seed=11)
     frames = generate_scenario(traj, NoiseModel(sigma=0.2))
-    noisy = np.array([f.noisy_state.values for f in frames])
-    records, summary = score_run(frames, noisy)
+    scenario = StackedScenario(frames)
+    scores, summary = score_run(scenario, scenario.noisy)
     assert summary.improvement_ratio == 0.0
     assert summary.mean_raw_error == summary.mean_corrected_error
-    assert all(r.raw_error > 0.0 for r in records)
+    assert np.all(scores[:, RAW] > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    length=st.integers(min_value=1, max_value=150),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_property_score_run_matches_per_frame_reference(seed, length, scale):
+    # a moving subspace gives every frame its own basis; the corrected
+    # states are arbitrary, so they leave the subspace by any amount
+    traj = TrajectoryConfig(n=9, r=2, length=length, seed=seed, speed=1.0, waypoint_count=3)
+    frames = generate_scenario(traj, NoiseModel(sigma=0.3))
+    rng = np.random.default_rng(seed)
+    corrected = scale * rng.standard_normal((length, 9))
+    se = rng.uniform(0.0, 2.0, length)
+    scores, summary = score_run(StackedScenario(frames), corrected, se)
+    expected = np.array(
+        [
+            [
+                np.linalg.norm(f.noisy_state.values - f.clean_state.values),
+                np.linalg.norm(out - f.clean_state.values),
+                span_membership_residual(out, f.truth_subspace),
+                s,
+            ]
+            for f, out, s in zip(frames, corrected, se)
+        ]
+    )
+    np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0.0)
+    assert summary.mean_raw_error == pytest.approx(expected[:, 0].mean(), rel=1e-12)
+    assert summary.mean_corrected_error == pytest.approx(expected[:, 1].mean(), rel=1e-12)
