@@ -26,7 +26,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from ssrlab import (  # noqa: E402
     NoiseModel,
     SsrConfig,
-    StackedScenario,
     TrajectoryConfig,
     ablate_window,
     build_experiment_config,
@@ -70,7 +69,7 @@ def denoising_fixture() -> dict:
     wins = 0
     for trial in range(TRIALS):
         seed = derive_trial_seed(BASE_SEED, trial)
-        scenario = StackedScenario(generate_scenario(replace(TRAJECTORY, seed=seed), NOISE))
+        scenario = generate_scenario(replace(TRAJECTORY, seed=seed), NOISE)
         corrected, _, _ = run_stream(SSR, scenario.noisy)
         _, summary = score_run(scenario, corrected)
         _, base = score_run(scenario, scenario.noisy)

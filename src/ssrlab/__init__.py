@@ -4,8 +4,9 @@ Each incoming state is corrected in closed form from a sliding window of
 its recent predecessors: the window's row-normalized self-affinity gives
 the weights, and the corrected state is the weighted combination of the
 window. The package also ships the synthetic subspace-trajectory
-generator, baselines, metrics, and the experiment harness used to
-evaluate the corrector.
+generator (generate_scenario returns a Scenario of read-only arrays),
+baselines, metrics, and the experiment harness used to evaluate the
+corrector.
 
 The package namespace holds the entry points; everything else is
 imported from its submodule (ssrlab.affinity, ssrlab.grassmann, ...).
@@ -16,9 +17,9 @@ from .affinity import compute_affinity
 from .config import build_experiment_config
 from .errors import SsrLabError
 from .harness import run_experiment
-from .metrics import StackedScenario, ablate_window, score_run
+from .metrics import ablate_window, score_run
 from .regularizer import SsrConfig, run_stream, ssr_step
-from .synth import NoiseModel, TrajectoryConfig, derive_trial_seed, generate_scenario
+from .synth import NoiseModel, Scenario, TrajectoryConfig, derive_trial_seed, generate_scenario
 
 __all__ = [
     "__version__",
@@ -27,12 +28,12 @@ __all__ = [
     "SsrLabError",
     "run_experiment",
     "ablate_window",
-    "StackedScenario",
     "score_run",
     "SsrConfig",
     "run_stream",
     "ssr_step",
     "NoiseModel",
+    "Scenario",
     "TrajectoryConfig",
     "derive_trial_seed",
     "generate_scenario",

@@ -93,7 +93,8 @@ def compute_affinity(
         state i.
 
     Raises:
-        NonFiniteAffinity: some dot product is not finite.
+        NonFiniteAffinity: some dot product, or in softmax mode some
+            dot product divided by the temperature, is not finite.
         DegenerateRow: raw-sum mode and some row has
             |sum phi| <= DEGENERATE_ROW_TOL * sum |phi|.
         For a stack, the error is the one of the first failing window in
@@ -113,7 +114,9 @@ def compute_affinity(
         raise ValueError("temperature applies to softmax mode only")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = window @ np.swapaxes(window, -1, -2)
-        finite = np.isfinite(gram).all(axis=(-2, -1))
+        # Softmax logits can overflow where the dot products do not.
+        logits = gram / temperature if mode == MODE_SOFTMAX else gram
+        finite = np.isfinite(logits).all(axis=(-2, -1))
         failed = ~finite
         if mode == MODE_RAW_SUM:
             row_sums = gram.sum(axis=-1)
@@ -123,10 +126,11 @@ def compute_affinity(
             failed |= degenerate.any(axis=-1)
     if failed.any():
         index = int(np.flatnonzero(failed)[0])
+        size = gram.shape[-1]
         if not finite.reshape(-1)[index]:
-            exc: SsrLabError = NonFiniteAffinity("window dot products overflow float64")
+            what = "dot products" if mode == MODE_RAW_SUM else "logits (dot products / temperature)"
+            exc: SsrLabError = NonFiniteAffinity(f"window {what} overflow float64")
         else:
-            size = gram.shape[-1]
             row = int(np.flatnonzero(degenerate.reshape(-1, size)[index])[0])
             row_sum = float(row_sums.reshape(-1, size)[index, row])
             magnitude = float(magnitudes.reshape(-1, size)[index, row])
@@ -139,9 +143,11 @@ def compute_affinity(
         raise exc
     if mode == MODE_SOFTMAX:
         # In place: the same operations as out of place, one temporary.
-        entries = gram / temperature
-        # Shift by the row max so exp never overflows.
-        entries -= entries.max(axis=-1, keepdims=True)
+        entries = logits
+        # Shift by the row max so exp never overflows; a shifted logit
+        # may round to -inf, whose weight is exactly 0.
+        with np.errstate(over="ignore"):
+            entries -= entries.max(axis=-1, keepdims=True)
         np.exp(entries, out=entries)
         entries /= entries.sum(axis=-1, keepdims=True)
     else:

@@ -17,6 +17,7 @@ __all__ = [
     "LengthMismatch",
     "NonFiniteAffinity",
     "InvalidScore",
+    "InvalidScenario",
     "ConfigInvalid",
     "NUMERIC_ERRORS",
 ]
@@ -64,6 +65,10 @@ class InvalidScore(SsrLabError):
     """A per-frame score is not a finite nonnegative number."""
 
 
+class InvalidScenario(SsrLabError):
+    """A generated state or basis is not finite, or breaks its subspace invariants."""
+
+
 class ConfigInvalid(SsrLabError):
     """Configuration error; message names the offending field path."""
 
@@ -79,4 +84,5 @@ NUMERIC_ERRORS = (
     LengthMismatch,
     NonFiniteAffinity,
     InvalidScore,
+    InvalidScenario,
 )

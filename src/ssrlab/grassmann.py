@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .affinity import vector_norms
 from .errors import (
     DegenerateGeodesic,
     DimensionMismatch,
@@ -35,8 +36,10 @@ __all__ = [
     "orthonormalize",
     "projection_distance",
     "principal_angles",
+    "geodesic_frame",
     "geodesic",
     "span_membership_residual",
+    "span_residuals",
 ]
 
 # Smallest singular value accepted as full column rank.
@@ -173,12 +176,14 @@ def principal_angles(a: SubspacePoint, b: SubspacePoint) -> PrincipalAngles:
     return PrincipalAngles(np.sort(np.arccos(sigma)))
 
 
-def geodesic(a: SubspacePoint, b: SubspacePoint, s: float) -> SubspacePoint:
-    """Point at parameter s in [0, 1] on the geodesic from a to b.
+def geodesic_frame(
+    a: SubspacePoint, b: SubspacePoint
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame (p, g, theta) of the geodesic from a to b.
 
     Standard principal-angle construction: SVD of a^T b gives matched
     frames in both subspaces, then each principal direction rotates by
-    s * theta_i inside its own 2-plane.
+    s * theta_i inside its own 2-plane: p cos(s theta) + g sin(s theta).
 
     Raises:
         DegenerateGeodesic: some principal angle is >= pi/2 minus margin,
@@ -190,18 +195,12 @@ def geodesic(a: SubspacePoint, b: SubspacePoint, s: float) -> SubspacePoint:
         )
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
     v, sigma, wt = np.linalg.svd(a.basis.T @ b.basis)
     theta = np.arccos(np.clip(sigma, -1.0, 1.0))
     if theta.max(initial=0.0) >= np.pi / 2 - ANGLE_DEGENERACY_MARGIN:
         raise DegenerateGeodesic(
             f"max principal angle {theta.max():.6f} is too close to pi/2"
         )
-    if s == 0.0:
-        return a
-    if s == 1.0:
-        return b
     p = a.basis @ v
     q = b.basis @ wt.T
     sin_theta = np.sin(theta)
@@ -209,8 +208,22 @@ def geodesic(a: SubspacePoint, b: SubspacePoint, s: float) -> SubspacePoint:
     # undefined, but its coefficient sin(s * theta) vanishes with it.
     safe = np.where(sin_theta > _SIN_FLOOR, sin_theta, 1.0)
     g = np.where(sin_theta > _SIN_FLOOR, 1.0, 0.0) * (q - p * np.cos(theta)) / safe
-    point = p * np.cos(s * theta) + g * np.sin(s * theta)
-    return SubspacePoint(point)
+    return p, g, theta
+
+
+def geodesic(a: SubspacePoint, b: SubspacePoint, s: float) -> SubspacePoint:
+    """Point at parameter s in [0, 1] on the geodesic from a to b; s = 0 and 1 give a and b.
+
+    Raises DegenerateGeodesic as geodesic_frame does.
+    """
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    p, g, theta = geodesic_frame(a, b)
+    if s == 0.0:
+        return a
+    if s == 1.0:
+        return b
+    return SubspacePoint(p * np.cos(s * theta) + g * np.sin(s * theta))
 
 
 def span_membership_residual(v: np.ndarray, u: SubspacePoint) -> float:
@@ -227,6 +240,12 @@ def span_membership_residual(v: np.ndarray, u: SubspacePoint) -> float:
         )
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
-    residual = v - u.basis @ (u.basis.T @ v)
-    value = np.linalg.norm(residual) / max(np.linalg.norm(v), _NORM_FLOOR)
-    return float(min(value, 1.0))
+    return float(span_residuals(v[None], u.basis[None])[0])
+
+
+def span_residuals(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """span_membership_residual of T vectors (T, n) against T bases (T, n, r)."""
+    coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
+    leftover = vectors - (bases @ coords)[:, :, 0]
+    value = vector_norms(leftover) / np.maximum(vector_norms(vectors), _NORM_FLOOR)
+    return np.minimum(value, 1.0)

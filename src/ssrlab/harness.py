@@ -1,10 +1,10 @@
 """Experiment runner and deterministic result writers.
 
-A run stacks each trial's scenario once (metrics.StackedScenario),
+A run generates each trial's scenario once as arrays (synth.Scenario),
 passes its T x d noisy array through every configured method (the
 corrector is one run_stream call, which also yields the heatmaps and
 residuals; the EMA baseline is one recurrence over the rows) and scores
-each output against the same stacked scenario with one score_run pass,
+each output against the same scenario with one score_run pass,
 which gives a T x 4 array of per-frame scores. All emitted payloads
 (CSV, summary JSON, heatmap grids, ablation tables) are byte-identical
 across reruns; the wall-clock timestamp lives in its own run_meta.json,
@@ -18,7 +18,7 @@ import json
 import os
 import secrets
 from contextlib import suppress
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,7 +32,7 @@ from .config import (
     config_to_dict,
 )
 from .errors import ConfigInvalid, NUMERIC_ERRORS
-from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, StackedScenario, score_run
+from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, score_run
 from .regularizer import passthrough_step, run_stream
 from .synth import derive_trial_seed, generate_scenario
 
@@ -109,10 +109,9 @@ def _run_trial(
 ) -> tuple[dict[str, tuple[np.ndarray, RunSummary]], dict[int, np.ndarray]]:
     seed = derive_trial_seed(config.trajectory.seed, trial)
     try:
-        frames = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+        scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
     except NUMERIC_ERRORS as exc:
         raise type(exc)(f"(scenario generation, trial={trial}): {exc}") from exc
-    scenario = StackedScenario(frames)
     noisy = scenario.noisy
     capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
     out: dict[str, tuple[np.ndarray, RunSummary]] = {}
@@ -173,11 +172,6 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
     )
 
 
-def _fmt(value: float) -> str:
-    """17 significant digits; enough to round-trip any float64."""
-    return format(float(value), ".17g")
-
-
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
@@ -195,12 +189,13 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def dump_csv(bundle: ResultBundle, path: str) -> None:
     """Per-frame scores, one row per (method, trial, frame), sorted."""
+    # 17 significant digits round-trip any float64.
+    row_format = "%d,%s,%d" + ",%.17g" * len(SCORE_COLUMNS)
     lines = [CSV_HEADER]
     for method in sorted(bundle.methods):
         for trial, scores in enumerate(bundle.methods[method].scores):
             for frame, row in enumerate(scores.tolist()):
-                values = ",".join(map(_fmt, row))
-                lines.append(f"{frame},{method},{trial},{values}")
+                lines.append(row_format % (frame, method, trial, *row))
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -247,7 +242,7 @@ def dump_heatmaps(bundle: ResultBundle, directory: str) -> list[str]:
     """One CSV grid per captured frame; returns the written paths."""
     written = []
     for frame, grid in sorted(bundle.heatmaps.items()):
-        rows = [",".join(_fmt(v) for v in row) for row in grid]
+        rows = [",".join("%.17g" % v for v in row) for row in grid.tolist()]
         path = os.path.join(directory, heatmap_filename(frame))
         _atomic_write_text(path, "\n".join(rows) + "\n")
         written.append(path)
@@ -283,20 +278,13 @@ def write_ablation_outputs(
     lines = ["window_k,mean_improvement_ratio,std_improvement_ratio"]
     for row in rows:
         lines.append(
-            f"{row.window_k},{_fmt(row.mean_improvement_ratio)},"
-            f"{_fmt(row.std_improvement_ratio)}"
+            "%d,%.17g,%.17g"
+            % (row.window_k, row.mean_improvement_ratio, row.std_improvement_ratio)
         )
     _atomic_write_text(paths["csv"], "\n".join(lines) + "\n")
     payload = {
         "config": config_to_dict(config),
-        "rows": [
-            {
-                "window_k": row.window_k,
-                "mean_improvement_ratio": row.mean_improvement_ratio,
-                "std_improvement_ratio": row.std_improvement_ratio,
-            }
-            for row in rows
-        ],
+        "rows": [asdict(row) for row in rows],
     }
     _atomic_write_text(paths["json"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return paths

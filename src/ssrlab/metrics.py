@@ -1,8 +1,8 @@
 """Scoring of corrected streams against ground truth.
 
-score_run scores a whole stream against a StackedScenario (the
-scenario's clean and noisy states, stacked once and shared by every
-method scored on it) in one array pass and returns the per-frame
+score_run scores a whole stream against its synth.Scenario (the clean
+and noisy states and the truth bases as read-only arrays, shared by
+every method scored on it) in one array pass and returns the per-frame
 scores as one T x 4 array, columns SCORE_COLUMNS: the raw and corrected
 distances to the clean state, the corrected state's relative distance
 from the true subspace, and the self-expression residual.
@@ -15,16 +15,17 @@ the guarded division would otherwise report spurious improvement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .affinity import vector_norms
 from .errors import DimensionMismatch, InvalidScore, LengthMismatch
+from .grassmann import span_residuals
 from .regularizer import SsrConfig, run_stream
 from .synth import (
     NoiseModel,
-    ScenarioFrame,
+    Scenario,
     TrajectoryConfig,
     derive_trial_seed,
     generate_scenario,
@@ -32,7 +33,6 @@ from .synth import (
 
 __all__ = [
     "SCORE_COLUMNS",
-    "StackedScenario",
     "RunSummary",
     "AblationRow",
     "score_run",
@@ -43,28 +43,6 @@ __all__ = [
 SCORE_COLUMNS = ("raw_error", "corrected_error", "subspace_residual", "se_residual")
 
 _RAW_FLOOR = 1e-12
-_NORM_FLOOR = 1e-12
-# Frames per stacked block of subspace bases in score_run.
-_BASIS_BLOCK = 64
-
-
-@dataclass(frozen=True, eq=False)
-class StackedScenario:
-    """A scenario with its clean and noisy states stacked as read-only T x n arrays.
-
-    Stack a scenario once: the methods run on its noisy array, and every
-    method and window size scored against it reads the same arrays.
-    """
-
-    frames: list[ScenarioFrame]
-    clean: np.ndarray = field(init=False)
-    noisy: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("clean", "noisy"):
-            states = np.array([getattr(f, f"{name}_state").values for f in self.frames])
-            states.flags.writeable = False
-            object.__setattr__(self, name, states)
 
 
 @dataclass(frozen=True)
@@ -101,14 +79,14 @@ def improvement_ratio(mean_raw: float, mean_corrected: float) -> float:
 
 
 def score_run(
-    scenario: StackedScenario,
+    scenario: Scenario,
     corrected: np.ndarray,
     se_residuals: np.ndarray | None = None,
 ) -> tuple[np.ndarray, RunSummary]:
     """Score a corrected stream against its scenario in one array pass.
 
     Args:
-        scenario: the stacked scenario that produced the stream.
+        scenario: the scenario that produced the stream.
         corrected: the method's outputs, a T x d array aligned with frames.
         se_residuals: optional per-frame self-expression residuals
             (methods without a window report 0).
@@ -123,8 +101,8 @@ def score_run(
             attribute is the first such frame.
     """
     corrected = np.asarray(corrected, dtype=np.float64)
-    frames, clean, noisy = scenario.frames, scenario.clean, scenario.noisy
-    length = len(frames)
+    clean, noisy, bases = scenario
+    length = len(clean)
     if len(corrected) != length:
         raise LengthMismatch(f"{length} frames but {len(corrected)} corrected states")
     if se_residuals is not None and len(se_residuals) != length:
@@ -139,10 +117,7 @@ def score_run(
     with np.errstate(over="ignore", invalid="ignore"):
         scores[:, 0] = vector_norms(noisy - clean)
         scores[:, 1] = vector_norms(corrected - clean)
-        for start in range(0, length, _BASIS_BLOCK):
-            stop = min(start + _BASIS_BLOCK, length)
-            bases = np.array([f.truth_subspace.basis for f in frames[start:stop]])
-            scores[start:stop, 2] = _span_residuals(corrected[start:stop], bases)
+        scores[:, 2] = span_residuals(corrected, bases)
     if se_residuals is not None:
         scores[:, 3] = se_residuals
     valid = (np.isfinite(scores) & (scores >= 0.0)).all(axis=1)
@@ -167,14 +142,6 @@ def score_run(
     return scores, summary
 
 
-def _span_residuals(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """grassmann.span_membership_residual of B vectors against B (n, r) bases."""
-    coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
-    leftover = vectors - (bases @ coords)[:, :, 0]
-    value = vector_norms(leftover) / np.maximum(vector_norms(vectors), _NORM_FLOOR)
-    return np.minimum(value, 1.0)
-
-
 def ablate_window(
     sizes: list[int],
     trajectory: TrajectoryConfig,
@@ -195,11 +162,7 @@ def ablate_window(
         raise ValueError("sizes must be nonempty")
     base = ssr if ssr is not None else SsrConfig()
     scenarios = [
-        StackedScenario(
-            generate_scenario(
-                replace(trajectory, seed=derive_trial_seed(trajectory.seed, i)), noise
-            )
-        )
+        generate_scenario(replace(trajectory, seed=derive_trial_seed(trajectory.seed, i)), noise)
         for i in range(trials)
     ]
     rows = []

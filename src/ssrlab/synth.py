@@ -8,6 +8,10 @@ bounded by arc length). Clean states are unit vectors inside the current
 subspace whose coefficients optionally follow a slow seeded random walk
 (state_drift per frame; 0 freezes them).
 
+generate_scenario builds the Scenario arrays whole: each geodesic
+segment's frame is computed once and evaluated at all of its frames,
+and every check runs once over the arrays.
+
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream, frame), so frame i's draws do not depend on the sequence
 length and extending a scenario never perturbs its prefix.
@@ -15,20 +19,22 @@ length and extending a scenario never perturbs its prefix.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .affinity import StateVector
-from .errors import DegenerateGeodesic, RankDeficient
+from .errors import DegenerateGeodesic, DimensionMismatch, InvalidScenario, RankDeficient
 from .grassmann import (
     ANGLE_DEGENERACY_MARGIN,
+    ORTHONORMALITY_TOL,
     SubspacePoint,
-    geodesic,
+    geodesic_frame,
     orthonormalize,
     principal_angles,
     projection_distance,
-    span_membership_residual,
+    span_residuals,
 )
 
 __all__ = [
@@ -40,7 +46,7 @@ __all__ = [
     "WAYPOINT_ATTEMPTS",
     "TrajectoryConfig",
     "NoiseModel",
-    "ScenarioFrame",
+    "Scenario",
     "sample_waypoints",
     "generate_scenario",
     "derive_trial_seed",
@@ -132,33 +138,34 @@ class NoiseModel:
             raise ValueError("burst_scale must be finite and nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioFrame:
-    """One frame: ground truth subspace, clean state, observed state."""
+class Scenario(NamedTuple):
+    """A generated scenario as read-only arrays, one row per frame.
 
-    clean_state: StateVector
-    noisy_state: StateVector
-    truth_subspace: SubspacePoint
+    Attributes:
+        clean: T x n clean states, each inside its truth subspace.
+        noisy: T x n observed states; the clean array itself when sigma is 0.
+        bases: T x n x r orthonormal truth bases; a broadcast view of one
+            basis when the subspace is static.
+    """
 
-    def __post_init__(self) -> None:
-        if self.clean_state.dim != self.truth_subspace.ambient_dim:
-            raise ValueError("clean state and subspace dims differ")
-        if self.noisy_state.dim != self.clean_state.dim:
-            raise ValueError("noisy and clean state dims differ")
-        residual = span_membership_residual(
-            self.clean_state.values, self.truth_subspace
-        )
-        if residual >= MEMBERSHIP_TOL:
-            raise ValueError(
-                f"clean state leaves its subspace, residual {residual:.3e}"
-            )
+    clean: np.ndarray
+    noisy: np.ndarray
+    bases: np.ndarray
 
 
-def _frame_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    """Generator for one (seed, stream, frame) cell of the counter space."""
+def _substreams(seed: int, stream: int, frames: Iterable[int]) -> Iterator[np.random.Generator]:
+    """One generator, moved to each frame's (seed, stream, frame) substream in turn.
+
+    Setting counter word 0 to frame * 2**32 with an empty buffer leaves
+    the generator exactly as advance(frame * 2**32) leaves a fresh one.
+    """
     bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bits.advance(index * _FRAME_STRIDE)
-    return np.random.Generator(bits)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    for frame in frames:
+        state["state"]["counter"][0] = frame * _FRAME_STRIDE
+        bits.state = state
+        yield rng
 
 
 def derive_trial_seed(base_seed: int, trial: int) -> int:
@@ -179,55 +186,29 @@ def sample_waypoints(config: TrajectoryConfig) -> list[SubspacePoint]:
     DegenerateGeodesic.
     """
     for attempt in range(WAYPOINT_ATTEMPTS):
+        first = attempt << 20
+        indices = range(first, first + config.waypoint_count)
         points: list[SubspacePoint] = []
-        ok = True
-        for i in range(config.waypoint_count):
-            rng = _frame_rng(
-                config.seed, _STREAM_WAYPOINTS, (attempt << 20) + i
-            )
-            raw = rng.standard_normal((config.n, config.r))
-            try:
-                points.append(orthonormalize(raw))
-            except RankDeficient:
-                ok = False
-                break
-        if not ok:
+        try:
+            for rng in _substreams(config.seed, _STREAM_WAYPOINTS, indices):
+                points.append(orthonormalize(rng.standard_normal((config.n, config.r))))
+        except RankDeficient:
             continue
-        for a, b in zip(points, points[1:]):
-            angles = principal_angles(a, b)
-            if angles.max_angle() >= np.pi / 2 - ANGLE_DEGENERACY_MARGIN:
-                ok = False
-                break
-        if ok:
+        if all(
+            principal_angles(a, b).max_angle() < np.pi / 2 - ANGLE_DEGENERACY_MARGIN
+            for a, b in zip(points, points[1:])
+        ):
             return points
     raise DegenerateGeodesic(
         f"no usable waypoint set after {WAYPOINT_ATTEMPTS} attempts"
     )
 
 
-def _align_bases(path: list[SubspacePoint]) -> list[SubspacePoint]:
-    """Rotate each basis onto its predecessor (orthogonal Procrustes).
-
-    Geodesic points are only subspace-continuous: their bases carry an
-    arbitrary r x r rotation that jumps between frames. Aligning removes
-    the jumps so states U_t @ c move no faster than the subspace itself;
-    spans are untouched.
-    """
-    aligned = [path[0]]
-    for prev_raw, point in zip(path, path[1:]):
-        if point is prev_raw:
-            aligned.append(aligned[-1])
-            continue
-        v, _, wt = np.linalg.svd(point.basis.T @ aligned[-1].basis)
-        aligned.append(SubspacePoint(point.basis @ (v @ wt)))
-    return aligned
-
-
-def _truth_subspaces(config: TrajectoryConfig) -> list[SubspacePoint]:
-    """Per-frame truth subspaces along the waypoint path."""
+def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
+    """T x n x r truth bases along the waypoint path, each aligned onto its predecessor."""
     waypoints = sample_waypoints(config)
     if config.speed == 0.0 or config.length == 1:
-        return [waypoints[0]] * config.length
+        return np.broadcast_to(waypoints[0].basis, (config.length, config.n, config.r))
     max_dist = max(
         projection_distance(a, b)
         for i, a in enumerate(waypoints)
@@ -242,89 +223,119 @@ def _truth_subspaces(config: TrajectoryConfig) -> list[SubspacePoint]:
     cum = np.concatenate([[0.0], np.cumsum(seg_arcs)])
     total = float(cum[-1])
     step = config.speed * max_dist / config.length
-    out: list[SubspacePoint] = []
+    position = np.minimum(np.arange(config.length) * step, total)
+    inside = (position > 0.0) & (position < total)
+    # Inside the path cum[seg] <= position < cum[seg + 1], so the arc is positive.
+    seg = np.searchsorted(cum, position, side="right") - 1
+    local = np.zeros(config.length)
+    local[inside] = np.clip(
+        (position[inside] - cum[seg[inside]]) / np.array(seg_arcs)[seg[inside]], 0.0, 1.0
+    )
+    # The waypoint each frame sits on, or -1 for a point inside a segment;
+    # a geodesic's endpoints are its waypoints themselves.
+    on_waypoint = np.select(
+        [position <= 0.0, position >= total, local == 0.0, local == 1.0],
+        [0, len(seg_arcs), seg, seg + 1],
+        default=-1,
+    )
+    geodesics = {s: geodesic_frame(waypoints[s], waypoints[s + 1]) for s in np.unique(seg[inside])}
+    # Geodesic bases carry an arbitrary r x r rotation that jumps between
+    # frames. Rotating each onto its predecessor (orthogonal Procrustes)
+    # removes the jumps, so states U_t @ c move no faster than the
+    # subspace itself; spans are untouched. A frame on the same waypoint
+    # as its predecessor repeats the predecessor's aligned basis.
+    bases = np.empty((config.length, config.n, config.r))
     for t in range(config.length):
-        position = min(t * step, total)
-        if position <= 0.0:
-            out.append(waypoints[0])
+        if on_waypoint[t] < 0:
+            p, g, theta = geodesics[seg[t]]
+            bases[t] = p * np.cos(local[t] * theta) + g * np.sin(local[t] * theta)
+        elif t > 0 and on_waypoint[t] == on_waypoint[t - 1]:
+            bases[t] = bases[t - 1]
             continue
-        if position >= total:
-            out.append(waypoints[-1])
-            continue
-        seg = int(np.searchsorted(cum, position, side="right")) - 1
-        seg = min(max(seg, 0), len(seg_arcs) - 1)
-        if seg_arcs[seg] <= 0.0:
-            out.append(waypoints[seg])
-            continue
-        local = (position - float(cum[seg])) / seg_arcs[seg]
-        local = min(max(local, 0.0), 1.0)
-        out.append(geodesic(waypoints[seg], waypoints[seg + 1], local))
-    return _align_bases(out)
-
-
-def _clean_states(
-    config: TrajectoryConfig, subspaces: list[SubspacePoint]
-) -> list[StateVector]:
-    """Unit-norm states in each frame's subspace with optional coef walk."""
-    rng0 = _frame_rng(config.seed, _STREAM_CLEAN, 0)
-    coef = rng0.standard_normal(config.r)
-    norm = np.linalg.norm(coef)
-    if norm < 1e-12:
-        coef = np.zeros(config.r)
-        coef[0] = 1.0
-    else:
-        coef = coef / norm
-    states: list[StateVector] = []
-    prev_coef = None
-    prev_basis = None
-    prev_state = None
-    for t, subspace in enumerate(subspaces):
-        if t > 0 and config.state_drift > 0.0:
-            stepped = coef + config.state_drift * _frame_rng(
-                config.seed, _STREAM_CLEAN, t
-            ).standard_normal(config.r)
-            norm = np.linalg.norm(stepped)
-            if norm >= 1e-12:
-                coef = stepped / norm
-        if prev_state is not None and coef is prev_coef and subspace is prev_basis:
-            # Frozen coefficients on a frozen subspace: reuse the exact
-            # vector so static streams are bitwise constant.
-            state = prev_state
         else:
-            state = StateVector(subspace.basis @ coef)
-        states.append(state)
-        prev_coef, prev_basis, prev_state = coef, subspace, state
-    return states
+            bases[t] = waypoints[on_waypoint[t]].basis
+        if t > 0:
+            v, _, wt = np.linalg.svd(bases[t].T @ bases[t - 1])
+            bases[t] = bases[t] @ (v @ wt)
+    return bases
 
 
-def generate_scenario(
-    config: TrajectoryConfig, noise: NoiseModel
-) -> list[ScenarioFrame]:
-    """Full scenario: truth subspaces, clean states, corrupted states.
+def _clean_states(config: TrajectoryConfig, bases: np.ndarray) -> np.ndarray:
+    """Unit-norm states in each frame's subspace, with the optional coefficient walk."""
+    coefs = np.empty((config.length, config.r))
+    coef = np.eye(config.r)[0]  # kept when the first draw is all but zero
+    drawn = config.length if config.state_drift > 0.0 else 1
+    for t, rng in enumerate(_substreams(config.seed, _STREAM_CLEAN, range(drawn))):
+        draw = rng.standard_normal(config.r)
+        stepped = draw if t == 0 else coef + config.state_drift * draw
+        norm = np.linalg.norm(stepped)
+        if norm >= 1e-12:
+            coef = stepped / norm
+        coefs[t] = coef
+    coefs[drawn:] = coef
+    return (bases @ coefs[:, :, None])[:, :, 0]
+
+
+def _noisy_states(config: TrajectoryConfig, noise: NoiseModel, clean: np.ndarray) -> np.ndarray:
+    """Frame t is clean_t + sigma * g_t, or the walk's clean_t + sigma * sum_{i <= t} g_i."""
+    if noise.sigma == 0.0:
+        return clean
+    draws = np.empty_like(clean)
+    for t, rng in enumerate(_substreams(config.seed, _STREAM_NOISE, range(config.length))):
+        rng.standard_normal(config.n, out=draws[t])
+    scale = np.full(config.length, noise.sigma)
+    if noise.kind == NOISE_DRIFT_WALK:
+        np.cumsum(draws, axis=0, out=draws)
+    elif noise.kind == NOISE_BURST:
+        hits = np.array(
+            [rng.random() for rng in _substreams(config.seed, _STREAM_BURST, range(config.length))]
+        )
+        scale[hits < noise.burst_prob] = noise.sigma * noise.burst_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        return clean + scale[:, None] * draws
+
+
+def _checked(clean: np.ndarray, noisy: np.ndarray, bases: np.ndarray) -> Scenario:
+    """The arrays as a read-only Scenario, after every check the generator promises."""
+    if noisy.shape != clean.shape or bases.shape[:2] != clean.shape:
+        raise DimensionMismatch(
+            f"clean {clean.shape}, noisy {noisy.shape} and bases {bases.shape} do not match"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.swapaxes(bases, 1, 2) @ bases - np.eye(bases.shape[2])
+        bad_bases = ~np.isfinite(bases).all(axis=(1, 2)) | (
+            np.linalg.norm(defect, axis=(1, 2)) > ORTHONORMALITY_TOL
+        )
+        outside = span_residuals(clean, bases) >= MEMBERSHIP_TOL
+        checks = {
+            "truth basis is not finite with orthonormal columns": bad_bases,
+            "clean state is not finite": ~np.isfinite(clean).all(axis=1),
+            f"clean state leaves its subspace (residual >= {MEMBERSHIP_TOL:.0e})": outside,
+            "noisy state is not finite": ~np.isfinite(noisy).all(axis=1),
+        }
+    for what, failed in checks.items():
+        if failed.any():
+            frame = int(np.flatnonzero(failed)[0])
+            exc = InvalidScenario(f"frame {frame}: {what}")
+            exc.frame = frame
+            raise exc
+    for array in (clean, noisy, bases):
+        array.flags.writeable = False
+    return Scenario(clean, noisy, bases)
+
+
+def generate_scenario(config: TrajectoryConfig, noise: NoiseModel) -> Scenario:
+    """Full scenario: truth bases, clean states, corrupted states.
 
     Frame t's noise is sigma * g_t; the drift walk adds the running sum
     sigma * sum_{i <= t} g_i instead, so its expected error norm grows
     like sqrt(t + 1). Bitwise deterministic for identical (config, noise).
+
+    Raises:
+        InvalidScenario: the first frame whose state is not finite (sigma
+            or sigma * burst_scale overflows) or whose basis or clean state
+            breaks its invariants.
     """
-    subspaces = _truth_subspaces(config)
-    cleans = _clean_states(config, subspaces)
-    frames: list[ScenarioFrame] = []
-    walk: np.ndarray | None = None
-    for t, (clean, subspace) in enumerate(zip(cleans, subspaces)):
-        if noise.sigma == 0.0:
-            noisy = clean
-        else:
-            draw = _frame_rng(config.seed, _STREAM_NOISE, t).standard_normal(config.n)
-            scale = noise.sigma
-            if noise.kind == NOISE_DRIFT_WALK:
-                walk = draw if walk is None else walk + draw
-                draw = walk
-            elif noise.kind == NOISE_BURST:
-                hit = _frame_rng(config.seed, _STREAM_BURST, t).random()
-                if hit < noise.burst_prob:
-                    scale = noise.sigma * noise.burst_scale
-            noisy = StateVector(clean.values + scale * draw)
-        frames.append(
-            ScenarioFrame(clean_state=clean, noisy_state=noisy, truth_subspace=subspace)
-        )
-    return frames
+    bases = _truth_bases(config)
+    clean = _clean_states(config, bases)
+    return _checked(clean, _noisy_states(config, noise, clean), bases)

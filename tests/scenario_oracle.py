@@ -1,0 +1,152 @@
+"""Per-frame reference for synth.generate_scenario.
+
+Builds a scenario one frame at a time, the way the generator did before
+it worked on arrays: a fresh Philox generator advanced to each
+(seed, stream, frame) cell, one geodesic evaluation per moving frame, an
+orthogonal Procrustes alignment onto the previous basis, and a validated
+StateVector pair per frame whose clean state is checked against its
+subspace. Frames that reuse a waypoint, or a frozen state on a frozen
+subspace, reuse the same object, so static streams are bitwise constant.
+
+scenario_oracle stacks the frames into (clean, noisy, bases) arrays for
+comparison with generate_scenario.
+"""
+
+import numpy as np
+
+from ssrlab.affinity import StateVector
+from ssrlab.errors import DegenerateGeodesic, RankDeficient
+from ssrlab.grassmann import (
+    ANGLE_DEGENERACY_MARGIN,
+    SubspacePoint,
+    geodesic,
+    orthonormalize,
+    principal_angles,
+    projection_distance,
+    span_membership_residual,
+)
+from ssrlab.synth import MEMBERSHIP_TOL, NOISE_BURST, NOISE_DRIFT_WALK, WAYPOINT_ATTEMPTS
+
+STREAM_WAYPOINTS, STREAM_CLEAN, STREAM_NOISE, STREAM_BURST = range(4)
+FRAME_STRIDE = 1 << 32
+
+
+def frame_rng(seed, stream, index):
+    bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bits.advance(index * FRAME_STRIDE)
+    return np.random.Generator(bits)
+
+
+def sample_waypoints(config):
+    for attempt in range(WAYPOINT_ATTEMPTS):
+        points = []
+        try:
+            for i in range(config.waypoint_count):
+                rng = frame_rng(config.seed, STREAM_WAYPOINTS, (attempt << 20) + i)
+                points.append(orthonormalize(rng.standard_normal((config.n, config.r))))
+        except RankDeficient:
+            continue
+        if all(
+            principal_angles(a, b).max_angle() < np.pi / 2 - ANGLE_DEGENERACY_MARGIN
+            for a, b in zip(points, points[1:])
+        ):
+            return points
+    raise DegenerateGeodesic("no usable waypoint set")
+
+
+def align_bases(path):
+    aligned = [path[0]]
+    for prev_raw, point in zip(path, path[1:]):
+        if point is prev_raw:
+            aligned.append(aligned[-1])
+            continue
+        v, _, wt = np.linalg.svd(point.basis.T @ aligned[-1].basis)
+        aligned.append(SubspacePoint(point.basis @ (v @ wt)))
+    return aligned
+
+
+def truth_subspaces(config):
+    waypoints = sample_waypoints(config)
+    if config.speed == 0.0 or config.length == 1:
+        return [waypoints[0]] * config.length
+    max_dist = max(
+        projection_distance(a, b) for i, a in enumerate(waypoints) for b in waypoints[i + 1:]
+    )
+    seg_arcs = [
+        float(np.linalg.norm(principal_angles(a, b).angles))
+        for a, b in zip(waypoints, waypoints[1:])
+    ]
+    cum = np.concatenate([[0.0], np.cumsum(seg_arcs)])
+    total = float(cum[-1])
+    step = config.speed * max_dist / config.length
+    out = []
+    for t in range(config.length):
+        position = min(t * step, total)
+        if position <= 0.0:
+            out.append(waypoints[0])
+            continue
+        if position >= total:
+            out.append(waypoints[-1])
+            continue
+        seg = int(np.searchsorted(cum, position, side="right")) - 1
+        seg = min(max(seg, 0), len(seg_arcs) - 1)
+        if seg_arcs[seg] <= 0.0:
+            out.append(waypoints[seg])
+            continue
+        local = (position - float(cum[seg])) / seg_arcs[seg]
+        local = min(max(local, 0.0), 1.0)
+        out.append(geodesic(waypoints[seg], waypoints[seg + 1], local))
+    return align_bases(out)
+
+
+def clean_states(config, subspaces):
+    coef = frame_rng(config.seed, STREAM_CLEAN, 0).standard_normal(config.r)
+    norm = np.linalg.norm(coef)
+    if norm < 1e-12:
+        coef = np.zeros(config.r)
+        coef[0] = 1.0
+    else:
+        coef = coef / norm
+    states = []
+    prev = None
+    for t, subspace in enumerate(subspaces):
+        if t > 0 and config.state_drift > 0.0:
+            draw = frame_rng(config.seed, STREAM_CLEAN, t).standard_normal(config.r)
+            stepped = coef + config.state_drift * draw
+            norm = np.linalg.norm(stepped)
+            if norm >= 1e-12:
+                coef = stepped / norm
+        if prev is not None and coef is prev[0] and subspace is prev[1]:
+            state = prev[2]
+        else:
+            state = StateVector(subspace.basis @ coef)
+        states.append(state)
+        prev = (coef, subspace, state)
+    return states
+
+
+def scenario_oracle(config, noise):
+    """Returns (clean, noisy, bases) arrays built frame by frame."""
+    subspaces = truth_subspaces(config)
+    cleans = clean_states(config, subspaces)
+    noisy = []
+    walk = None
+    for t, (clean, subspace) in enumerate(zip(cleans, subspaces)):
+        assert span_membership_residual(clean.values, subspace) < MEMBERSHIP_TOL
+        if noise.sigma == 0.0:
+            noisy.append(clean)
+            continue
+        draw = frame_rng(config.seed, STREAM_NOISE, t).standard_normal(config.n)
+        scale = noise.sigma
+        if noise.kind == NOISE_DRIFT_WALK:
+            walk = draw if walk is None else walk + draw
+            draw = walk
+        elif noise.kind == NOISE_BURST:
+            if frame_rng(config.seed, STREAM_BURST, t).random() < noise.burst_prob:
+                scale = noise.sigma * noise.burst_scale
+        noisy.append(StateVector(clean.values + scale * draw))
+    return (
+        np.array([s.values for s in cleans]),
+        np.array([s.values for s in noisy]),
+        np.array([s.basis for s in subspaces]),
+    )

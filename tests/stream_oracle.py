@@ -6,9 +6,10 @@ sqrt(d)) or S S^T divided by its row sums. The frame reports C, the
 residual ||S - C S||_F / ||S||_F and the output C[-1] @ S, then stores
 the output (store-corrected) or the raw state (store-raw).
 
-A window fails when some dot product is not finite, or, in raw-sum mode,
-when some row has |sum phi| <= DEGENERATE_ROW_TOL * sum |phi|; the
-oracle then raises WindowFailure naming the frame.
+A window fails when some dot product is not finite, or, in softmax mode,
+some dot product divided by tau; in raw-sum mode also when some row has
+|sum phi| <= DEGENERATE_ROW_TOL * sum |phi|. The oracle then raises
+WindowFailure naming the frame.
 """
 
 import math
@@ -32,13 +33,13 @@ def list_oracle(states, window_k, mode="softmax", temperature=None, policy="stor
     stored, outputs, affinities, residuals = [], [], [], []
     for frame, incoming in enumerate(states):
         window = np.array(stored[-window_k:] + [np.asarray(incoming, dtype=np.float64)])
+        tau = temperature if temperature is not None else math.sqrt(window.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
             gram = window @ window.T
-        if not np.isfinite(gram).all():
+            logits = gram / tau
+        if not np.isfinite(gram if mode == "raw-sum" else logits).all():
             raise WindowFailure("NonFiniteAffinity", frame)
         if mode == "softmax":
-            tau = temperature if temperature is not None else math.sqrt(window.shape[1])
-            logits = gram / tau
             weights = np.exp(logits - logits.max(axis=1, keepdims=True))
             c = weights / weights.sum(axis=1, keepdims=True)
         else:

@@ -24,11 +24,16 @@ from ssrlab.grassmann import (
     projection_distance,
     span_membership_residual,
 )
-from ssrlab.metrics import StackedScenario, ablate_window, score_run
+from ssrlab.metrics import ablate_window, score_run
 from ssrlab.regularizer import SsrConfig, ema_fuse, run_stream, ssr_step
-from ssrlab.synth import NoiseModel, TrajectoryConfig, derive_trial_seed, generate_scenario
+from ssrlab.synth import (
+    NoiseModel,
+    Scenario,
+    TrajectoryConfig,
+    derive_trial_seed,
+    generate_scenario,
+)
 from ssrlab.cli import main
-from ssrlab.synth import ScenarioFrame
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -216,9 +221,7 @@ def test_denoising_beats_passthrough():
     ratios = []
     for trial in range(100):
         seed = derive_trial_seed(BENCH_TRAJECTORY.seed, trial)
-        scenario = StackedScenario(
-            generate_scenario(replace(BENCH_TRAJECTORY, seed=seed), BENCH_NOISE)
-        )
+        scenario = generate_scenario(replace(BENCH_TRAJECTORY, seed=seed), BENCH_NOISE)
         corrected, _, _ = run_stream(BENCH_SSR, scenario.noisy)
         _, summary = score_run(scenario, corrected)
         _, baseline = score_run(scenario, scenario.noisy)
@@ -290,7 +293,7 @@ def test_drift_error_scaling():
     tail_wins = 0
     for trial in range(200):
         seed = derive_trial_seed(trajectory.seed, trial)
-        scenario = StackedScenario(generate_scenario(replace(trajectory, seed=seed), noise))
+        scenario = generate_scenario(replace(trajectory, seed=seed), noise)
         scores, baseline = score_run(scenario, scenario.noisy)
         at_100.append(scores[99, 0])
         at_400.append(scores[399, 0])
@@ -358,15 +361,8 @@ def test_degenerate_row_failure_is_structured(tmp_path, monkeypatch, capsys):
     # row sum; raw-sum mode must fail with exit code 3 and a message
     # naming the method, the trial, and the frame. Random noise cannot
     # reach an exactly-zero sum, so the scenario is injected.
-    basis = np.zeros((3, 1))
-    basis[0, 0] = 1.0
-    span = SubspacePoint(basis)
-    plus = StateVector(np.array([1.0, 0.0, 0.0]))
-    minus = StateVector(np.array([-1.0, 0.0, 0.0]))
-    crafted = [
-        ScenarioFrame(clean_state=plus, noisy_state=plus, truth_subspace=span),
-        ScenarioFrame(clean_state=minus, noisy_state=minus, truth_subspace=span),
-    ]
+    states = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    crafted = Scenario(states, states, np.broadcast_to(np.eye(3, 1), (2, 3, 1)))
     monkeypatch.setattr(harness_mod, "generate_scenario", lambda cfg, noise: crafted)
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(

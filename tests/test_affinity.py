@@ -311,6 +311,48 @@ def test_overflowing_dot_products_raise_numeric_error(mode):
             compute_affinity(rows, mode=mode)
 
 
+def test_overflowing_logits_raise_numeric_error():
+    # the dot products 1, 2 and 4 are finite, their logits at 1e-308 are not
+    rows = np.array([[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(NonFiniteAffinity, match="logits"):
+        compute_affinity(rows, temperature=1e-308)
+    with pytest.raises(NonFiniteAffinity) as excinfo:
+        compute_affinity(np.stack([rows / 2.0, rows]), temperature=1e-308)
+    assert excinfo.value.frame == 1
+    # no floor on the temperature: a tiny one still gives the argmax row
+    assert np.array_equal(compute_affinity(rows, temperature=1e-300), [[0.0, 1.0], [0.0, 1.0]])
+    # logits of +-1e308 are finite; shifted by the row max the smaller one
+    # rounds to -inf, whose weight is exactly 0
+    opposite = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert np.array_equal(compute_affinity(opposite, temperature=1e-308), np.eye(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=1, max_value=12),
+    dim=st.integers(min_value=1, max_value=6),
+    exponent=st.integers(min_value=-170, max_value=170),
+    temperature=st.floats(min_value=5e-324, max_value=1e308),
+)
+@example(seed=0, length=3, dim=2, exponent=0, temperature=5e-324)
+@example(seed=0, length=3, dim=2, exponent=0, temperature=1e-308)
+@example(seed=0, length=3, dim=2, exponent=0, temperature=1e-300)
+@example(seed=0, length=3, dim=2, exponent=154, temperature=1e308)
+def test_property_any_temperature_raises_or_gives_convex_rows(
+    seed, length, dim, exponent, temperature
+):
+    # RuntimeWarnings are errors under this suite, so none may escape
+    rows = np.random.default_rng(seed).standard_normal((length, dim)) * 10.0**exponent
+    try:
+        aff = compute_affinity(rows, temperature=temperature)
+    except NonFiniteAffinity:
+        return
+    assert np.isfinite(aff).all()
+    assert (aff >= 0.0).all()
+    assert np.all(np.abs(aff.sum(axis=1) - 1.0) <= length * np.finfo(np.float64).eps)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),

@@ -29,7 +29,6 @@ from ssrlab.config import (
     parse_config_text,
 )
 from ssrlab.errors import ConfigInvalid, DegenerateRow
-from ssrlab.grassmann import SubspacePoint
 from ssrlab.harness import (
     CSV_HEADER,
     dump_csv,
@@ -38,7 +37,7 @@ from ssrlab.harness import (
     write_experiment_outputs,
 )
 from ssrlab.regularizer import ema_fuse
-from ssrlab.synth import ScenarioFrame, derive_trial_seed, generate_scenario
+from ssrlab.synth import Scenario, derive_trial_seed, generate_scenario
 from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -56,6 +55,15 @@ BASE = {
     "ssr.window_k": "4",
     "ema.alpha": "0.3",
 }
+
+
+def crafted_scenario(clean, noisy=None, bases=None) -> Scenario:
+    """A hand-made scenario; noisy defaults to clean, bases to span(e1) at every frame."""
+    clean = np.array(clean, dtype=np.float64)
+    noisy = clean if noisy is None else np.array(noisy, dtype=np.float64)
+    if bases is None:
+        bases = np.broadcast_to(np.eye(clean.shape[1], 1), clean.shape + (1,))
+    return Scenario(clean, noisy, np.array(bases, dtype=np.float64))
 
 
 def make_config(tmp_path, **overrides):
@@ -173,16 +181,14 @@ class TestRunExperiment:
         config = make_config(tmp_path, methods="ema", trials=1)
         bundle = run_experiment(config)
         seed = derive_trial_seed(config.trajectory.seed, 0)
-        frames = generate_scenario(
+        clean, noisy, _ = generate_scenario(
             replace(config.trajectory, seed=seed), config.noise
         )
-        fused = frames[0].noisy_state.values
-        expected_errors = [np.linalg.norm(fused - frames[0].clean_state.values)]
-        for frame in frames[1:]:
-            fused = 0.3 * frame.noisy_state.values + 0.7 * fused
-            expected_errors.append(
-                np.linalg.norm(fused - frame.clean_state.values)
-            )
+        fused = noisy[0]
+        expected_errors = [np.linalg.norm(fused - clean[0])]
+        for state, truth in zip(noisy[1:], clean[1:]):
+            fused = 0.3 * state + 0.7 * fused
+            expected_errors.append(np.linalg.norm(fused - truth))
         got = bundle.methods["ema"].scores[0][:, 1]
         assert np.allclose(got, expected_errors, atol=1e-12)
 
@@ -216,21 +222,7 @@ class TestRunExperiment:
             assert all(v == 0.0 for v in result.aggregate_std.values())
 
     def test_numeric_failure_names_method_trial_frame(self, tmp_path, monkeypatch):
-        basis = np.zeros((3, 1))
-        basis[0, 0] = 1.0
-        span = SubspacePoint(basis)
-        crafted = [
-            ScenarioFrame(
-                clean_state=StateVector(np.array([1.0, 0.0, 0.0])),
-                noisy_state=StateVector(np.array([1.0, 0.0, 0.0])),
-                truth_subspace=span,
-            ),
-            ScenarioFrame(
-                clean_state=StateVector(np.array([-1.0, 0.0, 0.0])),
-                noisy_state=StateVector(np.array([-1.0, 0.0, 0.0])),
-                truth_subspace=span,
-            ),
-        ]
+        crafted = crafted_scenario([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         monkeypatch.setattr(
             harness_mod, "generate_scenario", lambda cfg, noise: crafted
         )
@@ -272,19 +264,19 @@ class TestRunExperiment:
             rows = [line.split(",") for line in fh.read().splitlines()[1:]]
         for trial in range(config.trials):
             seed = derive_trial_seed(config.trajectory.seed, trial)
-            frames = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+            clean, noisy, _ = generate_scenario(
+                replace(config.trajectory, seed=seed), config.noise
+            )
             outputs, _, residuals = list_oracle(
-                [f.noisy_state.values for f in frames],
+                list(noisy),
                 config.ssr.window_k,
                 config.ssr.mode,
                 config.ssr.temperature,
                 policy,
             )
-            errors = [
-                np.linalg.norm(out - f.clean_state.values) for out, f in zip(outputs, frames)
-            ]
+            errors = [np.linalg.norm(out - truth) for out, truth in zip(outputs, clean)]
             got = [row for row in rows if int(row[2]) == trial]
-            assert len(got) == len(frames)
+            assert len(got) == len(clean)
             np.testing.assert_allclose(
                 [float(row[6]) for row in got], residuals, rtol=1e-12, atol=0.0
             )
@@ -391,13 +383,7 @@ class TestWriters:
 
     def test_single_passthrough_frame_row(self, tmp_path, monkeypatch):
         # noisy sits exactly one unit from clean, so both error columns read 1
-        crafted = [
-            ScenarioFrame(
-                clean_state=StateVector(np.array([1.0, 0.0, 0.0])),
-                noisy_state=StateVector(np.array([1.0, 1.0, 0.0])),
-                truth_subspace=SubspacePoint(np.eye(3, 1)),
-            )
-        ]
+        crafted = crafted_scenario([[1.0, 0.0, 0.0]], noisy=[[1.0, 1.0, 0.0]])
         monkeypatch.setattr(
             harness_mod, "generate_scenario", lambda cfg, noise: crafted
         )
@@ -418,18 +404,9 @@ class TestWriters:
     def test_two_frame_heatmap_matches_hand_softmax(self, tmp_path, monkeypatch):
         # orthonormal pair at temperature 1: Gram is the identity, so each
         # row softmaxes [1, 0] into [e, 1] / (1 + e)
-        crafted = [
-            ScenarioFrame(
-                clean_state=StateVector(np.array([1.0, 0.0, 0.0])),
-                noisy_state=StateVector(np.array([1.0, 0.0, 0.0])),
-                truth_subspace=SubspacePoint(np.eye(3, 1)),
-            ),
-            ScenarioFrame(
-                clean_state=StateVector(np.array([0.0, 1.0, 0.0])),
-                noisy_state=StateVector(np.array([0.0, 1.0, 0.0])),
-                truth_subspace=SubspacePoint(np.array([[0.0], [1.0], [0.0]])),
-            ),
-        ]
+        crafted = crafted_scenario(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], bases=[[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]]
+        )
         monkeypatch.setattr(
             harness_mod, "generate_scenario", lambda cfg, noise: crafted
         )
@@ -512,21 +489,7 @@ class TestCli:
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2
 
     def test_numeric_error_exits_three(self, tmp_path, monkeypatch, capsys):
-        basis = np.zeros((3, 1))
-        basis[0, 0] = 1.0
-        span = SubspacePoint(basis)
-        crafted = [
-            ScenarioFrame(
-                clean_state=StateVector(np.array([1.0, 0.0, 0.0])),
-                noisy_state=StateVector(np.array([1.0, 0.0, 0.0])),
-                truth_subspace=span,
-            ),
-            ScenarioFrame(
-                clean_state=StateVector(np.array([-1.0, 0.0, 0.0])),
-                noisy_state=StateVector(np.array([-1.0, 0.0, 0.0])),
-                truth_subspace=span,
-            ),
-        ]
+        crafted = crafted_scenario([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         monkeypatch.setattr(
             harness_mod, "generate_scenario", lambda cfg, noise: crafted
         )
@@ -548,18 +511,12 @@ class TestCli:
     def test_near_cancelling_raw_sum_row_exits_three(self, tmp_path, monkeypatch, capsys):
         # the third state's raw row sums to 1e-10 against sum |phi| = 2:
         # the relative guard rejects it where an absolute 1e-12 floor did not
-        span = SubspacePoint(np.eye(3, 1))
-        clean = StateVector(np.array([1.0, 0.0, 0.0]))
         noisy = [
             [1.0, 0.0, 0.0],
             [0.0, 1.0, 0.0],
             [-0.3, -0.7, math.sqrt(0.42 + 1e-10)],
         ]
-        crafted = [
-            ScenarioFrame(clean_state=clean, noisy_state=StateVector(np.array(row)),
-                          truth_subspace=span)
-            for row in noisy
-        ]
+        crafted = crafted_scenario([[1.0, 0.0, 0.0]] * 3, noisy=noisy)
         monkeypatch.setattr(
             harness_mod, "generate_scenario", lambda cfg, noise: crafted
         )
@@ -684,6 +641,37 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+
+    def test_overflowing_noise_exits_three_without_traceback(self, tmp_path):
+        done = self._simulate_subprocess(tmp_path, **{"noise.sigma": "1e308"})
+        assert done.returncode == 3, done.stderr
+        assert "numeric error: (scenario generation, trial=0): frame 0:" in done.stderr
+        assert "noisy state is not finite" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
+
+    def test_overflowing_softmax_logits_exit_three_without_traceback(self, tmp_path):
+        # every dot product is finite, but those above 1.078 overflow once
+        # divided by the temperature; the error names the first window
+        # that holds one
+        temperature = 6e-309
+        done = self._simulate_subprocess(
+            tmp_path, methods="ssr", **{"ssr.temperature": repr(temperature)}
+        )
+        config = make_config(tmp_path, trials=1, **{"scenario.length": "16"})
+        seed = derive_trial_seed(config.trajectory.seed, 0)
+        noisy = generate_scenario(replace(config.trajectory, seed=seed), config.noise).noisy
+        k = config.ssr.window_k
+        with np.errstate(over="ignore"):
+            first = next(
+                t for t in range(len(noisy))
+                if not np.isfinite(noisy[t - min(t, k):t + 1] @ noisy[t] / temperature).all()
+            )
+        assert first > 0
+        assert done.returncode == 3, done.stderr
+        assert f"(method=ssr, trial=0, frame={first}): window logits (dot products / temperature) overflow" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
 
     @staticmethod
     def _simulate_subprocess(tmp_path, **overrides):

@@ -9,34 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrlab.affinity import StateVector
 from ssrlab.errors import DimensionMismatch, InvalidScore, LengthMismatch
 from ssrlab.grassmann import SubspacePoint, span_membership_residual
 from ssrlab.metrics import (
     SCORE_COLUMNS,
     RunSummary,
-    StackedScenario,
     ablate_window,
     improvement_ratio,
     score_run,
 )
 from ssrlab.regularizer import SsrConfig
-from ssrlab.synth import NoiseModel, ScenarioFrame, TrajectoryConfig, generate_scenario
+from ssrlab.synth import NoiseModel, Scenario, TrajectoryConfig, generate_scenario
 
 RAW, CORRECTED, SUBSPACE, SE = range(len(SCORE_COLUMNS))
+CLEAN = np.array([1.0, 0.0, 0.0])
 
 
-def line_span() -> SubspacePoint:
-    return SubspacePoint(np.array([[1.0], [0.0], [0.0]]))
-
-
-def frame_with_error(offset: np.ndarray) -> ScenarioFrame:
-    clean = StateVector(np.array([1.0, 0.0, 0.0]))
-    return ScenarioFrame(
-        clean_state=clean,
-        noisy_state=StateVector(clean.values + offset),
-        truth_subspace=line_span(),
-    )
+def line_scenario(*offsets) -> Scenario:
+    """Clean state e1 in the line span(e1) at every frame, observed at e1 + offset."""
+    offsets = np.array(offsets, dtype=np.float64).reshape(-1, 3)
+    clean = np.tile(CLEAN, (len(offsets), 1))
+    return Scenario(clean, clean + offsets, np.broadcast_to(np.eye(3, 1), (len(offsets), 3, 1)))
 
 
 class TestImprovementRatio:
@@ -55,23 +48,10 @@ class TestImprovementRatio:
 
 
 class TestScoreRun:
-    def test_stacked_scenario_holds_read_only_states(self):
-        frames = [frame_with_error(np.array([0.0, 2.0, 0.0])) for _ in range(3)]
-        scenario = StackedScenario(frames)
-        assert scenario.frames is frames
-        assert np.array_equal(scenario.clean, [f.clean_state.values for f in frames])
-        assert np.array_equal(scenario.noisy, [f.noisy_state.values for f in frames])
-        for states in (scenario.clean, scenario.noisy):
-            with pytest.raises(ValueError):
-                states[0, 0] = 1.0
-
     def test_two_frame_hand_example(self):
-        frames = [
-            frame_with_error(np.array([0.0, 2.0, 0.0])),
-            frame_with_error(np.array([0.0, 0.0, 2.0])),
-        ]
+        scenario = line_scenario([0.0, 2.0, 0.0], [0.0, 0.0, 2.0])
         corrected = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        scores, summary = score_run(StackedScenario(frames), corrected)
+        scores, summary = score_run(scenario, corrected)
         assert scores.shape == (2, 4)
         assert scores[:, RAW].tolist() == [2.0, 2.0]
         assert scores[:, CORRECTED].tolist() == [1.0, 1.0]
@@ -81,53 +61,46 @@ class TestScoreRun:
         assert summary.tail_error_mean == 1.0
 
     def test_identity_method_scores_zero_even_noiseless(self):
-        clean = frame_with_error(np.zeros(3))
-        scores, summary = score_run(StackedScenario([clean]), [clean.noisy_state.values])
+        scenario = line_scenario(np.zeros(3))
+        scores, summary = score_run(scenario, scenario.noisy)
         assert scores[0, RAW] == 0.0
         assert summary.improvement_ratio == 0.0
         assert summary.win_fraction == 0.0
 
     def test_subspace_residual_tracks_leakage(self):
-        frames = [frame_with_error(np.zeros(3))]
-        scores, _ = score_run(StackedScenario(frames), np.array([[0.6, 0.8, 0.0]]))
+        scores, _ = score_run(line_scenario(np.zeros(3)), np.array([[0.6, 0.8, 0.0]]))
         assert scores[0, SUBSPACE] == pytest.approx(0.8, abs=1e-15)
 
     def test_se_residuals_default_to_zero(self):
-        frames = [frame_with_error(np.zeros(3))]
-        scores, _ = score_run(StackedScenario(frames), [frames[0].clean_state.values])
+        scores, _ = score_run(line_scenario(np.zeros(3)), [CLEAN])
         assert scores[0, SE] == 0.0
 
     def test_se_residuals_passed_through(self):
-        frames = [frame_with_error(np.zeros(3))]
-        scores, _ = score_run(StackedScenario(frames), [frames[0].clean_state.values], [0.25])
+        scores, _ = score_run(line_scenario(np.zeros(3)), [CLEAN], [0.25])
         assert scores[0, SE] == 0.25
 
     def test_length_mismatch(self):
-        frames = [frame_with_error(np.zeros(3))]
+        scenario = line_scenario(np.zeros(3))
         with pytest.raises(LengthMismatch):
-            score_run(StackedScenario(frames), [])
+            score_run(scenario, [])
         with pytest.raises(LengthMismatch):
-            score_run(StackedScenario(frames), [frames[0].clean_state.values], [0.1, 0.2])
+            score_run(scenario, [CLEAN], [0.1, 0.2])
 
     def test_dimension_mismatch(self):
-        frames = [frame_with_error(np.zeros(3))]
         with pytest.raises(DimensionMismatch):
-            score_run(StackedScenario(frames), np.zeros((1, 4)))
+            score_run(line_scenario(np.zeros(3)), np.zeros((1, 4)))
 
     def test_tail_window_is_final_quarter(self):
-        frames = [frame_with_error(np.zeros(3)) for _ in range(8)]
+        scenario = line_scenario(*np.zeros((8, 3)))
         corrected = np.array([[1.0 + 0.1 * t, 0.0, 0.0] for t in range(8)])
-        _, summary = score_run(StackedScenario(frames), corrected)
+        _, summary = score_run(scenario, corrected)
         # tail indices 6, 7: errors 0.6 and 0.7
         assert summary.tail_error_mean == pytest.approx(0.65, abs=1e-12)
 
     def test_win_fraction_is_strict(self):
-        frames = [
-            frame_with_error(np.array([0.0, 1.0, 0.0])),
-            frame_with_error(np.array([0.0, 1.0, 0.0])),
-        ]
-        corrected = [frames[0].noisy_state.values, frames[1].clean_state.values]
-        _, summary = score_run(StackedScenario(frames), corrected)
+        scenario = line_scenario([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
+        corrected = [scenario.noisy[0], CLEAN]
+        _, summary = score_run(scenario, corrected)
         # one tie (no win), one strict win
         assert summary.win_fraction == 0.5
 
@@ -135,26 +108,26 @@ class TestScoreRun:
 class TestSummaryValidation:
     def test_empty_run_rejected(self):
         with pytest.raises(LengthMismatch):
-            score_run(StackedScenario([]), np.empty((0, 3)))
+            score_run(line_scenario(), np.empty((0, 3)))
 
     def test_record_validation(self):
         # every score must be finite and nonnegative; the error names the
         # first frame that is not
-        frames = [frame_with_error(np.zeros(3)) for _ in range(3)]
-        clean = np.array([f.clean_state.values for f in frames])
+        scenario = line_scenario(*np.zeros((3, 3)))
+        clean = np.array(scenario.clean)
         with pytest.raises(InvalidScore) as excinfo:
-            score_run(StackedScenario(frames), clean, [0.0, -1.0, 0.0])
+            score_run(scenario, clean, [0.0, -1.0, 0.0])
         assert excinfo.value.frame == 1
         with pytest.raises(InvalidScore) as excinfo:
-            score_run(StackedScenario(frames), clean, [0.0, 0.0, np.inf])
+            score_run(scenario, clean, [0.0, 0.0, np.inf])
         assert excinfo.value.frame == 2
         overflowing = clean.copy()
         overflowing[1:] = 1e300
         with pytest.raises(InvalidScore) as excinfo:
-            score_run(StackedScenario(frames), overflowing)
+            score_run(scenario, overflowing)
         assert excinfo.value.frame == 1
         with pytest.raises(InvalidScore):
-            score_run(StackedScenario(frames), clean, [np.nan, 0.0, 0.0])
+            score_run(scenario, clean, [np.nan, 0.0, 0.0])
 
     def test_summary_bounds(self):
         with pytest.raises(ValueError):
@@ -227,8 +200,7 @@ class TestAblateWindow:
 def test_scenario_scoring_round_trip():
     # full pipeline sanity: generated noise magnitudes show up in raw_error
     traj = TrajectoryConfig(n=16, r=3, length=50, seed=11)
-    frames = generate_scenario(traj, NoiseModel(sigma=0.2))
-    scenario = StackedScenario(frames)
+    scenario = generate_scenario(traj, NoiseModel(sigma=0.2))
     scores, summary = score_run(scenario, scenario.noisy)
     assert summary.improvement_ratio == 0.0
     assert summary.mean_raw_error == summary.mean_corrected_error
@@ -245,20 +217,20 @@ def test_property_score_run_matches_per_frame_reference(seed, length, scale):
     # a moving subspace gives every frame its own basis; the corrected
     # states are arbitrary, so they leave the subspace by any amount
     traj = TrajectoryConfig(n=9, r=2, length=length, seed=seed, speed=1.0, waypoint_count=3)
-    frames = generate_scenario(traj, NoiseModel(sigma=0.3))
+    scenario = generate_scenario(traj, NoiseModel(sigma=0.3))
     rng = np.random.default_rng(seed)
     corrected = scale * rng.standard_normal((length, 9))
     se = rng.uniform(0.0, 2.0, length)
-    scores, summary = score_run(StackedScenario(frames), corrected, se)
+    scores, summary = score_run(scenario, corrected, se)
     expected = np.array(
         [
             [
-                np.linalg.norm(f.noisy_state.values - f.clean_state.values),
-                np.linalg.norm(out - f.clean_state.values),
-                span_membership_residual(out, f.truth_subspace),
+                np.linalg.norm(noisy - clean),
+                np.linalg.norm(out - clean),
+                span_membership_residual(out, SubspacePoint(basis)),
                 s,
             ]
-            for f, out, s in zip(frames, corrected, se)
+            for clean, noisy, basis, out, s in zip(*scenario, corrected, se)
         ]
     )
     np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0.0)

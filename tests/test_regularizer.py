@@ -242,22 +242,25 @@ def test_property_run_stream_matches_list_oracle(
     window_k=st.integers(min_value=1, max_value=10),
     length=st.integers(min_value=1, max_value=2 * BLOCK_FRAMES + 14),
     where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    fault=st.sampled_from(["overflow", "cancel"]),
+    fault=st.sampled_from(["overflow", "logits", "cancel"]),
     policy=st.sampled_from([STORE_RAW, STORE_CORRECTED]),
 )
 def test_property_error_frame_is_the_oracles_first_failing_window(
     seed, window_k, length, where, fault, policy
 ):
     # one injected state breaks the window it enters: entries of 1e200
-    # overflow every dot product with it; in raw-sum mode a state that
-    # cancels the sum of the rows held before it leaves every row of its
-    # window summing to about lean times its magnitude
+    # overflow every dot product with it; entries of 1e150 keep the dot
+    # products finite but overflow them divided by a temperature of
+    # 1e-10; in raw-sum mode a state that cancels the sum of the rows
+    # held before it leaves every row of its window summing to about
+    # lean times its magnitude
     rng = np.random.default_rng(seed)
     states = rng.uniform(0.5, 1.5, (length, 3))
     frame = int(where * length)
-    mode = "softmax" if fault == "overflow" else MODE_RAW_SUM
-    if fault == "overflow":
-        states[frame] = 1e200 * rng.uniform(0.5, 1.5, 3)
+    mode = "softmax" if fault != "cancel" else MODE_RAW_SUM
+    temperature = 1e-10 if fault == "logits" else None
+    if fault != "cancel":
+        states[frame] = (1e200 if fault == "overflow" else 1e150) * rng.uniform(0.5, 1.5, 3)
     else:
         stored = states[:frame]
         if policy == STORE_CORRECTED:
@@ -266,8 +269,10 @@ def test_property_error_frame_is_the_oracles_first_failing_window(
         lean = DEGENERATE_ROW_TOL * float(rng.uniform(0.0, 0.5))
         states[frame] = -held / (1.0 + lean)
     with pytest.raises(WindowFailure) as oracle:
-        list_oracle(states, window_k, mode, None, policy)
-    config = SsrConfig(window_k=window_k, mode=mode, buffer_policy=policy)
+        list_oracle(states, window_k, mode, temperature, policy)
+    config = SsrConfig(
+        window_k=window_k, mode=mode, temperature=temperature, buffer_policy=policy
+    )
     with pytest.raises((NonFiniteAffinity, DegenerateRow)) as ours:
         run_stream(config, states)
     assert oracle.value.frame == frame

@@ -10,9 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssrlab.affinity import StateVector
+import ssrlab.synth as synth_mod
+from ssrlab.errors import DimensionMismatch, InvalidScenario
 from ssrlab.grassmann import (
+    SubspacePoint,
     principal_angles,
     projection_distance,
     span_membership_residual,
@@ -21,13 +25,14 @@ from ssrlab.synth import (
     NOISE_BURST,
     NOISE_DRIFT_WALK,
     NOISE_GAUSSIAN,
+    NOISE_KINDS,
     NoiseModel,
-    ScenarioFrame,
     TrajectoryConfig,
     derive_trial_seed,
     generate_scenario,
     sample_waypoints,
 )
+from scenario_oracle import STREAM_NOISE, frame_rng, scenario_oracle
 
 STATIC = TrajectoryConfig(n=16, r=3, length=40, seed=99, speed=0.0)
 MOVING = TrajectoryConfig(
@@ -44,10 +49,8 @@ class TestDeterminism:
         noise = NoiseModel(kind=NOISE_GAUSSIAN, sigma=0.2)
         a = generate_scenario(MOVING, noise)
         b = generate_scenario(MOVING, noise)
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.clean_state.values, fb.clean_state.values)
-            assert np.array_equal(fa.noisy_state.values, fb.noisy_state.values)
-            assert np.array_equal(fa.truth_subspace.basis, fb.truth_subspace.basis)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_prefix_stable_under_length_extension(self):
         # counter-based streams: frame t's draws do not depend on length
@@ -55,15 +58,14 @@ class TestDeterminism:
         drift_cfg = replace(STATIC, state_drift=0.03)
         short = generate_scenario(replace(drift_cfg, length=10), noise)
         long = generate_scenario(replace(drift_cfg, length=40), noise)
-        for fs, fl in zip(short, long):
-            assert np.array_equal(fs.clean_state.values, fl.clean_state.values)
-            assert np.array_equal(fs.noisy_state.values, fl.noisy_state.values)
+        assert np.array_equal(short.clean, long.clean[:10])
+        assert np.array_equal(short.noisy, long.noisy[:10])
 
     def test_different_seeds_differ(self):
         noise = NoiseModel(kind=NOISE_GAUSSIAN, sigma=0.2)
         a = generate_scenario(STATIC, noise)
         b = generate_scenario(replace(STATIC, seed=100), noise)
-        assert not np.array_equal(a[0].noisy_state.values, b[0].noisy_state.values)
+        assert not np.array_equal(a.noisy[0], b.noisy[0])
 
     def test_derive_trial_seed_is_stable_and_distinct(self):
         seeds = [derive_trial_seed(1234, trial) for trial in range(64)]
@@ -74,53 +76,38 @@ class TestDeterminism:
 
 class TestStaticScenario:
     def test_noiseless_static_stream_is_bitwise_constant(self):
-        frames = generate_scenario(STATIC, NoiseModel(sigma=0.0))
-        first = frames[0]
-        for frame in frames:
-            assert frame.clean_state is first.clean_state
-            assert frame.noisy_state is frame.clean_state
-            assert frame.truth_subspace is first.truth_subspace
+        clean, noisy, bases = generate_scenario(STATIC, NoiseModel(sigma=0.0))
+        assert np.array_equal(clean, np.broadcast_to(clean[0], clean.shape))
+        assert noisy is clean
+        # one basis, broadcast over the frames rather than copied
+        assert bases.shape == (40, 16, 3) and bases.strides[0] == 0
 
     def test_clean_states_are_unit_norm(self):
-        frames = generate_scenario(STATIC, NoiseModel(sigma=0.0))
-        assert np.linalg.norm(frames[0].clean_state.values) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        clean = generate_scenario(STATIC, NoiseModel(sigma=0.0)).clean
+        assert np.linalg.norm(clean[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_coefficient_drift_moves_the_state_inside_the_subspace(self):
-        frames = generate_scenario(
+        clean, _, bases = generate_scenario(
             replace(STATIC, state_drift=0.05), NoiseModel(sigma=0.0)
         )
-        base = frames[0]
-        moved = False
-        for frame in frames[1:]:
-            assert frame.truth_subspace is base.truth_subspace
-            assert (
-                span_membership_residual(frame.clean_state.values, base.truth_subspace)
-                < 1e-9
-            )
-            if not np.array_equal(frame.clean_state.values, base.clean_state.values):
-                moved = True
-        assert moved
-        steps = [
-            np.linalg.norm(b.clean_state.values - a.clean_state.values)
-            for a, b in zip(frames, frames[1:])
-        ]
+        base = SubspacePoint(bases[0])
+        assert np.array_equal(bases, np.broadcast_to(bases[0], bases.shape))
+        for state in clean[1:]:
+            assert span_membership_residual(state, base) < 1e-9
+        assert not np.array_equal(clean, np.broadcast_to(clean[0], clean.shape))
+        steps = np.linalg.norm(np.diff(clean, axis=0), axis=1)
         # drift 0.05 with r=3: typical step 0.05 * sqrt(3), never huge
         assert max(steps) < 0.5
 
 
 class TestMovingScenario:
     def test_every_clean_state_lies_in_its_subspace(self):
-        frames = generate_scenario(MOVING, NoiseModel(sigma=0.0))
-        for frame in frames:
-            assert (
-                span_membership_residual(frame.clean_state.values, frame.truth_subspace)
-                < 1e-9
-            )
+        clean, _, bases = generate_scenario(MOVING, NoiseModel(sigma=0.0))
+        for state, basis in zip(clean, bases):
+            assert span_membership_residual(state, SubspacePoint(basis)) < 1e-9
 
     def test_subspace_steps_bounded_by_arc_step(self):
-        frames = generate_scenario(MOVING, NoiseModel(sigma=0.0))
+        bases = generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases
         waypoints = sample_waypoints(MOVING)
         max_dist = max(
             projection_distance(a, b)
@@ -128,8 +115,8 @@ class TestMovingScenario:
             for b in waypoints[i + 1:]
         )
         step = MOVING.speed * max_dist / MOVING.length
-        for a, b in zip(frames, frames[1:]):
-            assert projection_distance(a.truth_subspace, b.truth_subspace) <= step * (
+        for a, b in zip(bases, bases[1:]):
+            assert projection_distance(SubspacePoint(a), SubspacePoint(b)) <= step * (
                 1 + 1e-6
             ) + 1e-12
 
@@ -137,7 +124,7 @@ class TestMovingScenario:
         # with state_drift 0 the only motion is the subspace's own, and
         # basis alignment guarantees the state moves no faster than the
         # arc step; this pins the alignment behavior
-        frames = generate_scenario(MOVING, NoiseModel(sigma=0.0))
+        clean = generate_scenario(MOVING, NoiseModel(sigma=0.0)).clean
         waypoints = sample_waypoints(MOVING)
         max_dist = max(
             projection_distance(a, b)
@@ -145,17 +132,13 @@ class TestMovingScenario:
             for b in waypoints[i + 1:]
         )
         step = MOVING.speed * max_dist / MOVING.length
-        for a, b in zip(frames, frames[1:]):
-            moved = np.linalg.norm(
-                b.clean_state.values - a.clean_state.values
-            )
+        for a, b in zip(clean, clean[1:]):
+            moved = np.linalg.norm(b - a)
             assert moved <= step * (1 + 1e-6) + 1e-12
 
     def test_trajectory_actually_moves(self):
-        frames = generate_scenario(MOVING, NoiseModel(sigma=0.0))
-        total = projection_distance(
-            frames[0].truth_subspace, frames[-1].truth_subspace
-        )
+        bases = generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases
+        total = projection_distance(SubspacePoint(bases[0]), SubspacePoint(bases[-1]))
         assert total > 0.1
 
     def test_waypoints_admit_geodesics(self):
@@ -167,30 +150,24 @@ class TestMovingScenario:
 
 class TestGaussianNoise:
     def test_sigma_zero_shares_the_clean_object(self):
-        frames = generate_scenario(STATIC, NoiseModel(kind=NOISE_GAUSSIAN, sigma=0.0))
-        assert all(f.noisy_state is f.clean_state for f in frames)
+        scenario = generate_scenario(STATIC, NoiseModel(kind=NOISE_GAUSSIAN, sigma=0.0))
+        assert scenario.noisy is scenario.clean
 
     def test_error_magnitude_matches_chi_oracle(self):
         sigma, n = 0.1, 16
         errors = []
         for trial in range(100):
             config = replace(STATIC, length=100, seed=derive_trial_seed(42, trial))
-            frames = generate_scenario(config, NoiseModel(sigma=sigma))
-            errors.extend(
-                float(np.linalg.norm(f.noisy_state.values - f.clean_state.values))
-                for f in frames
-            )
+            clean, noisy, _ = generate_scenario(config, NoiseModel(sigma=sigma))
+            errors.extend(np.linalg.norm(noisy - clean, axis=1))
         observed = float(np.mean(errors))
         expected = sigma * chi_mean(n)
         assert observed == pytest.approx(expected, rel=0.03)
 
     def test_noise_is_fresh_each_frame(self):
-        frames = generate_scenario(STATIC, NoiseModel(sigma=0.1))
-        deltas = {
-            tuple(np.round(f.noisy_state.values - f.clean_state.values, 12))
-            for f in frames
-        }
-        assert len(deltas) == len(frames)
+        clean, noisy, _ = generate_scenario(STATIC, NoiseModel(sigma=0.1))
+        deltas = {tuple(np.round(delta, 12)) for delta in noisy - clean}
+        assert len(deltas) == len(clean)
 
 
 class TestBurstNoise:
@@ -200,8 +177,7 @@ class TestBurstNoise:
             STATIC,
             NoiseModel(kind=NOISE_BURST, sigma=0.1, burst_prob=0.0, burst_scale=10.0),
         )
-        for a, b in zip(plain, burst):
-            assert np.array_equal(a.noisy_state.values, b.noisy_state.values)
+        assert np.array_equal(plain.noisy, burst.noisy)
 
     def test_prob_one_scales_every_frame(self):
         plain = generate_scenario(STATIC, NoiseModel(kind=NOISE_GAUSSIAN, sigma=0.1))
@@ -209,35 +185,26 @@ class TestBurstNoise:
             STATIC,
             NoiseModel(kind=NOISE_BURST, sigma=0.1, burst_prob=1.0, burst_scale=7.0),
         )
-        for a, b in zip(plain, burst):
-            noise_a = a.noisy_state.values - a.clean_state.values
-            noise_b = b.noisy_state.values - b.clean_state.values
-            assert np.allclose(noise_b, 7.0 * noise_a, atol=1e-12)
+        noise_a = plain.noisy - plain.clean
+        noise_b = burst.noisy - burst.clean
+        assert np.allclose(noise_b, 7.0 * noise_a, atol=1e-12)
 
     def test_intermediate_prob_mixes_scales(self):
         burst = generate_scenario(
             replace(STATIC, length=200),
             NoiseModel(kind=NOISE_BURST, sigma=0.1, burst_prob=0.3, burst_scale=10.0),
         )
-        norms = np.array(
-            [
-                np.linalg.norm(f.noisy_state.values - f.clean_state.values)
-                for f in burst
-            ]
-        )
+        norms = np.linalg.norm(burst.noisy - burst.clean, axis=1)
         big = int(np.sum(norms > 2.0))  # ~10x the typical 0.4
         assert 30 <= big <= 90  # 0.3 * 200 = 60 expected
 
 
 class TestDriftWalk:
     def test_errors_accumulate(self):
-        frames = generate_scenario(
+        clean, noisy, _ = generate_scenario(
             replace(STATIC, length=200), NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.05)
         )
-        errs = [
-            float(np.linalg.norm(f.noisy_state.values - f.clean_state.values))
-            for f in frames
-        ]
+        errs = np.linalg.norm(noisy - clean, axis=1)
         assert errs[-1] > errs[9]
 
     def test_sqrt_t_growth(self):
@@ -246,13 +213,10 @@ class TestDriftWalk:
             config = replace(
                 STATIC, length=100, seed=derive_trial_seed(7, trial)
             )
-            frames = generate_scenario(
+            clean, noisy, _ = generate_scenario(
                 config, NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.05)
             )
-            errs = [
-                float(np.linalg.norm(f.noisy_state.values - f.clean_state.values))
-                for f in frames
-            ]
+            errs = np.linalg.norm(noisy - clean, axis=1)
             at_25.append(errs[24])
             at_100.append(errs[99])
         ratio = float(np.mean(at_100)) / float(np.mean(at_25))
@@ -260,13 +224,11 @@ class TestDriftWalk:
 
     def test_single_frame_stream(self):
         config = replace(STATIC, length=1)
-        frames = generate_scenario(
+        clean, noisy, bases = generate_scenario(
             config, NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.1)
         )
-        assert len(frames) == 1
-        err = np.linalg.norm(
-            frames[0].noisy_state.values - frames[0].clean_state.values
-        )
+        assert clean.shape == noisy.shape == (1, 16) and bases.shape == (1, 16, 3)
+        err = np.linalg.norm(noisy[0] - clean[0])
         assert err > 0.0
 
     def test_preserves_clean_and_truth(self):
@@ -274,9 +236,8 @@ class TestDriftWalk:
         walked = generate_scenario(
             MOVING, NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.1)
         )
-        for a, b in zip(base, walked):
-            assert np.array_equal(b.clean_state.values, a.clean_state.values)
-            assert np.array_equal(b.truth_subspace.basis, a.truth_subspace.basis)
+        assert np.array_equal(walked.clean, base.clean)
+        assert np.array_equal(walked.bases, base.bases)
 
     def test_walk_is_running_sum_of_gaussian_draws(self):
         # both kinds read the same per-frame draws; the walk accumulates them
@@ -284,18 +245,16 @@ class TestDriftWalk:
         walked = generate_scenario(
             STATIC, NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.1)
         )
-        steps = np.array([f.noisy_state.values - f.clean_state.values for f in iid])
-        offsets = np.array(
-            [f.noisy_state.values - f.clean_state.values for f in walked]
-        )
-        assert np.array_equal(walked[0].noisy_state.values, iid[0].noisy_state.values)
+        steps = iid.noisy - iid.clean
+        offsets = walked.noisy - walked.clean
+        assert np.array_equal(walked.noisy[0], iid.noisy[0])
         assert np.allclose(offsets, np.cumsum(steps, axis=0), rtol=0.0, atol=1e-12)
 
     def test_sigma_zero_gives_clean_stream(self):
-        frames = generate_scenario(
+        scenario = generate_scenario(
             STATIC, NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.0)
         )
-        assert all(f.noisy_state is f.clean_state for f in frames)
+        assert scenario.noisy is scenario.clean
 
 
 class TestValidation:
@@ -315,16 +274,115 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseModel(kind="salt-and-pepper")
 
-    def test_scenario_frame_rejects_outside_state(self):
-        frames = generate_scenario(STATIC, NoiseModel(sigma=0.0))
-        subspace = frames[0].truth_subspace
+    def test_scenario_arrays_are_read_only(self):
+        for noise in (NoiseModel(sigma=0.0), NoiseModel(sigma=0.1)):
+            for config in (STATIC, MOVING):
+                for array in generate_scenario(config, noise):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[0] = 1.0
+
+    def test_clean_state_outside_its_span_is_rejected(self):
+        clean, _, bases = generate_scenario(STATIC, NoiseModel(sigma=0.0))
         outside = np.zeros(16)
         outside[15] = 1.0
         # the static basis is random; e16 is outside it almost surely
-        assert span_membership_residual(outside, subspace) > 1e-6
-        with pytest.raises(ValueError):
-            ScenarioFrame(
-                clean_state=StateVector(outside),
-                noisy_state=StateVector(outside),
-                truth_subspace=subspace,
-            )
+        assert span_membership_residual(outside, SubspacePoint(bases[0])) > 1e-6
+        states = np.array(clean)
+        states[7] = outside
+        with pytest.raises(InvalidScenario, match="frame 7: clean state leaves its subspace") as excinfo:
+            synth_mod._checked(states, states, bases)
+        assert excinfo.value.frame == 7
+
+    @pytest.mark.parametrize(
+        "field, what",
+        [
+            ("bases", "truth basis is not finite with orthonormal columns"),
+            ("clean", "clean state is not finite"),
+            ("noisy", "noisy state is not finite"),
+        ],
+        ids=["bases", "clean", "noisy"],
+    )
+    def test_non_finite_arrays_are_rejected(self, field, what):
+        scenario = generate_scenario(MOVING, NoiseModel(sigma=0.1))
+        arrays = {name: np.array(value) for name, value in scenario._asdict().items()}
+        arrays[field][5, 0] = np.nan
+        with pytest.raises(InvalidScenario, match=f"frame 5: {what}") as excinfo:
+            synth_mod._checked(**arrays)
+        assert excinfo.value.frame == 5
+
+    def test_non_orthonormal_basis_is_rejected(self):
+        clean, noisy, bases = generate_scenario(MOVING, NoiseModel(sigma=0.1))
+        bases = np.array(bases)
+        bases[3] *= 1.0 + 1e-9
+        with pytest.raises(InvalidScenario, match="frame 3: truth basis"):
+            synth_mod._checked(clean, noisy, bases)
+
+    def test_mismatched_dims_are_rejected(self):
+        clean, noisy, bases = generate_scenario(STATIC, NoiseModel(sigma=0.1))
+        with pytest.raises(DimensionMismatch):
+            synth_mod._checked(clean, noisy[:, :-1], bases)
+        with pytest.raises(DimensionMismatch):
+            synth_mod._checked(clean, noisy, bases[:-1])
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel(sigma=1e308),
+            NoiseModel(kind=NOISE_BURST, sigma=1e300, burst_prob=1.0, burst_scale=1e10),
+            NoiseModel(kind=NOISE_DRIFT_WALK, sigma=3e307),
+        ],
+        ids=["gaussian", "burst", "drift-walk"],
+    )
+    def test_overflowing_noise_names_the_first_frame(self, noise):
+        # RuntimeWarnings are errors under this suite, so none may escape
+        with pytest.raises(InvalidScenario, match="noisy state is not finite") as excinfo:
+            generate_scenario(STATIC, noise)
+        draws = np.array(
+            [frame_rng(STATIC.seed, STREAM_NOISE, t).standard_normal(16) for t in range(40)]
+        )
+        if noise.kind == NOISE_DRIFT_WALK:
+            draws = np.cumsum(draws, axis=0)
+        # sigma * burst_scale overflows to inf as a Python float
+        scale = noise.sigma * (noise.burst_scale if noise.kind == NOISE_BURST else 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(scale * draws).all(axis=1)
+        assert excinfo.value.frame == int(np.flatnonzero(~finite)[0])
+
+
+@st.composite
+def scenario_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    config = TrajectoryConfig(
+        n=n,
+        r=draw(st.integers(min_value=1, max_value=n - 1)),
+        length=draw(st.integers(min_value=1, max_value=60)),
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        speed=draw(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=2.5))),
+        waypoint_count=draw(st.integers(min_value=2, max_value=4)),
+        state_drift=draw(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5))),
+    )
+    noise = NoiseModel(
+        kind=draw(st.sampled_from(sorted(NOISE_KINDS))),
+        sigma=draw(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2.0))),
+        burst_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+        burst_scale=draw(st.floats(min_value=0.0, max_value=20.0)),
+    )
+    return config, noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scenario_cases())
+def test_property_generate_scenario_matches_per_frame_oracle(case):
+    # static and moving paths (speed past 1 overshoots onto the last
+    # waypoint), every noise kind, sigma 0 and not, drift 0 and not
+    config, noise = case
+    scenario = generate_scenario(config, noise)
+    expected = scenario_oracle(config, noise)
+    for name, got, want in zip(scenario._fields, scenario, expected):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    if noise.sigma == 0.0:
+        assert scenario.noisy is scenario.clean
+    if config.speed == 0.0 or config.length == 1:
+        assert scenario.bases.strides[0] == 0
