@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Time two checkouts against each other in alternating benchmark pairs.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workloads window_sweep,example --seeds 9201,9202 --seconds 15 \\
+        --traced-seed 1234 --out BENCH_7.json
+
+For every workload and seed it runs ``perfbench/run.py --trace 0`` once
+in each checkout, the parent first on odd pairs (1st, 3rd, ...) and the
+change first on even ones, so a slow phase of the host does not always
+land on the same side. Each pair records the five end-to-end metrics of
+both runs. With ``--traced-seed`` it also runs ``--trace 1`` once per
+checkout and workload at that seed and records the per-layer metrics.
+
+The output names each checkout by its git commit and source digest, as
+perfbench reports them, plus the host (nproc; Python, numpy and scipy
+versions). Numbers are taken from perfbench's JSON lines, never retyped.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+
+END_TO_END = ("run_s", "frames_per_s", "setup_s", "peak_rss_mb", "ok_rate")
+
+
+def run_perfbench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """perfbench's context and metrics for one run in the given checkout."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "perfbench/run.py",
+            f"--workload={workload}",
+            f"--seed={seed}",
+            f"--seconds={seconds}",
+            f"--trace={trace}",
+        ],
+        cwd=checkout,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"perfbench failed in {checkout} ({workload}, seed {seed}):\n{done.stderr}")
+    lines = done.stdout.strip().splitlines()
+    context = json.loads(next(line for line in lines if line.startswith("context "))[8:])
+    result = json.loads(lines[-1])
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return {"context": context, "correct": result["correct"], "metrics": metrics}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workloads", required=True, help="comma list of perfbench workloads")
+    parser.add_argument("--seeds", required=True, help="comma list of benchmark seeds, one pair each")
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--traced-seed", type=int, default=None)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    seeds = [int(part) for part in args.seeds.split(",")]
+    report: dict = {"seconds": args.seconds, "seeds": seeds, "workloads": {}}
+    for workload in args.workloads.split(","):
+        pairs = []
+        for number, seed in enumerate(seeds, start=1):
+            order = ("parent", "change") if number % 2 else ("change", "parent")
+            runs = {side: run_perfbench(checkouts[side], workload, seed, args.seconds, 0) for side in order}
+            pairs.append(
+                {
+                    "seed": seed,
+                    "order": list(order),
+                    **{side: {k: runs[side]["metrics"][k] for k in END_TO_END} for side in order},
+                    "correct": all(run["correct"] for run in runs.values()),
+                }
+            )
+            print(workload, seed, {side: runs[side]["metrics"]["frames_per_s"] for side in order})
+            context = runs["change"]["context"]
+            report.setdefault("host", {k: context[k] for k in ("nproc", "python", "numpy", "scipy")})
+            report.setdefault(
+                "checkouts",
+                {
+                    side: {k: runs[side]["context"][k] for k in ("git_commit", "src_sha256")}
+                    for side in order
+                },
+            )
+        entry = {"pairs": pairs}
+        if args.traced_seed is not None:
+            entry["traced"] = {
+                "seed": args.traced_seed,
+                **{
+                    side: run_perfbench(path, workload, args.traced_seed, args.seconds, 1)["metrics"]
+                    for side, path in checkouts.items()
+                },
+            }
+        report["workloads"][workload] = entry
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,8 @@ hard error: its entries, and so the corrected state, would blow up.
 
 compute_affinity and self_expressive_residual also take a stack of
 windows, (..., L, d), and treat every window exactly as they treat one,
-so a block of a stream's windows costs one call.
+so a block of a stream's windows costs one call. correct_current forms
+only each window's current (last) row, all that a correction needs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "StateVector",
     "default_temperature",
     "compute_affinity",
+    "correct_current",
     "self_expressive_residual",
 ]
 
@@ -112,48 +114,75 @@ def compute_affinity(
             raise ValueError(f"temperature must be positive, got {temperature}")
     elif temperature is not None:
         raise ValueError("temperature applies to softmax mode only")
+    entries = _normalized(window, np.swapaxes(window, -1, -2), mode, temperature)
+    entries.flags.writeable = False
+    return entries
+
+
+def correct_current(
+    windows: np.ndarray, mode: str = MODE_SOFTMAX, temperature: float | None = None
+) -> np.ndarray:
+    """F x d current states of an F x L x d stack, each corrected by its affinity row.
+
+    Forms that row alone, under compute_affinity's checks (mode and
+    temperature are not validated again); an error's frame is the first
+    failing window's index.
+    """
+    if mode == MODE_SOFTMAX and temperature is None:
+        temperature = default_temperature(windows.shape[-1])
+    # Two rows, not one: numpy hands a one-row product to gemv, but a
+    # two-row one to gemm, which on small windows rounds exactly as the
+    # Gram matrix of compute_affinity does.
+    right = np.swapaxes(windows, 1, 2)
+    weights = _normalized(windows[:, -2:], right, mode, temperature, current=True)
+    return (weights @ windows)[:, 0]
+
+
+def _normalized(left, right, mode, temperature, current=False) -> np.ndarray:
+    """Rows of left @ right (only the last with current), checked and normalized.
+
+    A stack's error has its frame set to the first failing window's flat index.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = window @ np.swapaxes(window, -1, -2)
+        dots = left @ right
+        if current:
+            dots = dots[..., -1:, :]
         # Softmax logits can overflow where the dot products do not.
-        logits = gram / temperature if mode == MODE_SOFTMAX else gram
+        logits = dots / temperature if mode == MODE_SOFTMAX else dots
         finite = np.isfinite(logits).all(axis=(-2, -1))
         failed = ~finite
         if mode == MODE_RAW_SUM:
-            row_sums = gram.sum(axis=-1)
-            magnitudes = np.abs(gram).sum(axis=-1)
+            row_sums = dots.sum(axis=-1)
+            magnitudes = np.abs(dots).sum(axis=-1)
             # <= so that an all-zero row (a zero state) is degenerate too.
             degenerate = np.abs(row_sums) <= DEGENERATE_ROW_TOL * magnitudes
             failed |= degenerate.any(axis=-1)
-    if failed.any():
-        index = int(np.flatnonzero(failed)[0])
-        size = gram.shape[-1]
-        if not finite.reshape(-1)[index]:
-            what = "dot products" if mode == MODE_RAW_SUM else "logits (dot products / temperature)"
-            exc: SsrLabError = NonFiniteAffinity(f"window {what} overflow float64")
-        else:
-            row = int(np.flatnonzero(degenerate.reshape(-1, size)[index])[0])
-            row_sum = float(row_sums.reshape(-1, size)[index, row])
-            magnitude = float(magnitudes.reshape(-1, size)[index, row])
-            exc = DegenerateRow(
-                f"row {row} has |sum phi| = {abs(row_sum):.3e}, at most"
-                f" {DEGENERATE_ROW_TOL:.0e} of sum |phi| = {magnitude:.3e}"
-            )
-        if window.ndim > 2:
-            exc.frame = index
-        raise exc
-    if mode == MODE_SOFTMAX:
-        # In place: the same operations as out of place, one temporary.
-        entries = logits
-        # Shift by the row max so exp never overflows; a shifted logit
-        # may round to -inf, whose weight is exactly 0.
-        with np.errstate(over="ignore"):
-            entries -= entries.max(axis=-1, keepdims=True)
-        np.exp(entries, out=entries)
-        entries /= entries.sum(axis=-1, keepdims=True)
+            if not failed.any():
+                return dots / row_sums[..., None]
+        elif not failed.any():
+            # In place: the same operations as out of place, one temporary.
+            # Shift by the row max so exp never overflows; a shifted logit
+            # may round to -inf, whose weight is exactly 0.
+            logits -= logits.max(axis=-1, keepdims=True)
+            np.exp(logits, out=logits)
+            logits /= logits.sum(axis=-1, keepdims=True)
+            return logits
+    index = int(np.flatnonzero(failed)[0])
+    rows = dots.shape[-2]
+    if not finite.reshape(-1)[index]:
+        what = "dot products" if mode == MODE_RAW_SUM else "logits (dot products / temperature)"
+        exc: SsrLabError = NonFiniteAffinity(f"window {what} overflow float64")
     else:
-        entries = gram / row_sums[..., None]
-    entries.flags.writeable = False
-    return entries
+        row = int(np.flatnonzero(degenerate.reshape(-1, rows)[index])[0])
+        exc = DegenerateRow(
+            f"{f'row {row}' if rows > 1 else 'the current row'} has |sum phi| ="
+            f" {abs(row_sums.reshape(-1, rows)[index, row]):.3e}, at most"
+            f" {DEGENERATE_ROW_TOL:.0e} of sum |phi| ="
+            f" {magnitudes.reshape(-1, rows)[index, row]:.3e}"
+        )
+    if left.ndim > 2:
+        exc.frame = index
+    raise exc
 
 
 def self_expressive_residual(

@@ -32,7 +32,7 @@ from .config import (
     config_to_dict,
 )
 from .errors import ConfigInvalid, NUMERIC_ERRORS
-from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, score_run
+from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, naming_trial, score_run
 from .regularizer import passthrough_step, run_stream
 from .synth import derive_trial_seed, generate_scenario
 
@@ -108,10 +108,8 @@ def _run_trial(
     config: ExperimentConfig, trial: int
 ) -> tuple[dict[str, tuple[np.ndarray, RunSummary]], dict[int, np.ndarray]]:
     seed = derive_trial_seed(config.trajectory.seed, trial)
-    try:
+    with naming_trial(trial):
         scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
-    except NUMERIC_ERRORS as exc:
-        raise type(exc)(f"(scenario generation, trial={trial}): {exc}") from exc
     noisy = scenario.noisy
     capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
     out: dict[str, tuple[np.ndarray, RunSummary]] = {}

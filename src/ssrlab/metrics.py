@@ -15,12 +15,14 @@ the guarded division would otherwise report spurious improvement).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .affinity import vector_norms
-from .errors import DimensionMismatch, InvalidScore, LengthMismatch
+from .errors import NUMERIC_ERRORS, DimensionMismatch, InvalidScore, LengthMismatch
 from .grassmann import span_residuals
 from .regularizer import SsrConfig, run_stream
 from .synth import (
@@ -142,6 +144,15 @@ def score_run(
     return scores, summary
 
 
+@contextmanager
+def naming_trial(trial: int) -> Iterator[None]:
+    """Re-raise numeric errors as "(scenario generation, trial=i): ..."; not in __all__."""
+    try:
+        yield
+    except NUMERIC_ERRORS as exc:
+        raise type(exc)(f"(scenario generation, trial={trial}): {exc}") from exc
+
+
 def ablate_window(
     sizes: list[int],
     trajectory: TrajectoryConfig,
@@ -161,10 +172,11 @@ def ablate_window(
     if not sizes:
         raise ValueError("sizes must be nonempty")
     base = ssr if ssr is not None else SsrConfig()
-    scenarios = [
-        generate_scenario(replace(trajectory, seed=derive_trial_seed(trajectory.seed, i)), noise)
-        for i in range(trials)
-    ]
+    scenarios = []
+    for i in range(trials):
+        with naming_trial(i):
+            seed = derive_trial_seed(trajectory.seed, i)
+            scenarios.append(generate_scenario(replace(trajectory, seed=seed), noise))
     rows = []
     for k in sizes:
         config = replace(base, window_k=k)

@@ -11,13 +11,12 @@ observed states (the default; feedback cannot compound smoothing),
 "store-corrected" writes each corrected state back into the buffer once
 its frame is done.
 
-Frames past the first window_k all have full windows, which are views
-into the buffer taken in blocks of BLOCK_FRAMES. Under store-raw a
-block's windows are known up front, so one compute_affinity call
-corrects the whole block. Under store-corrected each output enters the
-next windows, so the block's frames go through ssr_step one at a time,
-as do the first window_k frames (shorter windows) under either policy.
-Residuals are taken per block in both cases.
+Correction forms only each window's current affinity row
+(affinity.correct_current): one call for all full windows under
+store-raw, one per frame for the first window_k (shorter) windows and,
+under store-corrected, for every frame. The full L x L affinities, all
+of whose rows are then checked, are formed only for residuals and kept
+affinities, BLOCK_FRAMES windows per call.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .affinity import (
     MODE_SOFTMAX,
     StateVector,
     compute_affinity,
+    correct_current,
     self_expressive_residual,
 )
 from .errors import NUMERIC_ERRORS, AlphaOutOfRange, DimensionMismatch
@@ -52,9 +52,8 @@ STORE_RAW = "store-raw"
 STORE_CORRECTED = "store-corrected"
 BUFFER_POLICIES = frozenset({STORE_RAW, STORE_CORRECTED})
 
-# Full windows handled per block. At window_k = 64 each (BLOCK_FRAMES, 65,
-# 65) temporary takes about 0.5 MB; larger blocks ran no faster on the
-# window sweep but raised its peak RSS.
+# Full windows per compute_affinity call for residuals and affinities; at
+# window_k = 64 each (BLOCK_FRAMES, 65, 65) temporary takes about 0.5 MB.
 BLOCK_FRAMES = 16
 
 
@@ -98,9 +97,8 @@ def ssr_step(window: np.ndarray, config: SsrConfig) -> tuple[np.ndarray, np.ndar
         (corrected state, read-only L x L affinity)
     """
     affinity = compute_affinity(window, config.mode, config.temperature)
-    if len(window) == 1:
-        return window[0], affinity
-    return affinity[-1] @ window, affinity
+    window = np.asarray(window, dtype=np.float64)[None]
+    return correct_current(window, config.mode, config.temperature)[0], affinity
 
 
 def run_stream(
@@ -114,7 +112,7 @@ def run_stream(
 
     The window at frame t is rows max(0, t - k) .. t of the buffer. Under
     store-corrected, row t takes the corrected state only after frame t
-    is scored, so each affinity and residual sees the raw current state.
+    is corrected, so each affinity and residual sees the raw current state.
 
     Args:
         config: corrector settings.
@@ -125,7 +123,7 @@ def run_stream(
     Returns:
         (T x d corrected states, {frame: read-only affinity} for the
         kept frames, the T residuals or None). A numeric error raised on
-        the way has its frame attribute set to the failing frame.
+        the way has its frame attribute set to the first failing frame.
     """
     raw = np.asarray(states, dtype=np.float64)
     if raw.ndim != 2:
@@ -137,47 +135,48 @@ def run_stream(
         buf = corrected = raw.copy()
     else:
         buf, corrected = raw, np.empty_like(raw)
+    if length > k:
+        # windows[i] is the (k + 1) x d view of buffer rows i .. i + k
+        windows = sliding_window_view(buf, k + 1, axis=0).swapaxes(1, 2)
+    # Windows shorter than k + 1 go one by one (padded with zeros, their
+    # sums would round differently), as does every store-corrected frame.
+    looped = length if feedback else min(k, length)
+    frame, stop, failure = 0, length, None
+    try:
+        for frame in range(looped):
+            window = buf[max(frame - k, 0) : frame + 1][None]
+            corrected[frame] = correct_current(window, config.mode, config.temperature)[0]
+        if looped < length:
+            frame = k
+            corrected[k:] = correct_current(windows, config.mode, config.temperature)
+    except NUMERIC_ERRORS as exc:
+        exc.frame += frame
+        # An earlier frame's full affinity may fail first; it is formed below.
+        failure, stop = exc, exc.frame + 1
     scores = np.empty(length) if residuals else None
     keep = set(keep_affinities)
     kept: dict[int, np.ndarray] = {}
-    frame = 0
-    try:
-        # Warm-up: windows shorter than k + 1, one frame at a time.
-        for frame in range(min(k, length)):
-            window = buf[: frame + 1]
-            row, affinity = ssr_step(window, config)
-            if scores is not None:
-                scores[frame] = self_expressive_residual(window, affinity)
-            if frame in keep:
-                kept[frame] = affinity
-            corrected[frame] = row
-        if length > k:
-            # windows[i] is the (k + 1) x d view of buffer rows i .. i + k
-            windows = sliding_window_view(buf, k + 1, axis=0).swapaxes(1, 2)
-        for start in range(k, length, BLOCK_FRAMES):
-            block = windows[start - k : start - k + BLOCK_FRAMES]
-            stop = start + len(block)
+    if residuals or keep:
+        # The frames up to the first failure, warm-up frames one by one.
+        starts = [*range(min(k, stop)), *range(k, stop, BLOCK_FRAMES)]
+        for start, end in zip(starts, starts[1:] + [stop]):
+            block = buf[: start + 1][None] if start < k else windows[start - k : end - k]
             if feedback:
-                # Each output enters the next windows, so frames go one by one.
-                affinity = np.empty((len(block), k + 1, k + 1))
-                for frame in range(start, stop):
-                    buf[frame], affinity[frame - start] = ssr_step(block[frame - start], config)
-                if scores is not None:
-                    # the windows as each frame saw them: raw current state last
-                    block = block.copy()
-                    block[:, -1] = raw[start:stop]
-            else:
-                frame = start
+                # the windows as each frame saw them: raw current state last
+                block = block.copy()
+                block[:, -1] = raw[start:end]
+            try:
                 affinity = compute_affinity(block, config.mode, config.temperature)
-                corrected[start:stop] = (affinity[:, -1:] @ block)[:, 0]
+            except NUMERIC_ERRORS as exc:
+                exc.frame += start
+                raise
             if scores is not None:
-                scores[start:stop] = self_expressive_residual(block, affinity)
-            for t in keep.intersection(range(start, stop)):
+                scores[start:end] = self_expressive_residual(block, affinity)
+            for t in keep.intersection(range(start, end)):
                 kept[t] = affinity[t - start].copy()
                 kept[t].flags.writeable = False
-    except NUMERIC_ERRORS as exc:
-        exc.frame = frame + (exc.frame or 0)
-        raise
+    if failure is not None:
+        raise failure
     return corrected, kept, scores
 
 

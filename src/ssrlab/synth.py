@@ -265,13 +265,19 @@ def _clean_states(config: TrajectoryConfig, bases: np.ndarray) -> np.ndarray:
     coefs = np.empty((config.length, config.r))
     coef = np.eye(config.r)[0]  # kept when the first draw is all but zero
     drawn = config.length if config.state_drift > 0.0 else 1
-    for t, rng in enumerate(_substreams(config.seed, _STREAM_CLEAN, range(drawn))):
-        draw = rng.standard_normal(config.r)
-        stepped = draw if t == 0 else coef + config.state_drift * draw
-        norm = np.linalg.norm(stepped)
-        if norm >= 1e-12:
-            coef = stepped / norm
-        coefs[t] = coef
+    with np.errstate(over="ignore"):
+        for t, rng in enumerate(_substreams(config.seed, _STREAM_CLEAN, range(drawn))):
+            draw = rng.standard_normal(config.r)
+            stepped = draw if t == 0 else coef + config.state_drift * draw
+            norm = np.linalg.norm(stepped)
+            if norm == np.inf:
+                # the step or its squares overflow: rescale it exactly by a power of two
+                shift = -np.frexp(config.state_drift)[1]
+                stepped = np.ldexp(coef, shift) + np.ldexp(config.state_drift, shift) * draw
+                norm = np.linalg.norm(stepped)
+            if norm >= 1e-12:
+                coef = stepped / norm
+            coefs[t] = coef
     coefs[drawn:] = coef
     return (bases @ coefs[:, :, None])[:, :, 0]
 

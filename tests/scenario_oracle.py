@@ -112,8 +112,14 @@ def clean_states(config, subspaces):
     for t, subspace in enumerate(subspaces):
         if t > 0 and config.state_drift > 0.0:
             draw = frame_rng(config.seed, STREAM_CLEAN, t).standard_normal(config.r)
-            stepped = coef + config.state_drift * draw
-            norm = np.linalg.norm(stepped)
+            with np.errstate(over="ignore"):
+                stepped = coef + config.state_drift * draw
+                norm = np.linalg.norm(stepped)
+            if np.isinf(norm):
+                # overflowed: the same step times 2**shift, exactly
+                shift = -np.frexp(config.state_drift)[1]
+                stepped = np.ldexp(coef, shift) + np.ldexp(config.state_drift, shift) * draw
+                norm = np.linalg.norm(stepped)
             if norm >= 1e-12:
                 coef = stepped / norm
         if prev is not None and coef is prev[0] and subspace is prev[1]:

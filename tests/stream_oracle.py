@@ -8,7 +8,9 @@ the output (store-corrected) or the raw state (store-raw).
 
 A window fails when some dot product is not finite, or, in softmax mode,
 some dot product divided by tau; in raw-sum mode also when some row has
-|sum phi| <= DEGENERATE_ROW_TOL * sum |phi|. The oracle then raises
+|sum phi| <= DEGENERATE_ROW_TOL * sum |phi|. Only the current row is
+checked unless full is set, as when the caller asks for residuals or
+affinities and so for every row of C. The oracle then raises
 WindowFailure naming the frame.
 """
 
@@ -28,28 +30,34 @@ class WindowFailure(Exception):
         self.frame = frame
 
 
-def list_oracle(states, window_k, mode="softmax", temperature=None, policy="store-raw"):
-    """Returns (outputs, affinities, residuals), one entry per frame."""
+def list_oracle(states, window_k, mode="softmax", temperature=None, policy="store-raw", full=True):
+    """Returns (outputs, affinities, residuals), one entry per frame.
+
+    Without full, rows past the current one are left unchecked, and so
+    are the affinities and residuals they enter.
+    """
+    checked = slice(None) if full else slice(-1, None)
     stored, outputs, affinities, residuals = [], [], [], []
     for frame, incoming in enumerate(states):
         window = np.array(stored[-window_k:] + [np.asarray(incoming, dtype=np.float64)])
         tau = temperature if temperature is not None else math.sqrt(window.shape[1])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             gram = window @ window.T
             logits = gram / tau
-        if not np.isfinite(gram if mode == "raw-sum" else logits).all():
-            raise WindowFailure("NonFiniteAffinity", frame)
-        if mode == "softmax":
-            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-            c = weights / weights.sum(axis=1, keepdims=True)
-        else:
-            sums = gram.sum(axis=1)
-            if np.any(np.abs(sums) <= DEGENERATE_ROW_TOL * np.abs(gram).sum(axis=1)):
-                raise WindowFailure("DegenerateRow", frame)
-            c = gram / sums[:, None]
+            if not np.isfinite((gram if mode == "raw-sum" else logits)[checked]).all():
+                raise WindowFailure("NonFiniteAffinity", frame)
+            if mode == "softmax":
+                weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+                c = weights / weights.sum(axis=1, keepdims=True)
+            else:
+                sums = gram.sum(axis=1)
+                magnitudes = np.abs(gram).sum(axis=1)
+                if np.any((np.abs(sums) <= DEGENERATE_ROW_TOL * magnitudes)[checked]):
+                    raise WindowFailure("DegenerateRow", frame)
+                c = gram / sums[:, None]
+            residuals.append(np.linalg.norm(window - c @ window) / np.linalg.norm(window))
         out = c[-1] @ window
         affinities.append(c)
-        residuals.append(np.linalg.norm(window - c @ window) / np.linalg.norm(window))
         outputs.append(out)
         stored.append(out if policy == "store-corrected" else window[-1])
     return outputs, affinities, residuals

@@ -19,6 +19,7 @@ from ssrlab.affinity import (
     MODE_SOFTMAX,
     StateVector,
     compute_affinity,
+    correct_current,
     default_temperature,
     self_expressive_residual,
 )
@@ -274,6 +275,29 @@ class TestStacks:
             with pytest.raises(DegenerateRow) as excinfo:
                 compute_affinity(stack, mode=MODE_RAW_SUM)
         assert excinfo.value.frame == 3
+
+    def test_current_row_kernel_checks_only_current_rows(self):
+        # window 1's oldest row sums to 0 but its current row does not,
+        # window 3's current row sums to 0; window 4's older state
+        # overflows only its own dot product, window 5's current state
+        # overflows every dot product it enters
+        stack = np.random.default_rng(9).uniform(0.5, 1.5, (6, 3, 2))
+        stack[1] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 5.0]]
+        stack[3] = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+        stack[4, 1] = stack[5, 2] = 1e200
+        for mode, kind, full_frame, current_frame in (
+            (MODE_RAW_SUM, DegenerateRow, 1, 3),
+            (MODE_SOFTMAX, NonFiniteAffinity, 4, 5),
+        ):
+            with pytest.raises(kind) as excinfo:
+                compute_affinity(stack, mode=mode)
+            assert excinfo.value.frame == full_frame
+            with pytest.raises(kind) as excinfo:
+                correct_current(stack, mode)
+            assert excinfo.value.frame == current_frame
+            kept = stack[[0, 2]]
+            expected = [compute_affinity(w, mode=mode)[-1] @ w for w in kept]
+            assert np.array_equal(correct_current(kept, mode), expected)
 
     def test_single_window_error_has_no_frame(self):
         with pytest.raises(DegenerateRow) as excinfo:

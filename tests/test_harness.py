@@ -673,12 +673,21 @@ class TestCli:
         assert "Traceback" not in done.stderr
         assert "Warning" not in done.stderr
 
+    def test_ablation_names_the_trial_whose_scenario_fails(self, tmp_path):
+        done = self._simulate_subprocess(
+            tmp_path, ("ablate-window", "--sizes", "2,4"), trials=2, **{"noise.sigma": "1e308"}
+        )
+        assert done.returncode == 3, done.stderr
+        assert "numeric error: (scenario generation, trial=0): frame 0:" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
+
     @staticmethod
-    def _simulate_subprocess(tmp_path, **overrides):
-        cfg = write_cfg_file(tmp_path, trials=1, **{"scenario.length": "16", **overrides})
+    def _simulate_subprocess(tmp_path, command=("simulate",), trials=1, **overrides):
+        cfg = write_cfg_file(tmp_path, trials=trials, **{"scenario.length": "16", **overrides})
         src = os.path.dirname(os.path.dirname(os.path.abspath(ssrlab.__file__)))
         return subprocess.run(
-            [sys.executable, "-m", "ssrlab.cli", "simulate", cfg],
+            [sys.executable, "-m", "ssrlab.cli", command[0], cfg, *command[1:]],
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True,
             text=True,

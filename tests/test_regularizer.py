@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssrlab.affinity import DEGENERATE_ROW_TOL, MODE_RAW_SUM, StateVector
+from ssrlab.affinity import DEGENERATE_ROW_TOL, MODE_RAW_SUM, StateVector, compute_affinity
 from ssrlab.errors import (
     AlphaOutOfRange,
     DegenerateRow,
@@ -236,48 +236,102 @@ def test_property_run_stream_matches_list_oracle(
         np.testing.assert_allclose(affinities[t], theirs, rtol=1e-12, atol=0.0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    window_k=st.integers(min_value=1, max_value=70),
+    # from the empty stream through the warm-up to past k
+    extra=st.integers(min_value=-71, max_value=20),
+    dim=st.integers(min_value=1, max_value=8),
+    mode=st.sampled_from(["softmax", MODE_RAW_SUM]),
+)
+def test_property_row_kernel_matches_each_windows_affinity(seed, window_k, extra, dim, mode):
+    # store-raw corrects every full window with one correct_current call,
+    # which forms only the current affinity row; each frame must still be
+    # its own window's last affinity row applied to that window
+    length = max(0, window_k + extra)
+    offset = 1.0 if mode == MODE_RAW_SUM else 0.0
+    states = random_states(np.random.default_rng(seed), length, dim) + offset
+    windows = [states[max(0, t - window_k) : t + 1] for t in range(length)]
+    try:
+        expected = [compute_affinity(w, mode)[-1] @ w for w in windows]
+    except DegenerateRow:
+        assume(False)
+    corrected, _, _ = run_stream(SsrConfig(window_k=window_k, mode=mode), states, residuals=False)
+    assert corrected.shape == states.shape
+    # per frame, relative to the frame's norm: a component that cancels
+    # to 1e-6 of its row carries the row's rounding, not its own
+    expected = np.reshape(expected, states.shape)
+    error = np.linalg.norm(corrected - expected, axis=1)
+    assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     window_k=st.integers(min_value=1, max_value=10),
     length=st.integers(min_value=1, max_value=2 * BLOCK_FRAMES + 14),
     where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    fault=st.sampled_from(["overflow", "logits", "cancel"]),
+    fault=st.sampled_from(["overflow", "logits", "cancel", "hidden"]),
     policy=st.sampled_from([STORE_RAW, STORE_CORRECTED]),
+    full=st.booleans(),
 )
 def test_property_error_frame_is_the_oracles_first_failing_window(
-    seed, window_k, length, where, fault, policy
+    seed, window_k, length, where, fault, policy, full
 ):
     # one injected state breaks the window it enters: entries of 1e200
     # overflow every dot product with it; entries of 1e150 keep the dot
     # products finite but overflow them divided by a temperature of
     # 1e-10; in raw-sum mode a state that cancels the sum of the rows
     # held before it leaves every row of its window summing to about
-    # lean times its magnitude
+    # lean times its magnitude, and a "hidden" one cancels only the
+    # oldest held row's sum, which is checked only when residuals are
+    # asked for (full)
     rng = np.random.default_rng(seed)
     states = rng.uniform(0.5, 1.5, (length, 3))
     frame = int(where * length)
-    mode = "softmax" if fault != "cancel" else MODE_RAW_SUM
+    mode = "softmax" if fault in ("overflow", "logits") else MODE_RAW_SUM
     temperature = 1e-10 if fault == "logits" else None
-    if fault != "cancel":
+    if mode == "softmax":
         states[frame] = (1e200 if fault == "overflow" else 1e150) * rng.uniform(0.5, 1.5, 3)
     else:
+        if fault == "hidden":
+            assume(length > 1)
+            frame = max(frame, 1)
         stored = states[:frame]
         if policy == STORE_CORRECTED:
             stored = list_oracle(stored, window_k, mode, None, policy)[0]
         held = np.sum(stored[-window_k:], axis=0) if frame else np.zeros(3)
         lean = DEGENERATE_ROW_TOL * float(rng.uniform(0.0, 0.5))
-        states[frame] = -held / (1.0 + lean)
-    with pytest.raises(WindowFailure) as oracle:
-        list_oracle(states, window_k, mode, temperature, policy)
+        if fault == "cancel":
+            states[frame] = -held / (1.0 + lean)
+        else:
+            # u is orthogonal to the oldest held row and long enough that
+            # the current row's sum, |u|^2 - <held, u>, stays large
+            oldest = stored[-window_k:][0]
+            u = rng.standard_normal(3)
+            u -= (u @ oldest) / (oldest @ oldest) * oldest
+            u *= 4.0 * np.linalg.norm(held) / np.linalg.norm(u)
+            states[frame] = u - held + lean * np.linalg.norm(held) * oldest
+    try:
+        list_oracle(states, window_k, mode, temperature, policy, full=full)
+        expected = None
+    except WindowFailure as exc:
+        expected = (exc.kind, exc.frame)
     config = SsrConfig(
         window_k=window_k, mode=mode, temperature=temperature, buffer_policy=policy
     )
-    with pytest.raises((NonFiniteAffinity, DegenerateRow)) as ours:
-        run_stream(config, states)
-    assert oracle.value.frame == frame
-    assert ours.value.frame == oracle.value.frame
-    assert type(ours.value).__name__ == oracle.value.kind
+    try:
+        run_stream(config, states, residuals=full)
+        ours = None
+    except (NonFiniteAffinity, DegenerateRow) as exc:
+        ours = (type(exc).__name__, exc.frame)
+    assert ours == expected
+    if fault == "hidden" and not full:
+        assert expected is None or expected[1] > frame
+    else:
+        kind = "NonFiniteAffinity" if mode == "softmax" else "DegenerateRow"
+        assert expected == (kind, frame)
 
 
 class TestEmaFuse:

@@ -6,6 +6,7 @@ g ~ N(0, I_n), evaluated with math.gamma, not with the library.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,19 @@ class TestStaticScenario:
     def test_clean_states_are_unit_norm(self):
         clean = generate_scenario(STATIC, NoiseModel(sigma=0.0)).clean
         assert np.linalg.norm(clean[0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("drift", [1e150, 1e200, 1e308])
+    def test_huge_state_drift_keeps_clean_states_unit_norm(self, drift):
+        # the walk's squares overflow from about 1e154, the step itself
+        # near 1e308; both are normalized from an exactly rescaled step
+        config = TrajectoryConfig(n=8, r=2, length=6, seed=1, state_drift=drift)
+        noise = NoiseModel(sigma=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scenario = generate_scenario(config, noise)
+        norms = np.linalg.norm(scenario.clean, axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-12)
+        assert np.array_equal(scenario.clean, scenario_oracle(config, noise)[0])
 
     def test_coefficient_drift_moves_the_state_inside_the_subspace(self):
         clean, _, bases = generate_scenario(
