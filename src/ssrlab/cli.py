@@ -96,6 +96,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_affinity_dump(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     frames = parse_int_list(args.frames, "--frames")
+    for frame in frames:
+        if not 0 <= frame < config.trajectory.length:
+            raise ConfigInvalid(f"--frames: frame {frame} outside [0, {config.trajectory.length})")
     config = replace(
         config,
         methods=(METHOD_SSR,),

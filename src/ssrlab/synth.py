@@ -10,7 +10,8 @@ subspace whose coefficients optionally follow a slow seeded random walk
 
 generate_scenario builds the Scenario arrays whole: each geodesic
 segment's frame is computed once and evaluated at all of its frames,
-and every check runs once over the arrays.
+each run of frames on one segment or waypoint is aligned by a single
+rotation (see _truth_bases), and every check runs once over the arrays.
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream, frame), so frame i's draws do not depend on the sequence
@@ -70,6 +71,8 @@ _STREAM_NOISE = 2
 _STREAM_BURST = 3
 # Counter stride between frames, in 64-bit outputs.
 _FRAME_STRIDE = 1 << 32
+# Frames of one piece evaluated per array pass; bounds the temporaries.
+_PIECE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,18 @@ def sample_waypoints(config: TrajectoryConfig) -> list[SubspacePoint]:
 
 
 def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
-    """T x n x r truth bases along the waypoint path, each aligned onto its predecessor."""
+    """T x n x r truth bases along the waypoint path, each aligned onto its predecessor.
+
+    Geodesic bases carry an arbitrary r x r rotation that jumps between
+    segments. Rotating each basis onto its predecessor (orthogonal
+    Procrustes) removes the jumps, so states U_t @ c move no faster than
+    the subspace itself; spans are untouched. Frames split into pieces,
+    runs on one waypoint or inside one segment, contiguous because the
+    position is monotone. Inside a segment B(s)^T B(s') is
+    diag(cos((s - s') theta)), positive definite as theta < pi/2, so its
+    Procrustes rotation (polar factor) is I: the rotation of a piece's
+    first frame is the per-frame rotation of every frame in it.
+    """
     waypoints = sample_waypoints(config)
     if config.speed == 0.0 or config.length == 1:
         return np.broadcast_to(waypoints[0].basis, (config.length, config.n, config.r))
@@ -222,7 +236,9 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
     ]
     cum = np.concatenate([[0.0], np.cumsum(seg_arcs)])
     total = float(cum[-1])
-    step = config.speed * max_dist / config.length
+    # An overflowing step would make 0 * inf NaN at frame 0; any step
+    # past the path length already puts frame 1 on the last waypoint.
+    step = min(config.speed * max_dist / config.length, total)
     position = np.minimum(np.arange(config.length) * step, total)
     inside = (position > 0.0) & (position < total)
     # Inside the path cum[seg] <= position < cum[seg + 1], so the arc is positive.
@@ -239,24 +255,25 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
         default=-1,
     )
     geodesics = {s: geodesic_frame(waypoints[s], waypoints[s + 1]) for s in np.unique(seg[inside])}
-    # Geodesic bases carry an arbitrary r x r rotation that jumps between
-    # frames. Rotating each onto its predecessor (orthogonal Procrustes)
-    # removes the jumps, so states U_t @ c move no faster than the
-    # subspace itself; spans are untouched. A frame on the same waypoint
-    # as its predecessor repeats the predecessor's aligned basis.
+    piece = np.where(on_waypoint >= 0, 2 * on_waypoint, 2 * seg + 1)
+    starts = np.flatnonzero(np.diff(piece, prepend=-1))
     bases = np.empty((config.length, config.n, config.r))
-    for t in range(config.length):
-        if on_waypoint[t] < 0:
-            p, g, theta = geodesics[seg[t]]
-            bases[t] = p * np.cos(local[t] * theta) + g * np.sin(local[t] * theta)
-        elif t > 0 and on_waypoint[t] == on_waypoint[t - 1]:
-            bases[t] = bases[t - 1]
-            continue
-        else:
-            bases[t] = waypoints[on_waypoint[t]].basis
-        if t > 0:
-            v, _, wt = np.linalg.svd(bases[t].T @ bases[t - 1])
-            bases[t] = bases[t] @ (v @ wt)
+    for a, b in zip(starts, [*starts[1:], config.length]):
+        for c in range(a, b, _PIECE_CHUNK):
+            d = min(c + _PIECE_CHUNK, b)
+            if on_waypoint[a] >= 0:
+                raw = waypoints[on_waypoint[a]].basis[None]
+            else:
+                p, g, theta = geodesics[seg[a]]
+                angles = local[c:d, None, None] * theta
+                raw = p * np.cos(angles) + g * np.sin(angles)
+            if a == 0:
+                bases[c:d] = raw
+                continue
+            if c == a:
+                v, _, wt = np.linalg.svd(raw[0].T @ bases[a - 1])
+                rot = v @ wt
+            bases[c:d] = raw @ rot
     return bases
 
 

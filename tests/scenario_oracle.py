@@ -3,7 +3,9 @@
 Builds a scenario one frame at a time, the way the generator did before
 it worked on arrays: a fresh Philox generator advanced to each
 (seed, stream, frame) cell, one geodesic evaluation per moving frame, an
-orthogonal Procrustes alignment onto the previous basis, and a validated
+orthogonal Procrustes rotation onto the previous basis computed on
+entering each piece (a run of frames on one waypoint or inside one
+segment) and applied to every frame of that piece, and a validated
 StateVector pair per frame whose clean state is checked against its
 subspace. Frames that reuse a waypoint, or a frozen state on a frozen
 subspace, reuse the same object, so static streams are bitwise constant.
@@ -54,14 +56,18 @@ def sample_waypoints(config):
     raise DegenerateGeodesic("no usable waypoint set")
 
 
-def align_bases(path):
+def align_bases(path, pieces):
+    """Rotates each piece's first basis onto its predecessor; the rest of the piece reuses it."""
     aligned = [path[0]]
-    for prev_raw, point in zip(path, path[1:]):
-        if point is prev_raw:
+    rot = None
+    for t in range(1, len(path)):
+        if pieces[t] != pieces[t - 1]:
+            v, _, wt = np.linalg.svd(path[t].basis.T @ aligned[-1].basis)
+            rot = v @ wt
+        elif path[t] is path[t - 1]:
             aligned.append(aligned[-1])
             continue
-        v, _, wt = np.linalg.svd(point.basis.T @ aligned[-1].basis)
-        aligned.append(SubspacePoint(point.basis @ (v @ wt)))
+        aligned.append(path[t] if rot is None else SubspacePoint(path[t].basis @ rot))
     return aligned
 
 
@@ -78,25 +84,33 @@ def truth_subspaces(config):
     ]
     cum = np.concatenate([[0.0], np.cumsum(seg_arcs)])
     total = float(cum[-1])
-    step = config.speed * max_dist / config.length
+    step = min(config.speed * max_dist / config.length, total)
     out = []
+    pieces = []
     for t in range(config.length):
         position = min(t * step, total)
         if position <= 0.0:
             out.append(waypoints[0])
+            pieces.append(("waypoint", 0))
             continue
         if position >= total:
             out.append(waypoints[-1])
+            pieces.append(("waypoint", len(waypoints) - 1))
             continue
         seg = int(np.searchsorted(cum, position, side="right")) - 1
         seg = min(max(seg, 0), len(seg_arcs) - 1)
         if seg_arcs[seg] <= 0.0:
             out.append(waypoints[seg])
+            pieces.append(("waypoint", seg))
             continue
         local = (position - float(cum[seg])) / seg_arcs[seg]
         local = min(max(local, 0.0), 1.0)
-        out.append(geodesic(waypoints[seg], waypoints[seg + 1], local))
-    return align_bases(out)
+        point = geodesic(waypoints[seg], waypoints[seg + 1], local)
+        out.append(point)
+        # a geodesic's endpoints are its waypoints themselves
+        ends = [i for i in (seg, seg + 1) if point is waypoints[i]]
+        pieces.append(("waypoint", ends[0]) if ends else ("segment", seg))
+    return align_bases(out, pieces)
 
 
 def clean_states(config, subspaces):

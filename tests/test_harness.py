@@ -573,9 +573,13 @@ class TestCli:
         assert (tmp_path / "out" / "affinity_f00000.csv").exists()
         assert (tmp_path / "out" / "affinity_f00005.csv").exists()
 
-    def test_affinity_dump_bad_frame_exits_two(self, tmp_path):
+    def test_affinity_dump_bad_frame_exits_two(self, tmp_path, capsys):
         cfg = write_cfg_file(tmp_path)
         assert main(["affinity-dump", cfg, "--frames", "999"]) == 2
+        # the bad value came from the flag, not from the config file
+        err = capsys.readouterr().err
+        assert "config error: --frames: frame 999 outside [0, 30)" in err
+        assert "heatmap_frames" not in err
 
     def test_ablate_failed_rename_keeps_previous_json(
         self, tmp_path, monkeypatch, capsys

@@ -28,6 +28,7 @@ from ssrlab.synth import (
     NOISE_GAUSSIAN,
     NOISE_KINDS,
     NoiseModel,
+    Scenario,
     TrajectoryConfig,
     derive_trial_seed,
     generate_scenario,
@@ -160,6 +161,31 @@ class TestMovingScenario:
         assert len(waypoints) == MOVING.waypoint_count
         for a, b in zip(waypoints, waypoints[1:]):
             assert principal_angles(a, b).max_angle() < np.pi / 2 - 1e-8
+
+    def test_pieces_longer_than_a_chunk_match_per_frame_oracle(self):
+        # runs of 114 and 92 frames inside the two segments and 94 on the
+        # last waypoint, each longer than one evaluation chunk
+        config = TrajectoryConfig(
+            n=12, r=3, length=300, seed=31, speed=3.5, waypoint_count=3, state_drift=0.02
+        )
+        assert synth_mod._PIECE_CHUNK < 92
+        noise = NoiseModel(sigma=0.1)
+        for name, got, want in zip(
+            Scenario._fields, generate_scenario(config, noise), scenario_oracle(config, noise)
+        ):
+            assert np.array_equal(got, want), name
+
+    def test_overflowing_speed_starts_on_the_first_waypoint(self):
+        # speed * D / T overflows to inf; the step is clamped at the path length
+        config = TrajectoryConfig(n=64, r=4, length=6, seed=5, speed=1e308, waypoint_count=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bases = generate_scenario(config, NoiseModel()).bases
+        waypoints = sample_waypoints(config)
+        assert np.array_equal(bases[0], waypoints[0].basis)
+        for basis in bases[1:]:
+            assert projection_distance(SubspacePoint(basis), waypoints[-1]) < 1e-12
+        assert np.array_equal(bases, scenario_oracle(config, NoiseModel())[2])
 
 
 class TestGaussianNoise:
@@ -400,3 +426,14 @@ def test_property_generate_scenario_matches_per_frame_oracle(case):
         assert scenario.noisy is scenario.clean
     if config.speed == 0.0 or config.length == 1:
         assert scenario.bases.strides[0] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scenario_cases())
+def test_property_aligned_bases_carry_no_rotation_between_frames(case):
+    # each basis is rotated onto its predecessor: the polar factor of
+    # B_t^T B_{t-1} (its Procrustes rotation) is the identity
+    config, _ = case
+    bases = generate_scenario(config, NoiseModel()).bases
+    u, _, vt = np.linalg.svd(np.swapaxes(bases[1:], 1, 2) @ bases[:-1])
+    assert np.abs(u @ vt - np.eye(config.r)).max(initial=0.0) <= 1e-13
