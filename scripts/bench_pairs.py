@@ -9,8 +9,10 @@ For every workload and seed it runs ``perfbench/run.py --trace 0`` once
 in each checkout, the parent first on odd pairs (1st, 3rd, ...) and the
 change first on even ones, so a slow phase of the host does not always
 land on the same side. Each pair records the five end-to-end metrics of
-both runs. With ``--traced-seed`` it also runs ``--trace 1`` once per
-checkout and workload at that seed and records the per-layer metrics.
+both runs. With ``--traced-seed`` it also runs ``--trace 1`` at that seed
+three times per checkout and workload, alternating which checkout goes
+first, and records each per-layer metric's median, min and max: one
+traced run moves a layer's timing by 20% on unchanged code.
 
 The output names each checkout by its git commit and source digest, as
 perfbench reports them, plus the host (nproc; Python, numpy and scipy
@@ -21,10 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 
 END_TO_END = ("run_s", "frames_per_s", "setup_s", "peak_rss_mb", "ok_rate")
+TRACED_RUNS = 3
 
 
 def run_perfbench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -51,6 +55,18 @@ def run_perfbench(checkout: str, workload: str, seed: int, seconds: float, trace
     result = json.loads(lines[-1])
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     return {"context": context, "correct": result["correct"], "metrics": metrics}
+
+
+def spread(runs: list[dict]) -> dict:
+    """Median, min and max of each metric over several runs."""
+    return {
+        name: {
+            "median": statistics.median(run[name] for run in runs),
+            "min": min(run[name] for run in runs),
+            "max": max(run[name] for run in runs),
+        }
+        for name in runs[0]
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,12 +107,15 @@ def main(argv: list[str] | None = None) -> int:
             )
         entry = {"pairs": pairs}
         if args.traced_seed is not None:
+            traced: dict = {"parent": [], "change": []}
+            for number in range(TRACED_RUNS):
+                for side in ("parent", "change") if number % 2 == 0 else ("change", "parent"):
+                    run = run_perfbench(checkouts[side], workload, args.traced_seed, args.seconds, 1)
+                    traced[side].append(run["metrics"])
             entry["traced"] = {
                 "seed": args.traced_seed,
-                **{
-                    side: run_perfbench(path, workload, args.traced_seed, args.seconds, 1)["metrics"]
-                    for side, path in checkouts.items()
-                },
+                "runs": TRACED_RUNS,
+                **{side: spread(runs) for side, runs in traced.items()},
             }
         report["workloads"][workload] = entry
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .affinity import vector_norms
 from .errors import (
@@ -123,9 +122,12 @@ class PrincipalAngles:
 def orthonormalize(m: np.ndarray) -> SubspacePoint:
     """Orthonormal basis for the column space of a full-column-rank matrix.
 
-    Uses rank-revealing QR with column pivoting; columns are sign-fixed
-    (positive R diagonal) and returned in the original column order so
-    that already-orthonormal input passes through unchanged.
+    Uses QR with greedy column pivoting (Businger & Golub 1965, as in
+    LAPACK's dgeqp3): each step takes the column with the largest norm
+    left after projecting out the columns already taken, ties going to
+    the lowest index. Columns are sign-fixed (positive R diagonal) and
+    returned in the original column order so that already-orthonormal
+    input passes through unchanged.
 
     Raises:
         RankDeficient: smallest singular value of m is <= RANK_TOL.
@@ -140,7 +142,14 @@ def orthonormalize(m: np.ndarray) -> SubspacePoint:
         raise RankDeficient(
             f"smallest singular value {smallest:.3e} <= {RANK_TOL:.0e}"
         )
-    q, r, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
+    rest, piv = m.copy(), []
+    for _ in range(m.shape[1]):
+        norms = np.einsum("ij,ij->j", rest, rest)
+        norms[piv] = -1.0
+        piv.append(int(np.argmax(norms)))
+        unit = rest[:, piv[-1]] / np.sqrt(norms[piv[-1]])
+        rest -= np.outer(unit, unit @ rest)
+    q, r = np.linalg.qr(m[:, piv])
     # LAPACK leaves the sign of each Householder column arbitrary.
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q = q * signs

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import resource
 import secrets
 from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, replace
@@ -227,8 +229,11 @@ def dump_summary_json(bundle: ResultBundle, path: str) -> None:
 
 
 def dump_run_meta(bundle: ResultBundle, path: str) -> None:
-    """Volatile provenance (the timestamp), kept out of the payload files."""
-    meta = {"timestamp_utc": bundle.timestamp}
+    """Volatile provenance, kept out of the payload files: the timestamp, this
+    process's peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    meta = {"timestamp_utc": bundle.timestamp, "peak_rss_mb": rss_mb,
+            "python_version": platform.python_version(), "numpy_version": np.__version__}
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 

@@ -7,6 +7,7 @@ as a second opinion on orthonormalization.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,6 +324,27 @@ def test_property_orthonormalize_gives_valid_point(seed: int):
     # every original column is inside the recovered span
     for j in range(r):
         assert span_membership_residual(m[:, j], point) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=2, max_value=200),
+    r=st.integers(min_value=1, max_value=16),
+)
+def test_property_orthonormalize_matches_lapack_pivoted_qr(seed: int, n: int, r: int):
+    # LAPACK's dgeqp3 through scipy, with the same sign fix and
+    # un-permutation: the numpy pivot loop must pick the same columns and
+    # round to the same basis.
+    r = min(r, n - 1)
+    m = np.random.default_rng(seed).standard_normal((n, r))
+    q, upper, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
+    expected = np.empty_like(q)
+    expected[:, piv] = q * np.where(np.diag(upper) < 0.0, -1.0, 1.0)
+    # Two backward-stable QRs differ by up to about eps * cond(m); the
+    # bound is 1e-14 absolute up to cond 10 and grows with cond beyond.
+    tol = 1e-14 * max(1.0, np.linalg.cond(m) / 10.0)
+    assert np.abs(orthonormalize(m).basis - expected).max() <= tol
 
 
 @settings(max_examples=40, deadline=None)

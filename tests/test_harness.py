@@ -7,6 +7,7 @@ exception: the frozen full-scale regression in TestBenchmarkRegression.
 import json
 import math
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -328,8 +329,21 @@ class TestWriters:
         paths = write_experiment_outputs(bundle)
         with open(paths["meta"], encoding="utf-8") as fh:
             meta = json.load(fh)
-        assert set(meta) == {"timestamp_utc"}
+        assert set(meta) == {"timestamp_utc", "peak_rss_mb", "python_version", "numpy_version"}
         assert meta["timestamp_utc"] == bundle.timestamp
+
+    def test_run_meta_records_peak_rss_and_versions(self, tmp_path):
+        bundle = run_experiment(make_config(tmp_path, trials=1))
+        paths = write_experiment_outputs(bundle)
+        with open(paths["meta"], encoding="utf-8") as fh:
+            meta = json.load(fh)
+        assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0.0
+        assert meta["python_version"] == platform.python_version()
+        assert meta["numpy_version"] == np.__version__
+        with open(paths["summary"], encoding="utf-8") as fh:
+            summary = fh.read()
+        for key in meta:
+            assert key not in summary
 
     def test_heatmaps_written_and_decodable(self, tmp_path):
         config = make_config(
@@ -711,6 +725,30 @@ class TestCli:
     def test_selfcheck_passes(self, capsys):
         assert main(["selfcheck"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_runs_without_importing_scipy(self, tmp_path):
+        # scipy is a test oracle only; a fresh process that checks itself
+        # and simulates a moving subspace must never load it
+        cfg = write_cfg_file(
+            tmp_path, trials=1, **{"scenario.length": "16", "scenario.speed": "1.0", "scenario.waypoints": "3"}
+        )
+        code = (
+            "import sys\n"
+            "from ssrlab.cli import main\n"
+            "assert main(['selfcheck']) == 0\n"
+            f"assert main(['simulate', {cfg!r}]) == 0\n"
+            "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ssrlab.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "scipy modules: []" in done.stdout
 
 
 # Values that reach every branch of the typed parsers: numbers of every
