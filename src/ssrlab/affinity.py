@@ -18,7 +18,6 @@ only each window's current (last) row, all that a correction needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "MODE_RAW_SUM",
     "AFFINITY_MODES",
     "DEGENERATE_ROW_TOL",
-    "StateVector",
     "default_temperature",
     "compute_affinity",
     "correct_current",
@@ -45,27 +43,6 @@ AFFINITY_MODES = frozenset({MODE_SOFTMAX, MODE_RAW_SUM})
 DEGENERATE_ROW_TOL = 1e-4
 
 _NORM_FLOOR = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A single finite state vector of dimension >= 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError(f"state must be a nonempty vector, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("state entries must be finite")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def default_temperature(dim: int) -> float:

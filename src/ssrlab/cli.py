@@ -115,7 +115,7 @@ def _cmd_affinity_dump(args: argparse.Namespace) -> int:
 
 
 def _selfcheck_cases() -> list[tuple[str, object]]:
-    from .affinity import MODE_RAW_SUM, StateVector, compute_affinity
+    from .affinity import MODE_RAW_SUM, compute_affinity
     from .grassmann import geodesic, orthonormalize, projection_distance
     from .regularizer import SsrConfig, ema_fuse, run_stream
 
@@ -159,10 +159,9 @@ def _selfcheck_cases() -> list[tuple[str, object]]:
         assert abs(aff[0, 0] - expected) < 1e-15
 
     def check_ema_endpoints() -> None:
-        cur = StateVector(np.array([1.0, 2.0]))
-        prev = StateVector(np.array([-3.0, 5.0]))
-        assert ema_fuse(cur, prev, 1.0) is cur
-        assert ema_fuse(cur, prev, 0.0) is prev
+        stream = np.array([[1.0, 2.0], [-3.0, 5.0]])
+        assert np.array_equal(ema_fuse(stream, 1.0), stream)
+        assert np.array_equal(ema_fuse(stream, 0.0), stream[[0, 0]])
 
     def check_constant_stream_fixed_point() -> None:
         vec = np.array([0.6, 0.8, 0.0])

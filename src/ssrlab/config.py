@@ -13,10 +13,9 @@ ConfigInvalid with the offending field path in the message.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .affinity import MODE_RAW_SUM, MODE_SOFTMAX
+from .affinity import MODE_RAW_SUM, MODE_SOFTMAX, default_temperature
 from .errors import ConfigInvalid
 from .regularizer import STORE_RAW, SsrConfig
 from .synth import NOISE_GAUSSIAN, NoiseModel, TrajectoryConfig
@@ -180,10 +179,9 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigInvalid(f"{key}: required key is missing")
-    n = _parse_int(values, "scenario.n")
     try:
         trajectory = TrajectoryConfig(
-            n=n,
+            n=_parse_int(values, "scenario.n"),
             r=_parse_int(values, "scenario.r"),
             length=_parse_int(values, "scenario.length"),
             seed=_parse_int(values, "scenario.seed"),
@@ -211,11 +209,8 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
     elif "ssr.temperature" in values:
         temperature = _parse_float(values, "ssr.temperature", 0.0)
     else:
-        # Default softmax temperature sqrt(d); harness states live in R^n.
-        try:
-            temperature = math.sqrt(float(n))
-        except OverflowError:
-            raise ConfigInvalid("scenario.n: too large for a float") from None
+        # harness states live in R^n
+        temperature = default_temperature(trajectory.n)
     try:
         ssr = SsrConfig(
             window_k=_parse_int(values, "ssr.window_k", 8),

@@ -86,3 +86,10 @@ NUMERIC_ERRORS = (
     InvalidScore,
     InvalidScenario,
 )
+
+
+def annotated(exc: SsrLabError, context: str) -> SsrLabError:
+    """exc's type and frame, message prefixed "(context): "; shared, not in __all__."""
+    named = type(exc)(f"({context}): {exc}")
+    named.frame = exc.frame
+    return named

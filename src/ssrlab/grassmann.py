@@ -31,7 +31,6 @@ __all__ = [
     "ORTHONORMALITY_TOL",
     "ANGLE_DEGENERACY_MARGIN",
     "SubspacePoint",
-    "PrincipalAngles",
     "orthonormalize",
     "projection_distance",
     "principal_angles",
@@ -95,30 +94,6 @@ class SubspacePoint:
         return self.basis @ self.basis.T
 
 
-@dataclass(frozen=True, eq=False)
-class PrincipalAngles:
-    """Nondecreasing principal angles in [0, pi/2], in radians."""
-
-    angles: np.ndarray
-
-    def __post_init__(self) -> None:
-        angles = np.asarray(self.angles, dtype=np.float64)
-        if angles.ndim != 1 or angles.size < 1:
-            raise ValueError("angles must be a nonempty 1-d array")
-        if not np.all(np.isfinite(angles)):
-            raise ValueError("angles must be finite")
-        if np.any(angles < 0.0) or np.any(angles > np.pi / 2 + 1e-12):
-            raise ValueError("angles must lie in [0, pi/2]")
-        if np.any(np.diff(angles) < 0.0):
-            raise ValueError("angles must be nondecreasing")
-        angles = angles.copy()
-        angles.flags.writeable = False
-        object.__setattr__(self, "angles", angles)
-
-    def max_angle(self) -> float:
-        return float(self.angles[-1])
-
-
 def orthonormalize(m: np.ndarray) -> SubspacePoint:
     """Orthonormal basis for the column space of a full-column-rank matrix.
 
@@ -171,8 +146,8 @@ def projection_distance(a: SubspacePoint, b: SubspacePoint) -> float:
     return float(np.linalg.norm(diff) / np.sqrt(2.0))
 
 
-def principal_angles(a: SubspacePoint, b: SubspacePoint) -> PrincipalAngles:
-    """Principal angles between two equal-rank subspaces, sorted ascending."""
+def principal_angles(a: SubspacePoint, b: SubspacePoint) -> np.ndarray:
+    """Principal angles of two equal-rank subspaces: r ascending radians in [0, pi/2]."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}"
@@ -182,7 +157,7 @@ def principal_angles(a: SubspacePoint, b: SubspacePoint) -> PrincipalAngles:
     sigma = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)
     # Rounding can push cosines a hair outside [-1, 1]; clamp before arccos.
     sigma = np.clip(sigma, -1.0, 1.0)
-    return PrincipalAngles(np.sort(np.arccos(sigma)))
+    return np.sort(np.arccos(sigma))
 
 
 def geodesic_frame(

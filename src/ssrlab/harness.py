@@ -3,9 +3,10 @@
 A run generates each trial's scenario once as arrays (synth.Scenario),
 passes its T x d noisy array through every configured method (the
 corrector is one run_stream call, which also yields the heatmaps and
-residuals; the EMA baseline is one recurrence over the rows) and scores
-each output against the same scenario with one score_run pass,
-which gives a T x 4 array of per-frame scores. All emitted payloads
+residuals; the baselines are one ema_fuse or passthrough_step call) and
+scores each output against the same scenario with one score_run pass,
+which gives a T x 4 array of per-frame scores. A numeric error names
+its method, trial and frame. All emitted payloads
 (CSV, summary JSON, heatmap grids, ablation tables) are byte-identical
 across reruns; the wall-clock timestamp lives in its own run_meta.json,
 outside the determinism guarantee. Every file is written to a temp name
@@ -33,9 +34,9 @@ from .config import (
     ExperimentConfig,
     config_to_dict,
 )
-from .errors import ConfigInvalid, NUMERIC_ERRORS
+from .errors import ConfigInvalid, NUMERIC_ERRORS, annotated
 from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, naming_trial, score_run
-from .regularizer import passthrough_step, run_stream
+from .regularizer import ema_fuse, passthrough_step, run_stream
 from .synth import derive_trial_seed, generate_scenario
 
 __all__ = [
@@ -87,25 +88,6 @@ class ResultBundle:
     timestamp: str
 
 
-def _annotate(exc: Exception, method: str, trial: int, frame: int | None) -> Exception:
-    return type(exc)(f"(method={method}, trial={trial}, frame={frame}): {exc}")
-
-
-def _run_ema(noisy: np.ndarray, alpha: float) -> np.ndarray:
-    """EMA baseline over a T x d stream: row t is alpha x_t + (1 - alpha) y_{t-1}.
-
-    Row 0 passes through. Bit for bit the chain of regularizer.ema_fuse
-    calls, endpoints included.
-    """
-    fused = np.empty_like(noisy)
-    weighted = alpha * noisy
-    decay = 1.0 - alpha
-    fused[:1] = noisy[:1]
-    for t in range(1, len(noisy)):
-        fused[t] = weighted[t] + decay * fused[t - 1]
-    return fused
-
-
 def _run_trial(
     config: ExperimentConfig, trial: int
 ) -> tuple[dict[str, tuple[np.ndarray, RunSummary]], dict[int, np.ndarray]]:
@@ -124,14 +106,14 @@ def _run_trial(
                     config.ssr, noisy, keep_affinities=capture
                 )
             elif method == METHOD_EMA:
-                corrected = _run_ema(noisy, config.ema_alpha)
+                corrected = ema_fuse(noisy, config.ema_alpha)
             elif method == METHOD_PASSTHROUGH:
                 corrected = passthrough_step(noisy)
             else:  # pragma: no cover - methods validated at config build
                 raise ConfigInvalid(f"methods: unknown method {method!r}")
             out[method] = score_run(scenario, corrected, residuals)
         except NUMERIC_ERRORS as exc:
-            raise _annotate(exc, method, trial, exc.frame) from exc
+            raise annotated(exc, f"method={method}, trial={trial}, frame={exc.frame}") from exc
     return out, heatmaps
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affinity import vector_norms
-from .errors import NUMERIC_ERRORS, DimensionMismatch, InvalidScore, LengthMismatch
+from .errors import NUMERIC_ERRORS, DimensionMismatch, InvalidScore, LengthMismatch, annotated
 from .grassmann import span_residuals
 from .regularizer import SsrConfig, run_stream
 from .synth import (
@@ -146,11 +146,11 @@ def score_run(
 
 @contextmanager
 def naming_trial(trial: int) -> Iterator[None]:
-    """Re-raise numeric errors as "(scenario generation, trial=i): ..."; not in __all__."""
+    """Re-raise numeric errors as "(scenario generation, trial=i): ...", keeping the frame."""
     try:
         yield
     except NUMERIC_ERRORS as exc:
-        raise type(exc)(f"(scenario generation, trial={trial}): {exc}") from exc
+        raise annotated(exc, f"scenario generation, trial={trial}") from exc
 
 
 def ablate_window(
@@ -165,7 +165,7 @@ def ablate_window(
     Trial i runs on the scenario seeded by derive_trial_seed(seed, i),
     identical across sizes, so rows differ only through window_k. The
     std is the sample standard deviation across trials (0 for a single
-    trial).
+    trial). A numeric error names the window size, trial and frame.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -181,9 +181,12 @@ def ablate_window(
     for k in sizes:
         config = replace(base, window_k=k)
         ratios = []
-        for scenario in scenarios:
-            corrected = run_stream(config, scenario.noisy, residuals=False)[0]
-            _, summary = score_run(scenario, corrected)
+        for i, scenario in enumerate(scenarios):
+            try:
+                corrected = run_stream(config, scenario.noisy, residuals=False)[0]
+                _, summary = score_run(scenario, corrected)
+            except NUMERIC_ERRORS as exc:
+                raise annotated(exc, f"window_k={k}, trial={i}, frame={exc.frame}") from exc
             ratios.append(summary.improvement_ratio)
         values = np.array(ratios)
         std = float(values.std(ddof=1)) if trials > 1 else 0.0

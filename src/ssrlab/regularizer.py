@@ -17,6 +17,9 @@ store-raw, one per frame for the first window_k (shorter) windows and,
 under store-corrected, for every frame. The full L x L affinities, all
 of whose rows are then checked, are formed only for residuals and kept
 affinities, BLOCK_FRAMES windows per call.
+
+The two baselines take and return T x d streams as well: ema_fuse runs
+the exponential recurrence over the rows, passthrough_step is the identity.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .affinity import (
     AFFINITY_MODES,
     MODE_SOFTMAX,
-    StateVector,
     compute_affinity,
     correct_current,
     self_expressive_residual,
@@ -180,27 +182,26 @@ def run_stream(
     return corrected, kept, scores
 
 
-def ema_fuse(
-    current: StateVector, previous: StateVector, alpha: float
-) -> StateVector:
-    """Two-frame exponential blend alpha * current + (1 - alpha) * previous.
+def ema_fuse(states: np.ndarray, alpha: float) -> np.ndarray:
+    """EMA baseline over a T x d stream: row t is alpha x_t + (1 - alpha) y_{t-1}.
 
-    The endpoints are exact: alpha=1 returns current, alpha=0 returns
-    previous, bit for bit.
+    Row 0 passes through. At alpha=1 the output equals the stream; at
+    alpha=0 every row equals row 0.
     """
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
-    if current.dim != previous.dim:
-        raise DimensionMismatch(
-            f"current dim {current.dim} vs previous dim {previous.dim}"
-        )
-    if alpha == 1.0:
-        return current
-    if alpha == 0.0:
-        return previous
-    return StateVector(alpha * current.values + (1.0 - alpha) * previous.values)
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2:
+        raise DimensionMismatch(f"states must form a T x d array, got shape {states.shape}")
+    fused = np.empty_like(states)
+    weighted = alpha * states
+    decay = 1.0 - alpha
+    fused[:1] = states[:1]
+    for t in range(1, len(states)):
+        fused[t] = weighted[t] + decay * fused[t - 1]
+    return fused
 
 
-def passthrough_step(incoming: StateVector | np.ndarray) -> StateVector | np.ndarray:
-    """Identity baseline; returns its input (a state or a stream) unchanged."""
-    return incoming
+def passthrough_step(states: np.ndarray) -> np.ndarray:
+    """Identity baseline; returns its T x d stream unchanged."""
+    return states

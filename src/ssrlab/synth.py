@@ -106,6 +106,9 @@ class TrajectoryConfig:
             raise ValueError(f"need n > r, got n={self.n}, r={self.r}")
         if self.length < 1:
             raise ValueError("length must be at least 1")
+        # The T x n x r float64 truth bases are the largest generated array.
+        if self.length * self.n * self.r * 8 > np.iinfo(np.intp).max:
+            raise ValueError("length x n x r bases exceed the largest array numpy can index")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must fit in uint64")
         if not (np.isfinite(self.speed) and self.speed >= 0.0):
@@ -198,7 +201,7 @@ def sample_waypoints(config: TrajectoryConfig) -> list[SubspacePoint]:
         except RankDeficient:
             continue
         if all(
-            principal_angles(a, b).max_angle() < np.pi / 2 - ANGLE_DEGENERACY_MARGIN
+            principal_angles(a, b)[-1] < np.pi / 2 - ANGLE_DEGENERACY_MARGIN
             for a, b in zip(points, points[1:])
         ):
             return points
@@ -231,7 +234,7 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
     # Arc length of each segment in the principal-angle metric; chord
     # length never exceeds it, which is what bounds the per-frame step.
     seg_arcs = [
-        float(np.linalg.norm(principal_angles(a, b).angles))
+        float(np.linalg.norm(principal_angles(a, b)))
         for a, b in zip(waypoints, waypoints[1:])
     ]
     cum = np.concatenate([[0.0], np.cumsum(seg_arcs)])

@@ -5,10 +5,11 @@ it worked on arrays: a fresh Philox generator advanced to each
 (seed, stream, frame) cell, one geodesic evaluation per moving frame, an
 orthogonal Procrustes rotation onto the previous basis computed on
 entering each piece (a run of frames on one waypoint or inside one
-segment) and applied to every frame of that piece, and a validated
-StateVector pair per frame whose clean state is checked against its
-subspace. Frames that reuse a waypoint, or a frozen state on a frozen
-subspace, reuse the same object, so static streams are bitwise constant.
+segment) and applied to every frame of that piece, and a clean and a
+noisy state array per frame, each checked to be finite, the clean one
+also to lie in its subspace. Frames that reuse a waypoint, or a frozen
+state on a frozen subspace, reuse the same object, so static streams
+are bitwise constant.
 
 scenario_oracle stacks the frames into (clean, noisy, bases) arrays for
 comparison with generate_scenario.
@@ -16,7 +17,6 @@ comparison with generate_scenario.
 
 import numpy as np
 
-from ssrlab.affinity import StateVector
 from ssrlab.errors import DegenerateGeodesic, RankDeficient
 from ssrlab.grassmann import (
     ANGLE_DEGENERACY_MARGIN,
@@ -49,7 +49,7 @@ def sample_waypoints(config):
         except RankDeficient:
             continue
         if all(
-            principal_angles(a, b).max_angle() < np.pi / 2 - ANGLE_DEGENERACY_MARGIN
+            principal_angles(a, b)[-1] < np.pi / 2 - ANGLE_DEGENERACY_MARGIN
             for a, b in zip(points, points[1:])
         ):
             return points
@@ -79,7 +79,7 @@ def truth_subspaces(config):
         projection_distance(a, b) for i, a in enumerate(waypoints) for b in waypoints[i + 1:]
     )
     seg_arcs = [
-        float(np.linalg.norm(principal_angles(a, b).angles))
+        float(np.linalg.norm(principal_angles(a, b)))
         for a, b in zip(waypoints, waypoints[1:])
     ]
     cum = np.concatenate([[0.0], np.cumsum(seg_arcs)])
@@ -139,7 +139,7 @@ def clean_states(config, subspaces):
         if prev is not None and coef is prev[0] and subspace is prev[1]:
             state = prev[2]
         else:
-            state = StateVector(subspace.basis @ coef)
+            state = subspace.basis @ coef
         states.append(state)
         prev = (coef, subspace, state)
     return states
@@ -152,7 +152,8 @@ def scenario_oracle(config, noise):
     noisy = []
     walk = None
     for t, (clean, subspace) in enumerate(zip(cleans, subspaces)):
-        assert span_membership_residual(clean.values, subspace) < MEMBERSHIP_TOL
+        assert np.isfinite(clean).all()
+        assert span_membership_residual(clean, subspace) < MEMBERSHIP_TOL
         if noise.sigma == 0.0:
             noisy.append(clean)
             continue
@@ -164,9 +165,10 @@ def scenario_oracle(config, noise):
         elif noise.kind == NOISE_BURST:
             if frame_rng(config.seed, STREAM_BURST, t).random() < noise.burst_prob:
                 scale = noise.sigma * noise.burst_scale
-        noisy.append(StateVector(clean.values + scale * draw))
+        noisy.append(clean + scale * draw)
+        assert np.isfinite(noisy[-1]).all()
     return (
-        np.array([s.values for s in cleans]),
-        np.array([s.values for s in noisy]),
+        np.array(cleans),
+        np.array(noisy),
         np.array([s.basis for s in subspaces]),
     )

@@ -17,7 +17,6 @@ from ssrlab.affinity import (
     DEGENERATE_ROW_TOL,
     MODE_RAW_SUM,
     MODE_SOFTMAX,
-    StateVector,
     compute_affinity,
     correct_current,
     default_temperature,
@@ -49,21 +48,6 @@ def naive_affinity(rows: np.ndarray, mode: str, temperature: float | None) -> np
             assert abs(total) >= 1e-12, "oracle cannot normalize this row"
             out[i] = phi[i] / total
     return out
-
-
-class TestStateVector:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, np.nan]))
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            StateVector(np.zeros((2, 2)))
-
-    def test_values_read_only(self):
-        v = StateVector(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            v.values[0] = 5.0
 
 
 class TestSoftmaxAffinity:

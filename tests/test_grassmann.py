@@ -167,7 +167,7 @@ class TestProjectionDistance:
             a = random_point(rng, 9, 3)
             b = random_point(rng, 9, 3)
             d = projection_distance(a, b)
-            angles = principal_angles(a, b).angles
+            angles = principal_angles(a, b)
             assert d**2 == pytest.approx(np.sum(np.sin(angles) ** 2), abs=1e-9)
 
     def test_rank_may_differ(self):
@@ -188,18 +188,18 @@ class TestPrincipalAngles:
         a = axis_span(3, [0])
         b = SubspacePoint(np.array([[np.cos(t)], [np.sin(t)], [0.0]]))
         angles = principal_angles(a, b)
-        assert angles.angles[0] == pytest.approx(t, abs=1e-12)
+        assert angles[0] == pytest.approx(t, abs=1e-12)
 
     def test_identical_subspaces_have_zero_angles(self):
         rng = np.random.default_rng(31)
         a = random_point(rng, 7, 3)
-        assert principal_angles(a, a).max_angle() < 1e-7
+        assert principal_angles(a, a)[-1] < 1e-7
 
     def test_sorted_ascending(self):
         rng = np.random.default_rng(37)
         a = random_point(rng, 10, 4)
         b = random_point(rng, 10, 4)
-        angles = principal_angles(a, b).angles
+        angles = principal_angles(a, b)
         assert np.all(np.diff(angles) >= 0.0)
 
     def test_rank_mismatch_rejected(self):
@@ -221,10 +221,10 @@ class TestGeodesic:
         a = axis_span(3, [0])
         b = SubspacePoint(np.array([[np.cos(t)], [np.sin(t)], [0.0]]))
         mid = geodesic(a, b, 0.5)
-        assert principal_angles(a, mid).max_angle() == pytest.approx(
+        assert principal_angles(a, mid)[-1] == pytest.approx(
             np.pi / 8, abs=1e-12
         )
-        assert principal_angles(mid, b).max_angle() == pytest.approx(
+        assert principal_angles(mid, b)[-1] == pytest.approx(
             np.pi / 8, abs=1e-12
         )
 
@@ -345,6 +345,36 @@ def test_property_orthonormalize_matches_lapack_pivoted_qr(seed: int, n: int, r:
     # bound is 1e-14 absolute up to cond 10 and grows with cond beyond.
     tol = 1e-14 * max(1.0, np.linalg.cond(m) / 10.0)
     assert np.abs(orthonormalize(m).basis - expected).max() <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=2, max_value=12),
+    kind=st.sampled_from(["same", "rotated", "near", "random", "orthogonal"]),
+)
+def test_property_principal_angles_are_sorted_radians_in_range(seed: int, n: int, kind: str):
+    # equal spans (cosines may round past 1), near ones, random ones and
+    # orthogonal ones (cosines near 0): r finite angles in [0, pi/2], nondecreasing
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n))
+    a = random_point(rng, n, r)
+    g = rng.standard_normal((n, r))
+    if kind == "same":
+        b = a
+    elif kind == "rotated":
+        b = SubspacePoint(a.basis @ np.linalg.qr(rng.standard_normal((r, r)))[0])
+    elif kind == "near":
+        b = orthonormalize(a.basis + 1e-9 * g)
+    elif kind == "orthogonal" and 2 * r <= n:
+        b = orthonormalize(g - a.basis @ (a.basis.T @ g))
+    else:
+        b = orthonormalize(g)
+    angles = principal_angles(a, b)
+    assert angles.shape == (r,)
+    assert np.isfinite(angles).all()
+    assert np.all((angles >= 0.0) & (angles <= np.pi / 2))
+    assert np.all(np.diff(angles) >= 0.0)
 
 
 @settings(max_examples=40, deadline=None)

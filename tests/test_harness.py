@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import ssrlab
 import ssrlab.harness as harness_mod
-from ssrlab.affinity import StateVector
+import ssrlab.metrics as metrics_mod
 from ssrlab.cli import main
 from ssrlab.config import (
     _KNOWN_KEYS,
@@ -29,7 +29,7 @@ from ssrlab.config import (
     load_config,
     parse_config_text,
 )
-from ssrlab.errors import ConfigInvalid, DegenerateRow
+from ssrlab.errors import ConfigInvalid, DegenerateRow, InvalidScenario, NonFiniteAffinity
 from ssrlab.harness import (
     CSV_HEADER,
     dump_csv,
@@ -37,6 +37,7 @@ from ssrlab.harness import (
     summary_payload,
     write_experiment_outputs,
 )
+from ssrlab.metrics import ablate_window, score_run
 from ssrlab.regularizer import ema_fuse
 from ssrlab.synth import Scenario, derive_trial_seed, generate_scenario
 from stream_oracle import list_oracle
@@ -65,6 +66,16 @@ def crafted_scenario(clean, noisy=None, bases=None) -> Scenario:
     if bases is None:
         bases = np.broadcast_to(np.eye(clean.shape[1], 1), clean.shape + (1,))
     return Scenario(clean, noisy, np.array(bases, dtype=np.float64))
+
+
+def near_cancelling_scenario() -> Scenario:
+    """Three states whose third raw-sum row sums to 1e-10 against sum |phi| = 2."""
+    noisy = [
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [-0.3, -0.7, math.sqrt(0.42 + 1e-10)],
+    ]
+    return crafted_scenario([[1.0, 0.0, 0.0]] * 3, noisy=noisy)
 
 
 def make_config(tmp_path, **overrides):
@@ -195,13 +206,15 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.123456789, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("length", [1, 2, 256, 1024])
-    def test_ema_recursion_is_the_ema_fuse_chain_bit_for_bit(self, alpha, length):
-        noisy = np.random.default_rng(length).standard_normal((length, 5))
-        fused = [StateVector(noisy[0])]
-        for row in noisy[1:]:
-            fused.append(ema_fuse(StateVector(row), fused[-1], alpha))
-        expected = np.array([state.values for state in fused])
-        assert np.array_equal(harness_mod._run_ema(noisy, alpha), expected)
+    def test_ema_recursion_is_the_ema_fuse_chain_bit_for_bit(self, tmp_path, alpha, length):
+        # the harness's EMA method scores ema_fuse's stream at the configured alpha
+        config = make_config(
+            tmp_path, methods="ema", trials=1, **{"scenario.length": length, "ema.alpha": alpha}
+        )
+        seed = derive_trial_seed(config.trajectory.seed, 0)
+        scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+        expected, _ = score_run(scenario, ema_fuse(scenario.noisy, alpha))
+        assert np.array_equal(run_experiment(config).methods["ema"].scores[0], expected)
 
     def test_aggregates_are_trial_means(self, tmp_path):
         bundle = run_experiment(make_config(tmp_path, methods="ssr"))
@@ -244,6 +257,37 @@ class TestRunExperiment:
         assert "method=ssr" in message
         assert "trial=0" in message
         assert "frame=1" in message
+
+    def test_numeric_failure_keeps_its_frame(self, tmp_path):
+        # drift-walk noise grows like sqrt(t + 1): the logits first overflow at frame 11
+        config = make_config(
+            tmp_path,
+            methods="ssr",
+            trials=1,
+            **{"noise.kind": "drift-random-walk", "noise.sigma": "1e153"},
+        )
+        with pytest.raises(NonFiniteAffinity) as excinfo:
+            run_experiment(config)
+        assert excinfo.value.frame == excinfo.value.__cause__.frame == 11
+        assert "(method=ssr, trial=0, frame=11)" in str(excinfo.value)
+
+    def test_ablation_failure_keeps_its_frame(self, tmp_path):
+        config = make_config(
+            tmp_path, **{"noise.kind": "drift-random-walk", "noise.sigma": "1e153"}
+        )
+        with pytest.raises(NonFiniteAffinity) as excinfo:
+            ablate_window([2, 4], config.trajectory, config.noise, config.trials, config.ssr)
+        assert excinfo.value.frame == excinfo.value.__cause__.frame == 11
+        assert "(window_k=2, trial=0, frame=11)" in str(excinfo.value)
+
+    def test_scenario_failure_keeps_its_frame(self, tmp_path):
+        # 1e300 noise is finite; a burst scales it past float64, first at frame 8
+        overrides = {"noise.sigma": "1e300", "noise.burst_scale": "1e10", "noise.burst_prob": "0.5"}
+        config = make_config(tmp_path, **{"noise.kind": "burst", **overrides})
+        with pytest.raises(InvalidScenario) as excinfo:
+            run_experiment(config)
+        assert excinfo.value.frame == excinfo.value.__cause__.frame == 8
+        assert "(scenario generation, trial=0): frame 8:" in str(excinfo.value)
 
     def test_records_identical_across_reruns(self, tmp_path):
         config = make_config(tmp_path, trials=4)
@@ -523,14 +567,8 @@ class TestCli:
         assert "method=ssr" in err and "trial=0" in err and "frame=1" in err
 
     def test_near_cancelling_raw_sum_row_exits_three(self, tmp_path, monkeypatch, capsys):
-        # the third state's raw row sums to 1e-10 against sum |phi| = 2:
-        # the relative guard rejects it where an absolute 1e-12 floor did not
-        noisy = [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [-0.3, -0.7, math.sqrt(0.42 + 1e-10)],
-        ]
-        crafted = crafted_scenario([[1.0, 0.0, 0.0]] * 3, noisy=noisy)
+        # the relative guard rejects the third row where an absolute 1e-12 floor did not
+        crafted = near_cancelling_scenario()
         monkeypatch.setattr(
             harness_mod, "generate_scenario", lambda cfg, noise: crafted
         )
@@ -550,11 +588,36 @@ class TestCli:
         assert "(method=ssr, trial=0, frame=2)" in err
         assert "Traceback" not in err
 
+    def test_ablation_numeric_error_names_window_trial_frame(self, tmp_path, monkeypatch, capsys):
+        crafted = near_cancelling_scenario()
+        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: crafted)
+        cfg = write_cfg_file(
+            tmp_path,
+            trials=1,
+            **{"scenario.n": "3", "scenario.r": "1", "scenario.length": "3", "ssr.mode": "raw-sum"},
+        )
+        assert main(["ablate-window", cfg, "--sizes", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: (window_k=2, trial=0, frame=2): the current row has" in err
+        assert "Traceback" not in err
+
     def test_unallocatable_scenario_exits_two(self, tmp_path, capsys):
         cfg = write_cfg_file(tmp_path, **{"scenario.n": "1000000000000000"})
         assert main(["simulate", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "does not fit in memory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [("simulate",), ("ablate-window", "--sizes", "2")])
+    @pytest.mark.parametrize("mode", ["softmax", "raw-sum"])
+    @pytest.mark.parametrize("key", ["scenario.length", "scenario.n"])
+    def test_unindexable_scenario_shape_exits_two(self, tmp_path, capsys, command, mode, key):
+        # numpy indexes no array past intp; 2**62 frames or dimensions are past it
+        cfg = write_cfg_file(tmp_path, **{key: str(2**62), "ssr.mode": mode})
+        assert main([command[0], cfg, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "config error: scenario:" in err
+        assert "exceed the largest array numpy can index" in err
         assert "Traceback" not in err
 
     def test_unwritable_output_exits_four(self, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssrlab.affinity import DEGENERATE_ROW_TOL, MODE_RAW_SUM, StateVector, compute_affinity
+from ssrlab.affinity import DEGENERATE_ROW_TOL, MODE_RAW_SUM, compute_affinity
 from ssrlab.errors import (
     AlphaOutOfRange,
     DegenerateRow,
@@ -35,8 +35,12 @@ from stream_oracle import WindowFailure, list_oracle
 E = math.e
 
 
-def vec(*values: float) -> StateVector:
-    return StateVector(np.array(values, dtype=np.float64))
+def ema_oracle(stream: np.ndarray, alpha: float) -> np.ndarray:
+    """The EMA recursion one row at a time: y_0 = x_0, y_t = alpha x_t + (1 - alpha) y_{t-1}."""
+    fused = [stream[0]]
+    for row in stream[1:]:
+        fused.append(alpha * row + (1.0 - alpha) * fused[-1])
+    return np.array(fused)
 
 
 def random_states(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -338,40 +342,52 @@ def test_property_error_frame_is_the_oracles_first_failing_window(
 
 class TestEmaFuse:
     def test_endpoints_are_bitwise_exact(self):
-        cur, prev = vec(1.0, 2.0), vec(-3.0, 5.0)
-        assert ema_fuse(cur, prev, 1.0) is cur
-        assert ema_fuse(cur, prev, 0.0) is prev
+        stream = np.random.default_rng(5).standard_normal((6, 3))
+        assert np.array_equal(ema_fuse(stream, 1.0), stream)
+        assert np.array_equal(ema_fuse(stream, 0.0), np.repeat(stream[:1], 6, axis=0))
 
     def test_hand_example(self):
-        fused = ema_fuse(vec(1.0, 0.0), vec(0.0, 1.0), 0.25)
-        assert np.allclose(fused.values, [0.25, 0.75], atol=1e-15)
+        fused = ema_fuse(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]), 0.25)
+        assert np.allclose(fused, [[0.0, 1.0], [0.25, 0.75], [0.4375, 0.5625]], atol=1e-15)
 
     def test_interpolation_bound(self):
+        # each row mixes the stream's rows so far: it stays inside their box
         rng = np.random.default_rng(37)
         for _ in range(50):
-            cur = StateVector(rng.standard_normal(6))
-            prev = StateVector(rng.standard_normal(6))
-            alpha = float(rng.uniform())
-            fused = ema_fuse(cur, prev, alpha)
-            hi = np.maximum(cur.values, prev.values)
-            lo = np.minimum(cur.values, prev.values)
-            assert np.all(fused.values <= hi + 1e-12)
-            assert np.all(fused.values >= lo - 1e-12)
+            stream = rng.standard_normal((8, 6))
+            fused = ema_fuse(stream, float(rng.uniform()))
+            hi = np.maximum.accumulate(stream, axis=0)
+            lo = np.minimum.accumulate(stream, axis=0)
+            assert np.all(fused <= hi + 1e-12)
+            assert np.all(fused >= lo - 1e-12)
 
     def test_alpha_out_of_range(self):
+        stream = np.ones((2, 1))
         with pytest.raises(AlphaOutOfRange):
-            ema_fuse(vec(1.0), vec(2.0), 1.5)
+            ema_fuse(stream, 1.5)
         with pytest.raises(AlphaOutOfRange):
-            ema_fuse(vec(1.0), vec(2.0), -0.1)
+            ema_fuse(stream, -0.1)
+        with pytest.raises(AlphaOutOfRange):
+            ema_fuse(stream, math.nan)
 
     def test_dimension_mismatch(self):
+        # a stream is T x d; one state or a stack of streams is not
         with pytest.raises(DimensionMismatch):
-            ema_fuse(vec(1.0), vec(2.0, 3.0), 0.5)
+            ema_fuse(np.array([1.0, 2.0]), 0.5)
+        with pytest.raises(DimensionMismatch):
+            ema_fuse(np.ones((2, 3, 4)), 0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.123456789, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("length", [1, 2, 256, 1024])
+def test_ema_fuse_is_the_plain_loop_bit_for_bit(alpha, length):
+    stream = np.random.default_rng(length).standard_normal((length, 5))
+    assert np.array_equal(ema_fuse(stream, alpha), ema_oracle(stream, alpha))
 
 
 class TestPassthrough:
     def test_identity(self):
-        incoming = vec(4.0, 5.0)
+        incoming = np.array([[4.0, 5.0], [6.0, 7.0]])
         assert passthrough_step(incoming) is incoming
 
 
@@ -412,9 +428,8 @@ def test_property_corrected_is_convex_combination(seed: int, window_k: int):
     alpha=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_property_ema_norm_bound(seed: int, alpha: float):
-    rng = np.random.default_rng(seed)
-    cur = StateVector(rng.standard_normal(7))
-    prev = StateVector(rng.standard_normal(7))
-    fused = ema_fuse(cur, prev, alpha)
-    bound = max(np.linalg.norm(cur.values), np.linalg.norm(prev.values))
-    assert np.linalg.norm(fused.values) <= bound + 1e-12
+    # row t is a convex combination of rows 0..t, so no longer than the longest
+    stream = np.random.default_rng(seed).standard_normal((12, 7))
+    fused = ema_fuse(stream, alpha)
+    bound = np.maximum.accumulate(np.linalg.norm(stream, axis=1))
+    assert np.all(np.linalg.norm(fused, axis=1) <= bound + 1e-12)

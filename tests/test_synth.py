@@ -160,7 +160,7 @@ class TestMovingScenario:
         waypoints = sample_waypoints(MOVING)
         assert len(waypoints) == MOVING.waypoint_count
         for a, b in zip(waypoints, waypoints[1:]):
-            assert principal_angles(a, b).max_angle() < np.pi / 2 - 1e-8
+            assert principal_angles(a, b)[-1] < np.pi / 2 - 1e-8
 
     def test_pieces_longer_than_a_chunk_match_per_frame_oracle(self):
         # runs of 114 and 92 frames inside the two segments and 94 on the
@@ -309,6 +309,13 @@ class TestValidation:
             TrajectoryConfig(n=4, r=2, length=10, seed=-1)
         with pytest.raises(ValueError):
             TrajectoryConfig(n=4, r=2, length=10, seed=2**64)
+
+    def test_shape_bounded_by_the_largest_numpy_array(self):
+        # the T x n x r float64 bases take 8 * T * n * r bytes, at most intp's max
+        TrajectoryConfig(n=2, r=1, length=2**59 - 1, seed=1)
+        for n, r, length in ((2, 1, 2**59), (2**62, 1, 1), (8, 2, 2**62)):
+            with pytest.raises(ValueError, match="largest array numpy can index"):
+                TrajectoryConfig(n=n, r=r, length=length, seed=1)
 
     def test_noise_kind_checked(self):
         with pytest.raises(ValueError):
