@@ -14,6 +14,12 @@ three times per checkout and workload, alternating which checkout goes
 first, and records each per-layer metric's median, min and max: one
 traced run moves a layer's timing by 20% on unchanged code.
 
+Each workload also gets a ``summary``: per end-to-end metric, the parent
+and change medians over the pairs, their ratio (change / parent) and the
+number of pairs the change won. Which way is better comes from the
+``better`` field of the change checkout's BENCHMARK.json, which the
+script only reads.
+
 The output names each checkout by its git commit and source digest, as
 perfbench reports them, plus the host (nproc; Python, numpy and scipy
 versions). Numbers are taken from perfbench's JSON lines, never retyped.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -69,6 +76,24 @@ def spread(runs: list[dict]) -> dict:
     }
 
 
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per end-to-end metric: both medians, change / parent, pairs the change won."""
+    summary = {}
+    for name in END_TO_END:
+        parent = [pair["parent"][name] for pair in pairs]
+        change = [pair["change"][name] for pair in pairs]
+        sign = 1.0 if better[name] == "higher" else -1.0
+        medians = statistics.median(parent), statistics.median(change)
+        summary[name] = {
+            "parent_median": medians[0],
+            "change_median": medians[1],
+            "ratio": medians[1] / medians[0] if medians[0] else None,
+            "change_won": sum(sign * (c - p) > 0.0 for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+        }
+    return summary
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -80,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {metric["name"]: metric["better"] for metric in json.load(fh)["end_to_end"]}
     seeds = [int(part) for part in args.seeds.split(",")]
     report: dict = {"seconds": args.seconds, "seeds": seeds, "workloads": {}}
     for workload in args.workloads.split(","):
@@ -105,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                     for side in order
                 },
             )
-        entry = {"pairs": pairs}
+        entry = {"pairs": pairs, "summary": summarize(pairs, better)}
         if args.traced_seed is not None:
             traced: dict = {"parent": [], "change": []}
             for number in range(TRACED_RUNS):

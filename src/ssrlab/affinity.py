@@ -11,8 +11,8 @@ hard error: its entries, and so the corrected state, would blow up.
 
 compute_affinity and self_expressive_residual also take a stack of
 windows, (..., L, d), and treat every window exactly as they treat one,
-so a block of a stream's windows costs one call. correct_current forms
-only each window's current (last) row, all that a correction needs.
+so a block of a stream's windows costs one call. correct_current (and, bit
+for bit, run_stream's row loop) forms only each window's current row.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ __all__ = [
     "span_residuals",
 ]
 
-# Smallest singular value accepted as full column rank.
+# Full column rank: the smallest singular value exceeds this times the largest.
 RANK_TOL = 1e-12
 # Allowed Frobenius deviation of basis^T basis from the identity.
 ORTHONORMALITY_TOL = 1e-10
@@ -105,17 +105,17 @@ def orthonormalize(m: np.ndarray) -> SubspacePoint:
     input passes through unchanged.
 
     Raises:
-        RankDeficient: smallest singular value of m is <= RANK_TOL.
+        RankDeficient: smallest singular value of m is <= RANK_TOL x its largest.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    smallest = np.linalg.svd(m, compute_uv=False)[-1]
-    if smallest <= RANK_TOL:
+    largest, smallest = np.linalg.svd(m, compute_uv=False)[[0, -1]]
+    if smallest <= RANK_TOL * largest:
         raise RankDeficient(
-            f"smallest singular value {smallest:.3e} <= {RANK_TOL:.0e}"
+            f"smallest singular value {smallest:.3e} <= {RANK_TOL:.0e} x largest {largest:.3e}"
         )
     rest, piv = m.copy(), []
     for _ in range(m.shape[1]):

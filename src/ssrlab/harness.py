@@ -21,8 +21,9 @@ import platform
 import resource
 import secrets
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from time import perf_counter
 
 import numpy as np
 
@@ -76,8 +77,8 @@ class ResultBundle:
     """Scored experiment plus provenance.
 
     heatmaps maps a captured frame to its read-only affinity entries.
-    The timestamp is the only field excluded from the byte-determinism
-    guarantee; writers keep it out of the payload files.
+    The timestamp and timings (stage seconds, frames/s) are excluded from
+    the byte-determinism guarantee; writers keep them out of the payloads.
     """
 
     config: ExperimentConfig
@@ -86,20 +87,24 @@ class ResultBundle:
     seed: int
     tool_version: str
     timestamp: str
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def _run_trial(
-    config: ExperimentConfig, trial: int
+    config: ExperimentConfig, trial: int, seconds: dict[str, float]
 ) -> tuple[dict[str, tuple[np.ndarray, RunSummary]], dict[int, np.ndarray]]:
     seed = derive_trial_seed(config.trajectory.seed, trial)
+    start = perf_counter()
     with naming_trial(trial):
         scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+    seconds["generate_s"] += perf_counter() - start
     noisy = scenario.noisy
     capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
     out: dict[str, tuple[np.ndarray, RunSummary]] = {}
     heatmaps: dict[int, np.ndarray] = {}
     for method in config.methods:
         residuals = None
+        start = perf_counter()
         try:
             if method == METHOD_SSR:
                 corrected, heatmaps, residuals = run_stream(
@@ -111,7 +116,10 @@ def _run_trial(
                 corrected = passthrough_step(noisy)
             else:  # pragma: no cover - methods validated at config build
                 raise ConfigInvalid(f"methods: unknown method {method!r}")
+            scoring = perf_counter()
             out[method] = score_run(scenario, corrected, residuals)
+            seconds["correct_s"] += scoring - start
+            seconds["score_s"] += perf_counter() - scoring
         except NUMERIC_ERRORS as exc:
             raise annotated(exc, f"method={method}, trial={trial}, frame={exc.frame}") from exc
     return out, heatmaps
@@ -129,7 +137,8 @@ def _aggregate(summaries: tuple[RunSummary, ...]) -> tuple[dict[str, float], dic
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:
     """Run all configured methods over all trials, in trial order, and score them."""
-    trial_results = [_run_trial(config, i) for i in range(config.trials)]
+    seconds = dict.fromkeys(("generate_s", "correct_s", "score_s"), 0.0)
+    trial_results = [_run_trial(config, i, seconds) for i in range(config.trials)]
     methods: dict[str, MethodResult] = {}
     for method in config.methods:
         scores = tuple(result[0][method][0] for result in trial_results)
@@ -144,6 +153,8 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
     heatmaps: dict[int, np.ndarray] = {}
     for _, grabbed in trial_results:
         heatmaps.update(grabbed)
+    frames = len(config.methods) * config.trials * config.trajectory.length
+    seconds["frames_per_s"] = frames / sum(seconds.values())
     return ResultBundle(
         config=config,
         methods=methods,
@@ -151,6 +162,7 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
         seed=config.trajectory.seed,
         tool_version=TOOL_VERSION,
         timestamp=datetime.now(timezone.utc).isoformat(),
+        timings=seconds,
     )
 
 
@@ -210,12 +222,13 @@ def dump_summary_json(bundle: ResultBundle, path: str) -> None:
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def dump_run_meta(bundle: ResultBundle, path: str) -> None:
-    """Volatile provenance, kept out of the payload files: the timestamp, this
-    process's peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
+def dump_run_meta(bundle: ResultBundle, path: str, write_s: float) -> None:
+    """Volatile provenance, kept out of the payload files: the timestamp, timings, write_s,
+    this process's peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     meta = {"timestamp_utc": bundle.timestamp, "peak_rss_mb": rss_mb,
-            "python_version": platform.python_version(), "numpy_version": np.__version__}
+            "python_version": platform.python_version(), "numpy_version": np.__version__,
+            **bundle.timings, "write_s": write_s}
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
@@ -243,11 +256,12 @@ def write_experiment_outputs(bundle: ResultBundle, directory: str | None = None)
         "summary": os.path.join(out_dir, "summary.json"),
         "meta": os.path.join(out_dir, "run_meta.json"),
     }
+    start = perf_counter()
     dump_csv(bundle, paths["csv"])
     dump_summary_json(bundle, paths["summary"])
-    dump_run_meta(bundle, paths["meta"])
     if bundle.heatmaps:
         dump_heatmaps(bundle, out_dir)
+    dump_run_meta(bundle, paths["meta"], perf_counter() - start)
     return paths
 
 

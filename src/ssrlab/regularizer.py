@@ -11,12 +11,12 @@ observed states (the default; feedback cannot compound smoothing),
 "store-corrected" writes each corrected state back into the buffer once
 its frame is done.
 
-Correction forms only each window's current affinity row
-(affinity.correct_current): one call for all full windows under
-store-raw, one per frame for the first window_k (shorter) windows and,
-under store-corrected, for every frame. The full L x L affinities, all
-of whose rows are then checked, are formed only for residuals and kept
-affinities, BLOCK_FRAMES windows per call.
+Correction forms only each window's current affinity row. One
+affinity.correct_current call corrects all full windows under store-raw;
+a row loop that repeats its operations bit for bit corrects the first
+window_k (shorter) windows and, under store-corrected, every frame. The
+full L x L affinities, all of whose rows are then checked, are formed
+only for residuals and kept affinities, BLOCK_FRAMES windows per call.
 
 The two baselines take and return T x d streams as well: ema_fuse runs
 the exponential recurrence over the rows, passthrough_step is the identity.
@@ -24,6 +24,7 @@ the exponential recurrence over the rows, passthrough_step is the identity.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -32,9 +33,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .affinity import (
     AFFINITY_MODES,
+    DEGENERATE_ROW_TOL,
     MODE_SOFTMAX,
     compute_affinity,
     correct_current,
+    default_temperature,
     self_expressive_residual,
 )
 from .errors import NUMERIC_ERRORS, AlphaOutOfRange, DimensionMismatch
@@ -140,17 +143,39 @@ def run_stream(
     if length > k:
         # windows[i] is the (k + 1) x d view of buffer rows i .. i + k
         windows = sliding_window_view(buf, k + 1, axis=0).swapaxes(1, 2)
-    # Windows shorter than k + 1 go one by one (padded with zeros, their
-    # sums would round differently), as does every store-corrected frame.
+    # The row loop takes windows shorter than k + 1 (padded with zeros, their
+    # sums would round differently) and every store-corrected frame. Each row is
+    # correct_current of its window bit for bit (same two-row gemm, same row
+    # ops) without its per-call checks; correct_current raises a failing row's error.
     looped = length if feedback else min(k, length)
+    mode, tau = config.mode, config.temperature
+    if mode == MODE_SOFTMAX and tau is None and length:  # an empty T x 0 stream passes
+        tau = default_temperature(raw.shape[1])
     frame, stop, failure = 0, length, None
     try:
-        for frame in range(looped):
-            window = buf[max(frame - k, 0) : frame + 1][None]
-            corrected[frame] = correct_current(window, config.mode, config.temperature)[0]
+        with np.errstate(all="ignore"):
+            for frame in range(looped):
+                window = buf[max(frame - k, 0) : frame + 1]
+                row = (window[-2:] @ window.T)[-1]
+                if mode == MODE_SOFTMAX:
+                    row /= tau
+                    peak, low = row.max(), row.min()
+                    # min and max apart: NaN reaches both, their sum can overflow
+                    ok = math.isfinite(peak) and math.isfinite(low)
+                    row -= peak
+                    np.exp(row, out=row)
+                    row /= row.sum()
+                else:
+                    total = row.sum()
+                    # False for a non-finite entry too: its magnitude is inf or NaN
+                    ok = abs(total) > DEGENERATE_ROW_TOL * np.abs(row).sum()
+                    row /= total
+                corrected[frame] = (
+                    row[None] @ window if ok else correct_current(window[None], mode, tau)[0]
+                )
         if looped < length:
             frame = k
-            corrected[k:] = correct_current(windows, config.mode, config.temperature)
+            corrected[k:] = correct_current(windows, mode, tau)
     except NUMERIC_ERRORS as exc:
         exc.frame += frame
         # An earlier frame's full affinity may fail first; it is formed below.

@@ -88,6 +88,15 @@ class TestOrthonormalize:
         col = np.ones((6, 1))
         with pytest.raises(RankDeficient):
             orthonormalize(np.hstack([col, 2.0 * col]))
+        with pytest.raises(RankDeficient):
+            orthonormalize(np.zeros((6, 2)))
+
+    @pytest.mark.parametrize("exponent", [-400, -40, 40, 400])
+    def test_rank_test_is_relative_to_the_matrix(self, exponent):
+        # a scaled orthonormal matrix has condition number 1 at any scale
+        basis = random_point(np.random.default_rng(17), 8, 3).basis
+        scaled = orthonormalize(2.0**exponent * basis).basis
+        assert np.abs(scaled - orthonormalize(basis).basis).max() <= 1e-15
 
     def test_preserves_span(self):
         rng = np.random.default_rng(11)

@@ -11,6 +11,7 @@ import platform
 import stat
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,8 @@ from ssrlab.synth import Scenario, derive_trial_seed, generate_scenario
 from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+# Wall seconds per stage in run_meta.json.
+STAGE_KEYS = ("generate_s", "correct_s", "score_s", "write_s")
 
 BASE = {
     "scenario.n": "8",
@@ -373,8 +376,28 @@ class TestWriters:
         paths = write_experiment_outputs(bundle)
         with open(paths["meta"], encoding="utf-8") as fh:
             meta = json.load(fh)
-        assert set(meta) == {"timestamp_utc", "peak_rss_mb", "python_version", "numpy_version"}
+        assert set(meta) == {
+            "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
+            *STAGE_KEYS, "frames_per_s",
+        }
         assert meta["timestamp_utc"] == bundle.timestamp
+
+    def test_run_meta_records_stage_times_within_the_wall_time(self, tmp_path):
+        config = make_config(tmp_path, trials=2)
+        start = time.perf_counter()
+        paths = write_experiment_outputs(run_experiment(config))
+        wall = time.perf_counter() - start
+        with open(paths["meta"], encoding="utf-8") as fh:
+            meta = json.load(fh)
+        stages = [meta[key] for key in STAGE_KEYS]
+        assert all(isinstance(value, float) and value >= 0.0 for value in stages)
+        assert sum(stages) <= wall
+        frames = len(config.methods) * config.trials * config.trajectory.length
+        assert meta["frames_per_s"] >= frames / wall
+        with open(paths["summary"], encoding="utf-8") as fh:
+            summary = fh.read()
+        for key in (*STAGE_KEYS, "frames_per_s"):
+            assert key not in summary
 
     def test_run_meta_records_peak_rss_and_versions(self, tmp_path):
         bundle = run_experiment(make_config(tmp_path, trials=1))

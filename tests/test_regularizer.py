@@ -12,8 +12,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssrlab.affinity import DEGENERATE_ROW_TOL, MODE_RAW_SUM, compute_affinity
+import ssrlab.regularizer as regularizer_mod
+from ssrlab.affinity import (
+    DEGENERATE_ROW_TOL,
+    MODE_RAW_SUM,
+    compute_affinity,
+    correct_current,
+)
 from ssrlab.errors import (
+    NUMERIC_ERRORS,
     AlphaOutOfRange,
     DegenerateRow,
     DimensionMismatch,
@@ -45,6 +52,36 @@ def ema_oracle(stream: np.ndarray, alpha: float) -> np.ndarray:
 
 def random_states(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return rng.standard_normal((count, dim))
+
+
+def per_window_stream(states, config: SsrConfig, full: bool = False) -> np.ndarray:
+    """run_stream's corrected states from one correct_current call per window.
+
+    With full, each window's whole affinity is checked first, as when
+    run_stream is asked for residuals. An error gets its window's frame.
+    """
+    buf = np.array(states, dtype=np.float64)
+    corrected = np.empty_like(buf)
+    for t in range(len(buf)):
+        window = buf[max(t - config.window_k, 0) : t + 1]
+        try:
+            if full:
+                compute_affinity(window, config.mode, config.temperature)
+            corrected[t] = correct_current(window[None], config.mode, config.temperature)[0]
+        except NUMERIC_ERRORS as exc:
+            exc.frame = t
+            raise
+        if config.buffer_policy == STORE_CORRECTED:
+            buf[t] = corrected[t]
+    return corrected
+
+
+def outcome(run, *args, **kwargs):
+    """("ok", result) or (error type name, message, frame) of run(*args, **kwargs)."""
+    try:
+        return ("ok", run(*args, **kwargs))
+    except NUMERIC_ERRORS as exc:
+        return (type(exc).__name__, str(exc), exc.frame)
 
 
 class TestSsrStep:
@@ -332,12 +369,69 @@ def test_property_error_frame_is_the_oracles_first_failing_window(
         ours = None
     except (NonFiniteAffinity, DegenerateRow) as exc:
         ours = (type(exc).__name__, exc.frame)
+        # the same error, message included, as the per-window reference
+        ours_in_full = (type(exc).__name__, str(exc), exc.frame)
+        assert outcome(per_window_stream, states, config, full) == ours_in_full
     assert ours == expected
     if fault == "hidden" and not full:
         assert expected is None or expected[1] > frame
     else:
         kind = "NonFiniteAffinity" if mode == "softmax" else "DegenerateRow"
         assert expected == (kind, frame)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    window_k=st.integers(min_value=1, max_value=12),
+    # from the empty stream through the warm-up to 20 frames past k
+    extra=st.integers(min_value=-12, max_value=20),
+    dim=st.integers(min_value=1, max_value=8),
+    # up to 2^510 the dot products of up to 8 entries reach float64's limit
+    exponent=st.integers(min_value=-510, max_value=510),
+    mode=st.sampled_from(["softmax", MODE_RAW_SUM]),
+    policy=st.sampled_from([STORE_RAW, STORE_CORRECTED]),
+)
+def test_property_row_loop_is_each_windows_correct_current(
+    seed, window_k, extra, dim, exponent, mode, policy
+):
+    # run_stream corrects the warm-up windows and every store-corrected
+    # frame in its own row loop; each row must be correct_current of its
+    # window bit for bit, and a failing row must raise correct_current's
+    # error with the row's frame
+    length = max(0, window_k + extra)
+    offset = 1.0 if mode == MODE_RAW_SUM else 0.0
+    states = np.ldexp(random_states(np.random.default_rng(seed), length, dim) + offset, exponent)
+    config = SsrConfig(window_k=window_k, mode=mode, buffer_policy=policy)
+    ours = outcome(lambda: run_stream(config, states, residuals=False)[0])
+    theirs = outcome(per_window_stream, states, config)
+    if ours[0] == "ok" and theirs[0] == "ok":
+        assert np.array_equal(ours[1], theirs[1])
+    else:
+        assert ours == theirs
+
+
+@pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
+def test_logits_whose_max_plus_min_overflows_are_finite(policy, monkeypatch):
+    # every logit lies near 1.5e308: finite, although the row's max plus
+    # its min is not, so the row loop must accept every row itself rather
+    # than hand it to correct_current as a failure
+    scale = math.sqrt(1.5e308)
+    states = scale * np.array([[1.0], [1.0 - 2e-16], [0.9999], [1.0], [0.99995]])
+    config = SsrConfig(window_k=2, temperature=1.0, buffer_policy=policy)
+    expected = per_window_stream(states, config)
+    stacks = []
+
+    def spy(windows, *args):
+        stacks.append(len(windows))
+        return correct_current(windows, *args)
+
+    monkeypatch.setattr(regularizer_mod, "correct_current", spy)
+    corrected, _, _ = run_stream(config, states, residuals=False)
+    assert np.all(np.isfinite(corrected))
+    assert np.array_equal(corrected, expected)
+    # store-raw corrects its three full windows in one call, nothing else
+    assert stacks == ([3] if policy == STORE_RAW else [])
 
 
 class TestEmaFuse:
