@@ -43,6 +43,10 @@ AFFINITY_MODES = frozenset({MODE_SOFTMAX, MODE_RAW_SUM})
 DEGENERATE_ROW_TOL = 1e-4
 
 _NORM_FLOOR = 1e-12
+# Below this norm a vector's squares may lose bits to underflow; above it
+# their sum is at least 2**-968, and the at most 2**-1075 that each
+# underflowing square loses lies far below the sum's last bit.
+_SCALED_NORM_BELOW = 2.0**-484
 
 
 def default_temperature(dim: int) -> float:
@@ -193,8 +197,23 @@ def self_expressive_residual(
 
 
 def vector_norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, bit for bit np.linalg.norm of each vector.
+    """Euclidean norm over the last axis, measured so that it scales with the data.
 
-    A numeric helper shared with ssrlab.metrics, not part of __all__.
+    A vector gets np.linalg.norm's plain sum of squares, bit for bit;
+    one whose norm comes out inf, NaN or below 2**-484, where squares may
+    overflow or underflow, is measured again after exact scaling by the
+    power of two just above its largest |entry| (Blue 1978; LAPACK
+    dnrm2). Shared with ssrlab.metrics and ssrlab.grassmann, not in __all__.
     """
-    return np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])
+
+    def plain(v: np.ndarray) -> np.ndarray:
+        return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+    with np.errstate(over="ignore"):
+        norms = np.asarray(plain(vectors))
+    redo = ~((norms >= _SCALED_NORM_BELOW) & (norms < np.inf))
+    if redo.any():
+        rows = vectors[redo]
+        shift = np.frexp(np.abs(rows).max(axis=-1))[1]
+        norms[redo] = np.ldexp(plain(np.ldexp(rows, -shift[:, None])), shift)
+    return norms

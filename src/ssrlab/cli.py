@@ -122,8 +122,7 @@ def _selfcheck_cases() -> list[tuple[str, object]]:
     def check_orthonormalize_idempotent() -> None:
         rng = np.random.default_rng(7)
         basis = orthonormalize(rng.standard_normal((6, 2)))
-        again = orthonormalize(basis.basis)
-        assert np.allclose(again.basis, basis.basis, atol=1e-12)
+        assert np.allclose(orthonormalize(basis), basis, atol=1e-12)
 
     def check_distance_axioms() -> None:
         rng = np.random.default_rng(11)
@@ -138,8 +137,9 @@ def _selfcheck_cases() -> list[tuple[str, object]]:
         rng = np.random.default_rng(13)
         a = orthonormalize(rng.standard_normal((10, 2)))
         b = orthonormalize(rng.standard_normal((10, 2)))
-        assert projection_distance(geodesic(a, b, 0.0), a) < 1e-9
-        assert projection_distance(geodesic(a, b, 1.0), b) < 1e-9
+        p, g, theta = geodesic(a, b)
+        for s, end in ((0.0, a), (1.0, b)):
+            assert projection_distance(p * np.cos(s * theta) + g * np.sin(s * theta), end) < 1e-9
 
     def check_affinity_rows() -> None:
         window = np.random.default_rng(17).standard_normal((4, 5))

@@ -1,7 +1,8 @@
-"""Subspace geometry: points on the Grassmannian of r-planes in R^n.
+"""Subspace geometry on plain arrays: points on the Grassmannian of r-planes in R^n.
 
-A subspace is represented by an orthonormal basis matrix of shape (n, r).
-Distances use the projection metric
+A subspace is an orthonormal basis matrix of shape (n, r), 1 <= r < n,
+as orthonormalize returns it; every function here takes such arrays
+(Edelman, Arias & Smith 1998). Distances use the projection metric
 
     d(U1, U2) = 2**-0.5 * ||U1 U1^T - U2 U2^T||_F
 
@@ -13,8 +14,6 @@ code must not.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,11 @@ __all__ = [
     "RANK_TOL",
     "ORTHONORMALITY_TOL",
     "ANGLE_DEGENERACY_MARGIN",
-    "SubspacePoint",
     "orthonormalize",
     "projection_distance",
     "principal_angles",
-    "geodesic_frame",
     "geodesic",
     "span_membership_residual",
-    "span_residuals",
 ]
 
 # Full column rank: the smallest singular value exceeds this times the largest.
@@ -47,69 +43,30 @@ ORTHONORMALITY_TOL = 1e-10
 # Principal angles this close to pi/2 make the geodesic non-unique.
 ANGLE_DEGENERACY_MARGIN = 1e-8
 
-# Denominator floor for relative residuals.
-_NORM_FLOOR = 1e-12
 # Below this, sin(theta) is treated as zero in the geodesic construction.
 _SIN_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class SubspacePoint:
-    """An r-dimensional subspace of R^n, stored as an orthonormal basis.
-
-    Attributes:
-        basis: array of shape (n, r) with orthonormal columns.
-    """
-
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        basis = np.asarray(self.basis, dtype=np.float64)
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be 2-d, got shape {basis.shape}")
-        n, r = basis.shape
-        if r < 1:
-            raise ValueError("rank must be at least 1")
-        if n <= r:
-            raise ValueError(f"need ambient_dim > rank, got n={n}, r={r}")
-        if not np.all(np.isfinite(basis)):
-            raise ValueError("basis entries must be finite")
-        gram_defect = basis.T @ basis - np.eye(r)
-        if np.linalg.norm(gram_defect) > ORTHONORMALITY_TOL:
-            raise ValueError("basis columns are not orthonormal")
-        basis = basis.copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector U U^T onto the subspace."""
-        return self.basis @ self.basis.T
-
-
-def orthonormalize(m: np.ndarray) -> SubspacePoint:
-    """Orthonormal basis for the column space of a full-column-rank matrix.
+def orthonormalize(m: np.ndarray) -> np.ndarray:
+    """Read-only orthonormal (n, r) basis for the column space of a full-column-rank matrix.
 
     Uses QR with greedy column pivoting (Businger & Golub 1965, as in
     LAPACK's dgeqp3): each step takes the column with the largest norm
     left after projecting out the columns already taken, ties going to
-    the lowest index. Columns are sign-fixed (positive R diagonal) and
-    returned in the original column order so that already-orthonormal
-    input passes through unchanged.
+    the lowest index. m is first scaled by the power of two just above
+    its largest |entry|: the scaling is exact, so the basis does not
+    depend on the scale, and no squared column norm can overflow or
+    underflow. Columns are sign-fixed (positive R diagonal) and returned
+    in the original column order so that already-orthonormal input
+    passes through unchanged.
 
     Raises:
+        ValueError: m is not a finite (n, r) matrix with 1 <= r < n.
         RankDeficient: smallest singular value of m is <= RANK_TOL x its largest.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim != 2 or not 1 <= m.shape[1] < m.shape[0]:
+        raise ValueError(f"expected an n x r matrix with 1 <= r < n, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     largest, smallest = np.linalg.svd(m, compute_uv=False)[[0, -1]]
@@ -117,6 +74,7 @@ def orthonormalize(m: np.ndarray) -> SubspacePoint:
         raise RankDeficient(
             f"smallest singular value {smallest:.3e} <= {RANK_TOL:.0e} x largest {largest:.3e}"
         )
+    m = np.ldexp(m, -np.frexp(np.abs(m).max())[1])
     rest, piv = m.copy(), []
     for _ in range(m.shape[1]):
         norms = np.einsum("ij,ij->j", rest, rest)
@@ -127,66 +85,59 @@ def orthonormalize(m: np.ndarray) -> SubspacePoint:
     q, r = np.linalg.qr(m[:, piv])
     # LAPACK leaves the sign of each Householder column arbitrary.
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q = q * signs
     out = np.empty_like(q)
-    out[:, piv] = q
-    return SubspacePoint(out)
+    out[:, piv] = q * signs
+    out.flags.writeable = False
+    return out
 
 
-def projection_distance(a: SubspacePoint, b: SubspacePoint) -> float:
+def _check_pair(a: np.ndarray, b: np.ndarray, same_rank: bool = True) -> None:
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"ambient dims differ: {a.shape[0]} vs {b.shape[0]}")
+    if same_rank and a.shape[1] != b.shape[1]:
+        raise RankMismatch(f"ranks differ: {a.shape[1]} vs {b.shape[1]}")
+
+
+def projection_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Projection-metric distance between two subspaces.
 
     Ranks may differ; ambient dimensions must match.
     """
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    diff = a.projector() - b.projector()
-    return float(np.linalg.norm(diff) / np.sqrt(2.0))
+    _check_pair(a, b, same_rank=False)
+    return float(np.linalg.norm(a @ a.T - b @ b.T) / np.sqrt(2.0))
 
 
-def principal_angles(a: SubspacePoint, b: SubspacePoint) -> np.ndarray:
+def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Principal angles of two equal-rank subspaces: r ascending radians in [0, pi/2]."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    if a.rank != b.rank:
-        raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    sigma = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)
+    _check_pair(a, b)
+    sigma = np.linalg.svd(a.T @ b, compute_uv=False)
     # Rounding can push cosines a hair outside [-1, 1]; clamp before arccos.
     sigma = np.clip(sigma, -1.0, 1.0)
     return np.sort(np.arccos(sigma))
 
 
-def geodesic_frame(
-    a: SubspacePoint, b: SubspacePoint
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def geodesic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame (p, g, theta) of the geodesic from a to b.
 
     Standard principal-angle construction: SVD of a^T b gives matched
     frames in both subspaces, then each principal direction rotates by
-    s * theta_i inside its own 2-plane: p cos(s theta) + g sin(s theta).
+    s * theta_i inside its own 2-plane, so p cos(s theta) + g sin(s theta)
+    is an orthonormal basis of the point at s in [0, 1], spanning a at
+    s = 0 and b at s = 1.
 
     Raises:
         DegenerateGeodesic: some principal angle is >= pi/2 minus margin,
             so the connecting geodesic is not unique.
     """
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    if a.rank != b.rank:
-        raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    v, sigma, wt = np.linalg.svd(a.basis.T @ b.basis)
+    _check_pair(a, b)
+    v, sigma, wt = np.linalg.svd(a.T @ b)
     theta = np.arccos(np.clip(sigma, -1.0, 1.0))
     if theta.max(initial=0.0) >= np.pi / 2 - ANGLE_DEGENERACY_MARGIN:
         raise DegenerateGeodesic(
             f"max principal angle {theta.max():.6f} is too close to pi/2"
         )
-    p = a.basis @ v
-    q = b.basis @ wt.T
+    p = a @ v
+    q = b @ wt.T
     sin_theta = np.sin(theta)
     # For near-zero angles the in-plane normal direction is numerically
     # undefined, but its coefficient sin(s * theta) vanishes with it.
@@ -195,41 +146,13 @@ def geodesic_frame(
     return p, g, theta
 
 
-def geodesic(a: SubspacePoint, b: SubspacePoint, s: float) -> SubspacePoint:
-    """Point at parameter s in [0, 1] on the geodesic from a to b; s = 0 and 1 give a and b.
+def span_membership_residual(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Relative distance of T vectors (T, n) from T subspaces (T, n, r), each in [0, 1].
 
-    Raises DegenerateGeodesic as geodesic_frame does.
+    Row t is ||v - U U^T v|| / ||v|| for v = vectors[t] and U = bases[t];
+    an exact zero vector gives 0.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    p, g, theta = geodesic_frame(a, b)
-    if s == 0.0:
-        return a
-    if s == 1.0:
-        return b
-    return SubspacePoint(p * np.cos(s * theta) + g * np.sin(s * theta))
-
-
-def span_membership_residual(v: np.ndarray, u: SubspacePoint) -> float:
-    """Relative distance of a vector from a subspace, in [0, 1].
-
-    Defined as ||v - U U^T v|| / max(||v||, 1e-12).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if v.shape[0] != u.ambient_dim:
-        raise DimensionMismatch(
-            f"vector dim {v.shape[0]} vs ambient dim {u.ambient_dim}"
-        )
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return float(span_residuals(v[None], u.basis[None])[0])
-
-
-def span_residuals(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """span_membership_residual of T vectors (T, n) against T bases (T, n, r)."""
     coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
     leftover = vectors - (bases @ coords)[:, :, 0]
-    value = vector_norms(leftover) / np.maximum(vector_norms(vectors), _NORM_FLOOR)
-    return np.minimum(value, 1.0)
+    norms = vector_norms(vectors)
+    return np.minimum(vector_norms(leftover) / np.where(norms > 0.0, norms, 1.0), 1.0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .affinity import vector_norms
 from .errors import NUMERIC_ERRORS, DimensionMismatch, InvalidScore, LengthMismatch, annotated
-from .grassmann import span_residuals
+from .grassmann import span_membership_residual
 from .regularizer import SsrConfig, run_stream
 from .synth import (
     NoiseModel,
@@ -119,7 +119,7 @@ def score_run(
     with np.errstate(over="ignore", invalid="ignore"):
         scores[:, 0] = vector_norms(noisy - clean)
         scores[:, 1] = vector_norms(corrected - clean)
-        scores[:, 2] = span_residuals(corrected, bases)
+        scores[:, 2] = span_membership_residual(corrected, bases)
     if se_residuals is not None:
         scores[:, 3] = se_residuals
     valid = (np.isfinite(scores) & (scores >= 0.0)).all(axis=1)

@@ -1,6 +1,7 @@
 """Synthetic subspace trajectories with controlled corruption.
 
-Ground truth is a piecewise geodesic through seeded random subspaces.
+Ground truth is a piecewise geodesic through seeded random subspaces,
+each a read-only n x r orthonormal basis array (sample_waypoints).
 The trajectory advances at a constant arc rate of speed * D / T per
 frame, where D is the largest pairwise waypoint distance, so consecutive
 truth subspaces are never farther apart than that step (chord length is
@@ -9,9 +10,10 @@ subspace whose coefficients optionally follow a slow seeded random walk
 (state_drift per frame; 0 freezes them).
 
 generate_scenario builds the Scenario arrays whole: each geodesic
-segment's frame is computed once and evaluated at all of its frames,
-each run of frames on one segment or waypoint is aligned by a single
-rotation (see _truth_bases), and every check runs once over the arrays.
+segment's frame (grassmann.geodesic) is computed once and evaluated at
+all of its frames, each run of frames on one segment or waypoint is
+aligned by a single rotation (see _truth_bases), and every check runs
+once over the arrays.
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream, frame), so frame i's draws do not depend on the sequence
@@ -30,12 +32,11 @@ from .errors import DegenerateGeodesic, DimensionMismatch, InvalidScenario, Rank
 from .grassmann import (
     ANGLE_DEGENERACY_MARGIN,
     ORTHONORMALITY_TOL,
-    SubspacePoint,
-    geodesic_frame,
+    geodesic,
     orthonormalize,
     principal_angles,
     projection_distance,
-    span_residuals,
+    span_membership_residual,
 )
 
 __all__ = [
@@ -184,8 +185,8 @@ def derive_trial_seed(base_seed: int, trial: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def sample_waypoints(config: TrajectoryConfig) -> list[SubspacePoint]:
-    """Seeded random waypoints; adjacent pairs admit a unique geodesic.
+def sample_waypoints(config: TrajectoryConfig) -> list[np.ndarray]:
+    """Seeded random waypoints as read-only n x r bases; adjacent pairs admit a unique geodesic.
 
     Redraws the whole set up to WAYPOINT_ATTEMPTS times when an adjacent
     pair comes within the degeneracy margin of pi/2, then raises
@@ -194,7 +195,7 @@ def sample_waypoints(config: TrajectoryConfig) -> list[SubspacePoint]:
     for attempt in range(WAYPOINT_ATTEMPTS):
         first = attempt << 20
         indices = range(first, first + config.waypoint_count)
-        points: list[SubspacePoint] = []
+        points: list[np.ndarray] = []
         try:
             for rng in _substreams(config.seed, _STREAM_WAYPOINTS, indices):
                 points.append(orthonormalize(rng.standard_normal((config.n, config.r))))
@@ -225,7 +226,7 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
     """
     waypoints = sample_waypoints(config)
     if config.speed == 0.0 or config.length == 1:
-        return np.broadcast_to(waypoints[0].basis, (config.length, config.n, config.r))
+        return np.broadcast_to(waypoints[0], (config.length, config.n, config.r))
     max_dist = max(
         projection_distance(a, b)
         for i, a in enumerate(waypoints)
@@ -257,7 +258,7 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
         [0, len(seg_arcs), seg, seg + 1],
         default=-1,
     )
-    geodesics = {s: geodesic_frame(waypoints[s], waypoints[s + 1]) for s in np.unique(seg[inside])}
+    geodesics = {s: geodesic(waypoints[s], waypoints[s + 1]) for s in np.unique(seg[inside])}
     piece = np.where(on_waypoint >= 0, 2 * on_waypoint, 2 * seg + 1)
     starts = np.flatnonzero(np.diff(piece, prepend=-1))
     bases = np.empty((config.length, config.n, config.r))
@@ -265,7 +266,7 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
         for c in range(a, b, _PIECE_CHUNK):
             d = min(c + _PIECE_CHUNK, b)
             if on_waypoint[a] >= 0:
-                raw = waypoints[on_waypoint[a]].basis[None]
+                raw = waypoints[on_waypoint[a]][None]
             else:
                 p, g, theta = geodesics[seg[a]]
                 angles = local[c:d, None, None] * theta
@@ -332,7 +333,7 @@ def _checked(clean: np.ndarray, noisy: np.ndarray, bases: np.ndarray) -> Scenari
         bad_bases = ~np.isfinite(bases).all(axis=(1, 2)) | (
             np.linalg.norm(defect, axis=(1, 2)) > ORTHONORMALITY_TOL
         )
-        outside = span_residuals(clean, bases) >= MEMBERSHIP_TOL
+        outside = span_membership_residual(clean, bases) >= MEMBERSHIP_TOL
         checks = {
             "truth basis is not finite with orthonormal columns": bad_bases,
             "clean state is not finite": ~np.isfinite(clean).all(axis=1),

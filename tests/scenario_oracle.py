@@ -2,14 +2,14 @@
 
 Builds a scenario one frame at a time, the way the generator did before
 it worked on arrays: a fresh Philox generator advanced to each
-(seed, stream, frame) cell, one geodesic evaluation per moving frame, an
+(seed, stream, frame) cell, one geodesic point per moving frame, an
 orthogonal Procrustes rotation onto the previous basis computed on
 entering each piece (a run of frames on one waypoint or inside one
 segment) and applied to every frame of that piece, and a clean and a
 noisy state array per frame, each checked to be finite, the clean one
-also to lie in its subspace. Frames that reuse a waypoint, or a frozen
-state on a frozen subspace, reuse the same object, so static streams
-are bitwise constant.
+also to lie in its subspace. Subspaces are n x r basis arrays. Frames
+that reuse a waypoint, or a frozen state on a frozen subspace, reuse the
+same object, so static streams are bitwise constant.
 
 scenario_oracle stacks the frames into (clean, noisy, bases) arrays for
 comparison with generate_scenario.
@@ -20,7 +20,6 @@ import numpy as np
 from ssrlab.errors import DegenerateGeodesic, RankDeficient
 from ssrlab.grassmann import (
     ANGLE_DEGENERACY_MARGIN,
-    SubspacePoint,
     geodesic,
     orthonormalize,
     principal_angles,
@@ -56,18 +55,28 @@ def sample_waypoints(config):
     raise DegenerateGeodesic("no usable waypoint set")
 
 
+def geodesic_point(a, b, s):
+    """Basis at s on the geodesic from a to b; s = 0 and 1 give a and b themselves."""
+    if s == 0.0:
+        return a
+    if s == 1.0:
+        return b
+    p, g, theta = geodesic(a, b)
+    return p * np.cos(s * theta) + g * np.sin(s * theta)
+
+
 def align_bases(path, pieces):
     """Rotates each piece's first basis onto its predecessor; the rest of the piece reuses it."""
     aligned = [path[0]]
     rot = None
     for t in range(1, len(path)):
         if pieces[t] != pieces[t - 1]:
-            v, _, wt = np.linalg.svd(path[t].basis.T @ aligned[-1].basis)
+            v, _, wt = np.linalg.svd(path[t].T @ aligned[-1])
             rot = v @ wt
         elif path[t] is path[t - 1]:
             aligned.append(aligned[-1])
             continue
-        aligned.append(path[t] if rot is None else SubspacePoint(path[t].basis @ rot))
+        aligned.append(path[t] if rot is None else path[t] @ rot)
     return aligned
 
 
@@ -105,7 +114,7 @@ def truth_subspaces(config):
             continue
         local = (position - float(cum[seg])) / seg_arcs[seg]
         local = min(max(local, 0.0), 1.0)
-        point = geodesic(waypoints[seg], waypoints[seg + 1], local)
+        point = geodesic_point(waypoints[seg], waypoints[seg + 1], local)
         out.append(point)
         # a geodesic's endpoints are its waypoints themselves
         ends = [i for i in (seg, seg + 1) if point is waypoints[i]]
@@ -139,7 +148,7 @@ def clean_states(config, subspaces):
         if prev is not None and coef is prev[0] and subspace is prev[1]:
             state = prev[2]
         else:
-            state = subspace.basis @ coef
+            state = subspace @ coef
         states.append(state)
         prev = (coef, subspace, state)
     return states
@@ -153,7 +162,7 @@ def scenario_oracle(config, noise):
     walk = None
     for t, (clean, subspace) in enumerate(zip(cleans, subspaces)):
         assert np.isfinite(clean).all()
-        assert span_membership_residual(clean, subspace) < MEMBERSHIP_TOL
+        assert span_membership_residual(clean[None], subspace[None])[0] < MEMBERSHIP_TOL
         if noise.sigma == 0.0:
             noisy.append(clean)
             continue
@@ -170,5 +179,5 @@ def scenario_oracle(config, noise):
     return (
         np.array(cleans),
         np.array(noisy),
-        np.array([s.basis for s in subspaces]),
+        np.array(subspaces),
     )

@@ -18,7 +18,6 @@ import pytest
 import ssrlab.harness as harness_mod
 from ssrlab.affinity import MODE_RAW_SUM, MODE_SOFTMAX, compute_affinity
 from ssrlab.grassmann import (
-    SubspacePoint,
     orthonormalize,
     principal_angles,
     projection_distance,
@@ -138,7 +137,7 @@ def test_corrected_state_stays_in_window_span():
         for t, out in enumerate(corrected):
             rows = held[max(0, t - window_k) : t + 1]
             span = orthonormalize(rows.T)
-            residual = span_membership_residual(out, span)
+            residual = float(span_membership_residual(out[None], span[None])[0])
             assert residual < 1e-9
             worst = max(worst, residual)
             steps += 1
@@ -200,7 +199,7 @@ def test_projection_metric_axioms():
     for _ in range(1_000):
         point = orthonormalize(rng.standard_normal((8, 3)))
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        moved = projection_distance(point, SubspacePoint(point.basis @ rot))
+        moved = projection_distance(point, point @ rot)
         assert moved < 1e-10
         worst_basis = max(worst_basis, moved)
     report(

@@ -18,7 +18,6 @@ from ssrlab.errors import (
     RankMismatch,
 )
 from ssrlab.grassmann import (
-    SubspacePoint,
     geodesic,
     orthonormalize,
     principal_angles,
@@ -44,15 +43,26 @@ def gram_schmidt_oracle(m: np.ndarray) -> np.ndarray:
     return q
 
 
-def random_point(rng: np.random.Generator, n: int, r: int) -> SubspacePoint:
+def random_point(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     return orthonormalize(rng.standard_normal((n, r)))
 
 
-def axis_span(n: int, axes: list[int]) -> SubspacePoint:
+def axis_span(n: int, axes: list[int]) -> np.ndarray:
     basis = np.zeros((n, len(axes)))
     for j, axis in enumerate(axes):
         basis[axis, j] = 1.0
-    return SubspacePoint(basis)
+    return basis
+
+
+def point_at(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """Basis of the point at s on the geodesic from a to b, from its frame."""
+    p, g, theta = geodesic(a, b)
+    return p * np.cos(s * theta) + g * np.sin(s * theta)
+
+
+def residual(v: np.ndarray, basis: np.ndarray) -> float:
+    """span_membership_residual of one vector against one basis."""
+    return float(span_membership_residual(v[None], basis[None])[0])
 
 
 class TestOrthonormalize:
@@ -62,27 +72,24 @@ class TestOrthonormalize:
             n = int(rng.integers(3, 12))
             r = int(rng.integers(1, n))
             m = rng.standard_normal((n, r))
-            ours = orthonormalize(m).basis
+            ours = orthonormalize(m)
             oracle = gram_schmidt_oracle(m)
             # same span: projectors agree
             assert np.allclose(ours @ ours.T, oracle @ oracle.T, atol=1e-10)
 
     def test_orthonormal_input_passes_through_exactly(self):
-        basis = axis_span(5, [0, 2]).basis
-        out = orthonormalize(basis)
-        assert np.array_equal(out.basis, basis)
+        basis = axis_span(5, [0, 2])
+        assert np.array_equal(orthonormalize(basis), basis)
 
     def test_diagonal_scaling_recovers_axes_exactly(self):
         m = np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        out = orthonormalize(m)
         expected = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(out.basis, expected)
+        assert np.array_equal(orthonormalize(m), expected)
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         first = random_point(rng, 9, 3)
-        second = orthonormalize(first.basis)
-        assert np.allclose(second.basis, first.basis, atol=1e-12)
+        assert np.allclose(orthonormalize(first), first, atol=1e-12)
 
     def test_rank_deficient_rejected(self):
         col = np.ones((6, 1))
@@ -91,12 +98,18 @@ class TestOrthonormalize:
         with pytest.raises(RankDeficient):
             orthonormalize(np.zeros((6, 2)))
 
-    @pytest.mark.parametrize("exponent", [-400, -40, 40, 400])
+    @pytest.mark.parametrize("exponent", [-1000, -560, -400, -40, 40, 400, 560, 1000])
     def test_rank_test_is_relative_to_the_matrix(self, exponent):
-        # a scaled orthonormal matrix has condition number 1 at any scale
-        basis = random_point(np.random.default_rng(17), 8, 3).basis
-        scaled = orthonormalize(2.0**exponent * basis).basis
-        assert np.abs(scaled - orthonormalize(basis).basis).max() <= 1e-15
+        # a scaled orthonormal matrix has condition number 1 at any scale;
+        # past 2**+-511 the squared column norms of the pivot loop would
+        # overflow or underflow, unless the matrix is scaled back exactly
+        rng = np.random.default_rng(17)
+        basis = random_point(rng, 8, 3)
+        general = rng.standard_normal((8, 3)) * np.array([1.0, 5.0, 0.2])
+        for m in (basis, general):
+            scaled = np.ldexp(m, exponent)
+            assert np.array_equal(np.ldexp(scaled, -exponent), m)
+            assert np.array_equal(orthonormalize(scaled), orthonormalize(m))
 
     def test_preserves_span(self):
         rng = np.random.default_rng(11)
@@ -104,29 +117,17 @@ class TestOrthonormalize:
             m = rng.standard_normal((8, 3))
             point = orthonormalize(m)
             for j in range(3):
-                assert span_membership_residual(m[:, j], point) < 1e-9
+                assert residual(m[:, j], point) < 1e-9
 
-
-class TestSubspacePoint:
-    def test_rejects_non_orthonormal(self):
+    def test_output_is_read_only(self):
+        point = random_point(np.random.default_rng(13), 7, 2)
         with pytest.raises(ValueError):
-            SubspacePoint(np.ones((4, 2)))
+            point[0, 0] = 2.0
 
-    def test_rejects_square_or_fat(self):
-        with pytest.raises(ValueError):
-            SubspacePoint(np.eye(3))
-
-    def test_basis_is_read_only(self):
-        point = axis_span(4, [0])
-        with pytest.raises(ValueError):
-            point.basis[0, 0] = 2.0
-
-    def test_projector_is_idempotent(self):
-        rng = np.random.default_rng(13)
-        point = random_point(rng, 7, 2)
-        p = point.projector()
-        assert np.allclose(p @ p, p, atol=1e-12)
-        assert np.allclose(p, p.T, atol=1e-15)
+    def test_rejects_empty_square_and_fat(self):
+        for m in (np.zeros((4, 0)), np.eye(3), np.eye(2, 3)):
+            with pytest.raises(ValueError, match="1 <= r < n"):
+                orthonormalize(m)
 
 
 class TestProjectionDistance:
@@ -142,8 +143,7 @@ class TestProjectionDistance:
         t = 0.3
         a = axis_span(3, [0])
         basis = np.array([[np.cos(t)], [np.sin(t)], [0.0]])
-        b = SubspacePoint(basis)
-        assert projection_distance(a, b) == pytest.approx(np.sin(t), abs=1e-12)
+        assert projection_distance(a, basis) == pytest.approx(np.sin(t), abs=1e-12)
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(17)
@@ -157,8 +157,7 @@ class TestProjectionDistance:
         a = random_point(rng, 10, 4)
         assert projection_distance(a, a) == 0.0
         rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        b = SubspacePoint(a.basis @ rot)
-        assert projection_distance(a, b) < 1e-10
+        assert projection_distance(a, a @ rot) < 1e-10
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(23)
@@ -195,7 +194,7 @@ class TestPrincipalAngles:
     def test_known_angle_between_lines(self):
         t = np.pi / 4
         a = axis_span(3, [0])
-        b = SubspacePoint(np.array([[np.cos(t)], [np.sin(t)], [0.0]]))
+        b = np.array([[np.cos(t)], [np.sin(t)], [0.0]])
         angles = principal_angles(a, b)
         assert angles[0] == pytest.approx(t, abs=1e-12)
 
@@ -221,15 +220,17 @@ class TestGeodesic:
         rng = np.random.default_rng(41)
         a = random_point(rng, 8, 2)
         b = random_point(rng, 8, 2)
-        assert geodesic(a, b, 0.0) is a
-        assert geodesic(a, b, 1.0) is b
+        # the frame at s = 0 is a's basis p, at s = 1 it spans b
+        assert np.array_equal(point_at(a, b, 0.0), geodesic(a, b)[0])
+        assert projection_distance(point_at(a, b, 0.0), a) < 1e-12
+        assert projection_distance(point_at(a, b, 1.0), b) < 1e-12
 
     def test_midpoint_of_lines_bisects_the_angle(self):
         # lines at angle pi/4; the midpoint must sit at pi/8 from both
         t = np.pi / 4
         a = axis_span(3, [0])
-        b = SubspacePoint(np.array([[np.cos(t)], [np.sin(t)], [0.0]]))
-        mid = geodesic(a, b, 0.5)
+        b = np.array([[np.cos(t)], [np.sin(t)], [0.0]])
+        mid = point_at(a, b, 0.5)
         assert principal_angles(a, mid)[-1] == pytest.approx(
             np.pi / 8, abs=1e-12
         )
@@ -242,7 +243,7 @@ class TestGeodesic:
         a = random_point(rng, 10, 3)
         b = random_point(rng, 10, 3)
         grid = np.linspace(0.0, 1.0, 9)
-        dists = [projection_distance(a, geodesic(a, b, float(s))) for s in grid]
+        dists = [projection_distance(a, point_at(a, b, float(s))) for s in grid]
         assert all(y >= x - 1e-12 for x, y in zip(dists, dists[1:]))
 
     def test_stays_on_the_manifold(self):
@@ -250,8 +251,8 @@ class TestGeodesic:
         a = random_point(rng, 9, 3)
         b = random_point(rng, 9, 3)
         for s in (0.25, 0.5, 0.75):
-            point = geodesic(a, b, s)
-            gram = point.basis.T @ point.basis
+            point = point_at(a, b, s)
+            gram = point.T @ point
             assert np.allclose(gram, np.eye(3), atol=1e-10)
 
     def test_additivity_along_the_path(self):
@@ -259,22 +260,15 @@ class TestGeodesic:
         rng = np.random.default_rng(53)
         a = random_point(rng, 8, 2)
         b = random_point(rng, 8, 2)
-        quarter = geodesic(a, b, 0.25)
-        half = geodesic(a, b, 0.5)
+        quarter = point_at(a, b, 0.25)
+        half = point_at(a, b, 0.5)
         assert projection_distance(a, quarter) == pytest.approx(
             projection_distance(quarter, half), abs=1e-9
         )
 
     def test_orthogonal_lines_are_degenerate(self):
         with pytest.raises(DegenerateGeodesic):
-            geodesic(axis_span(3, [0]), axis_span(3, [1]), 0.5)
-
-    def test_parameter_range_enforced(self):
-        rng = np.random.default_rng(59)
-        a = random_point(rng, 6, 2)
-        b = random_point(rng, 6, 2)
-        with pytest.raises(ValueError):
-            geodesic(a, b, 1.5)
+            geodesic(axis_span(3, [0]), axis_span(3, [1]))
 
 
 class TestSpanMembership:
@@ -282,29 +276,38 @@ class TestSpanMembership:
         # v = 0.6 u + 0.8 w with w orthogonal to span{u}: residual 0.8
         u = axis_span(3, [0])
         v = np.array([0.6, 0.8, 0.0])
-        assert span_membership_residual(v, u) == pytest.approx(0.8, abs=1e-15)
+        assert residual(v, u) == pytest.approx(0.8, abs=1e-15)
 
     def test_member_has_zero_residual(self):
         rng = np.random.default_rng(61)
         point = random_point(rng, 8, 3)
-        v = point.basis @ rng.standard_normal(3)
-        assert span_membership_residual(v, point) < 1e-12
+        v = point @ rng.standard_normal(3)
+        assert residual(v, point) < 1e-12
 
     def test_orthogonal_vector_has_residual_one(self):
         u = axis_span(3, [0])
-        assert span_membership_residual(np.array([0.0, 0.0, 2.0]), u) == 1.0
+        assert residual(np.array([0.0, 0.0, 2.0]), u) == 1.0
 
     def test_zero_vector_is_safe(self):
         u = axis_span(3, [0])
-        assert span_membership_residual(np.zeros(3), u) == 0.0
+        assert residual(np.zeros(3), u) == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(67)
         point = random_point(rng, 7, 2)
         v = rng.standard_normal(7)
-        r1 = span_membership_residual(v, point)
-        r2 = span_membership_residual(10.0 * v, point)
+        r1 = residual(v, point)
+        r2 = residual(10.0 * v, point)
         assert r1 == pytest.approx(r2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**530, 1e160, 1e-200, 2.0**-1000], ids=["2^530", "1e160", "1e-200", "2^-1000"]
+    )
+    def test_scale_invariance_where_squares_overflow_or_underflow(self, scale):
+        rng = np.random.default_rng(71)
+        point = random_point(rng, 7, 2)
+        v = rng.standard_normal(7)
+        assert residual(scale * v, point) == pytest.approx(residual(v, point), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,10 +332,10 @@ def test_property_orthonormalize_gives_valid_point(seed: int):
     r = int(rng.integers(1, n))
     m = rng.standard_normal((n, r))
     point = orthonormalize(m)
-    assert np.allclose(point.basis.T @ point.basis, np.eye(r), atol=1e-10)
+    assert np.allclose(point.T @ point, np.eye(r), atol=1e-10)
     # every original column is inside the recovered span
     for j in range(r):
-        assert span_membership_residual(m[:, j], point) < 1e-9
+        assert residual(m[:, j], point) < 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -353,7 +356,7 @@ def test_property_orthonormalize_matches_lapack_pivoted_qr(seed: int, n: int, r:
     # Two backward-stable QRs differ by up to about eps * cond(m); the
     # bound is 1e-14 absolute up to cond 10 and grows with cond beyond.
     tol = 1e-14 * max(1.0, np.linalg.cond(m) / 10.0)
-    assert np.abs(orthonormalize(m).basis - expected).max() <= tol
+    assert np.abs(orthonormalize(m) - expected).max() <= tol
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,11 +375,11 @@ def test_property_principal_angles_are_sorted_radians_in_range(seed: int, n: int
     if kind == "same":
         b = a
     elif kind == "rotated":
-        b = SubspacePoint(a.basis @ np.linalg.qr(rng.standard_normal((r, r)))[0])
+        b = a @ np.linalg.qr(rng.standard_normal((r, r)))[0]
     elif kind == "near":
-        b = orthonormalize(a.basis + 1e-9 * g)
+        b = orthonormalize(a + 1e-9 * g)
     elif kind == "orthogonal" and 2 * r <= n:
-        b = orthonormalize(g - a.basis @ (a.basis.T @ g))
+        b = orthonormalize(g - a @ (a.T @ g))
     else:
         b = orthonormalize(g)
     angles = principal_angles(a, b)
@@ -396,7 +399,7 @@ def test_property_geodesic_interpolates_the_metric(seed: int, s: float):
     a = random_point(rng, 8, 2)
     b = random_point(rng, 8, 2)
     try:
-        point = geodesic(a, b, s)
+        point = point_at(a, b, s)
     except DegenerateGeodesic:
         return
     total = projection_distance(a, b)

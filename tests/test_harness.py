@@ -44,6 +44,7 @@ from ssrlab.synth import Scenario, derive_trial_seed, generate_scenario
 from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+EXAMPLE_CFG = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "example.cfg")
 # Wall seconds per stage in run_meta.json.
 STAGE_KEYS = ("generate_s", "correct_s", "score_s", "write_s")
 
@@ -724,16 +725,48 @@ class TestCli:
         assert "Warning" not in done.stderr
 
     def test_overflowing_scores_exit_three_without_traceback(self, tmp_path):
-        # noise near 1e154 keeps states and the EMA finite, but squared
-        # distances to the clean state overflow
+        # noise near 2e307 in R^256 keeps states and the EMA finite, but
+        # the distance to the clean state exceeds the float64 range
         done = self._simulate_subprocess(
-            tmp_path, methods="ema,passthrough", **{"noise.sigma": "1e154"}
+            tmp_path,
+            methods="ema,passthrough",
+            **{"noise.sigma": "2e307", "scenario.n": "256"},
         )
         assert done.returncode == 3, done.stderr
         assert "numeric error:" in done.stderr
         assert "(method=ema, trial=0, frame=0)" in done.stderr
         assert "Traceback" not in done.stderr
         assert "Warning" not in done.stderr
+
+    def test_huge_finite_scores_run_without_warnings(self, tmp_path):
+        # scripts/example.cfg at noise 1e160: the distances' squares
+        # overflow, the distances do not, and the norms are measured
+        # again after exact power-of-two scaling
+        overrides = {
+            "noise.sigma": "1e160",
+            "methods": "ema,passthrough",
+            "trials": "1",
+            "output.dir": str(tmp_path / "out"),
+        }
+        with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        cfg = tmp_path / "example.cfg"
+        cfg.write_text(
+            "\n".join(
+                f"{key} = {overrides[key]}" if key in overrides else line
+                for line in lines
+                for key in [line.partition("=")[0].strip()]
+            )
+            + "\n"
+        )
+        done = self._simulate_subprocess(tmp_path, cfg=str(cfg))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        # E||sigma g|| for g in R^64 is about 7.97 sigma
+        raw = summary["methods"]["passthrough"]["aggregate_mean"]["mean_raw_error"]
+        assert 7.5e160 < raw < 8.5e160
 
     def test_huge_finite_states_run_without_warnings(self, tmp_path):
         # at 1e153 every dot product is finite; the self-expression
@@ -787,8 +820,9 @@ class TestCli:
         assert "Warning" not in done.stderr
 
     @staticmethod
-    def _simulate_subprocess(tmp_path, command=("simulate",), trials=1, **overrides):
-        cfg = write_cfg_file(tmp_path, trials=trials, **{"scenario.length": "16", **overrides})
+    def _simulate_subprocess(tmp_path, command=("simulate",), trials=1, cfg=None, **overrides):
+        if cfg is None:
+            cfg = write_cfg_file(tmp_path, trials=trials, **{"scenario.length": "16", **overrides})
         src = os.path.dirname(os.path.dirname(os.path.abspath(ssrlab.__file__)))
         return subprocess.run(
             [sys.executable, "-m", "ssrlab.cli", command[0], cfg, *command[1:]],

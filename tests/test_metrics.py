@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssrlab.errors import DimensionMismatch, InvalidScore, LengthMismatch
-from ssrlab.grassmann import SubspacePoint, span_membership_residual
+from ssrlab.grassmann import span_membership_residual
 from ssrlab.metrics import (
     SCORE_COLUMNS,
     RunSummary,
@@ -121,8 +121,9 @@ class TestSummaryValidation:
         with pytest.raises(InvalidScore) as excinfo:
             score_run(scenario, clean, [0.0, 0.0, np.inf])
         assert excinfo.value.frame == 2
+        # a distance beyond the float64 range (entries stay finite)
         overflowing = clean.copy()
-        overflowing[1:] = 1e300
+        overflowing[1:] = 1.5e308
         with pytest.raises(InvalidScore) as excinfo:
             score_run(scenario, overflowing)
         assert excinfo.value.frame == 1
@@ -227,7 +228,7 @@ def test_property_score_run_matches_per_frame_reference(seed, length, scale):
             [
                 np.linalg.norm(noisy - clean),
                 np.linalg.norm(out - clean),
-                span_membership_residual(out, SubspacePoint(basis)),
+                span_membership_residual(out[None], basis[None])[0],
                 s,
             ]
             for clean, noisy, basis, out, s in zip(*scenario, corrected, se)
@@ -236,3 +237,28 @@ def test_property_score_run_matches_per_frame_reference(seed, length, scale):
     np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0.0)
     assert summary.mean_raw_error == pytest.approx(expected[:, 0].mean(), rel=1e-12)
     assert summary.mean_corrected_error == pytest.approx(expected[:, 1].mean(), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    exponent=st.integers(min_value=-900, max_value=900),
+)
+def test_property_scores_scale_with_the_data(seed, exponent):
+    # distances whose squares overflow or underflow are measured after
+    # exact power-of-two scaling, so scaling every state by 2**e scales
+    # both errors by exactly 2**e and leaves the subspace residual as is
+    traj = TrajectoryConfig(n=9, r=2, length=20, seed=seed, speed=1.0, waypoint_count=3)
+    scenario = generate_scenario(traj, NoiseModel(sigma=0.3))
+    corrected = scenario.clean + 0.1 * np.random.default_rng(seed).standard_normal((20, 9))
+    clean, noisy, scaled_corrected = (
+        np.ldexp(x, exponent) for x in (scenario.clean, scenario.noisy, corrected)
+    )
+    # the scaling itself is exact: no entry leaves the normal range
+    for x, original in zip((clean, noisy, scaled_corrected), (*scenario[:2], corrected)):
+        assert np.array_equal(np.ldexp(x, -exponent), original)
+    scores, _ = score_run(scenario, corrected)
+    scaled, _ = score_run(Scenario(clean, noisy, scenario.bases), scaled_corrected)
+    errors = [RAW, CORRECTED]
+    assert np.array_equal(scaled[:, errors], np.ldexp(scores[:, errors], exponent))
+    assert np.array_equal(scaled[:, SUBSPACE], scores[:, SUBSPACE])

@@ -117,7 +117,7 @@ class TestSsrStep:
         for t, out in enumerate(corrected):
             window_rows = states[max(0, t - 5) : t + 1]
             span = orthonormalize(window_rows.T)
-            assert span_membership_residual(out, span) < 1e-9
+            assert span_membership_residual(out[None], span[None])[0] < 1e-9
 
     def test_corrected_norm_bounded_by_window_max(self):
         # convex softmax weights cannot exceed the largest window norm

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import ssrlab.synth as synth_mod
 from ssrlab.errors import DimensionMismatch, InvalidScenario
 from ssrlab.grassmann import (
-    SubspacePoint,
     principal_angles,
     projection_distance,
     span_membership_residual,
@@ -105,10 +104,8 @@ class TestStaticScenario:
         clean, _, bases = generate_scenario(
             replace(STATIC, state_drift=0.05), NoiseModel(sigma=0.0)
         )
-        base = SubspacePoint(bases[0])
         assert np.array_equal(bases, np.broadcast_to(bases[0], bases.shape))
-        for state in clean[1:]:
-            assert span_membership_residual(state, base) < 1e-9
+        assert (span_membership_residual(clean[1:], bases[1:]) < 1e-9).all()
         assert not np.array_equal(clean, np.broadcast_to(clean[0], clean.shape))
         steps = np.linalg.norm(np.diff(clean, axis=0), axis=1)
         # drift 0.05 with r=3: typical step 0.05 * sqrt(3), never huge
@@ -118,8 +115,7 @@ class TestStaticScenario:
 class TestMovingScenario:
     def test_every_clean_state_lies_in_its_subspace(self):
         clean, _, bases = generate_scenario(MOVING, NoiseModel(sigma=0.0))
-        for state, basis in zip(clean, bases):
-            assert span_membership_residual(state, SubspacePoint(basis)) < 1e-9
+        assert (span_membership_residual(clean, bases) < 1e-9).all()
 
     def test_subspace_steps_bounded_by_arc_step(self):
         bases = generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases
@@ -131,9 +127,7 @@ class TestMovingScenario:
         )
         step = MOVING.speed * max_dist / MOVING.length
         for a, b in zip(bases, bases[1:]):
-            assert projection_distance(SubspacePoint(a), SubspacePoint(b)) <= step * (
-                1 + 1e-6
-            ) + 1e-12
+            assert projection_distance(a, b) <= step * (1 + 1e-6) + 1e-12
 
     def test_clean_state_steps_bounded_when_coefficients_frozen(self):
         # with state_drift 0 the only motion is the subspace's own, and
@@ -153,7 +147,7 @@ class TestMovingScenario:
 
     def test_trajectory_actually_moves(self):
         bases = generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases
-        total = projection_distance(SubspacePoint(bases[0]), SubspacePoint(bases[-1]))
+        total = projection_distance(bases[0], bases[-1])
         assert total > 0.1
 
     def test_waypoints_admit_geodesics(self):
@@ -182,9 +176,9 @@ class TestMovingScenario:
             warnings.simplefilter("error")
             bases = generate_scenario(config, NoiseModel()).bases
         waypoints = sample_waypoints(config)
-        assert np.array_equal(bases[0], waypoints[0].basis)
+        assert np.array_equal(bases[0], waypoints[0])
         for basis in bases[1:]:
-            assert projection_distance(SubspacePoint(basis), waypoints[-1]) < 1e-12
+            assert projection_distance(basis, waypoints[-1]) < 1e-12
         assert np.array_equal(bases, scenario_oracle(config, NoiseModel())[2])
 
 
@@ -334,7 +328,7 @@ class TestValidation:
         outside = np.zeros(16)
         outside[15] = 1.0
         # the static basis is random; e16 is outside it almost surely
-        assert span_membership_residual(outside, SubspacePoint(bases[0])) > 1e-6
+        assert span_membership_residual(outside[None], bases[:1])[0] > 1e-6
         states = np.array(clean)
         states[7] = outside
         with pytest.raises(InvalidScenario, match="frame 7: clean state leaves its subspace") as excinfo:
