@@ -42,7 +42,6 @@ AFFINITY_MODES = frozenset({MODE_SOFTMAX, MODE_RAW_SUM})
 # Accepted rows have sum_j |C_ij| <= 1 / tol and sum to 1 within L*eps/tol.
 DEGENERATE_ROW_TOL = 1e-4
 
-_NORM_FLOOR = 1e-12
 # Below this norm a vector's squares may lose bits to underflow; above it
 # their sum is at least 2**-968, and the at most 2**-1075 that each
 # underflowing square loses lies far below the sum's last bit.
@@ -169,7 +168,7 @@ def _normalized(left, right, mode, temperature, current=False) -> np.ndarray:
 def self_expressive_residual(
     window: np.ndarray, affinity: np.ndarray
 ) -> float | np.ndarray:
-    """Relative reconstruction defect ||S - C S||_F / max(||S||_F, 1e-12).
+    """Relative reconstruction defect ||S - C S||_F / ||S||_F; an all-zero S gives 0.
 
     S is the L x d window and C its L x L affinity, or stacks of both
     with shapes (..., L, d) and (..., L, L). S is first scaled by the
@@ -190,9 +189,8 @@ def self_expressive_residual(
     scaled = np.ldexp(window, -np.frexp(peak)[1][..., None, None])
     defect = scaled - affinity @ scaled
     flat = window.shape[:-2] + (-1,)
-    value = vector_norms(defect.reshape(flat)) / np.maximum(
-        vector_norms(scaled.reshape(flat)), _NORM_FLOOR
-    )
+    norms = vector_norms(scaled.reshape(flat))
+    value = vector_norms(defect.reshape(flat)) / np.where(norms > 0.0, norms, 1.0)
     return float(value) if window.ndim == 2 else value
 
 

@@ -23,6 +23,7 @@ from .config import METHOD_SSR, load_config, parse_int_list
 from .errors import ConfigInvalid, NUMERIC_ERRORS
 from .harness import (
     dump_heatmaps,
+    fit_column,
     run_experiment,
     summary_table,
     write_ablation_outputs,
@@ -85,8 +86,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     print(f"{'window_k':>9} {'mean_improve':>13} {'std_improve':>12}")
     for row in rows:
         print(
-            f"{row.window_k:>9} {row.mean_improvement_ratio:>13.6f} "
-            f"{row.std_improvement_ratio:>12.6f}"
+            f"{row.window_k:>9} {fit_column(row.mean_improvement_ratio, 13, 6)} "
+            f"{fit_column(row.std_improvement_ratio, 12, 6)}"
         )
     print(f"wrote {paths['csv']}")
     print(f"wrote {paths['json']}")

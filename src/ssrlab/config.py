@@ -7,18 +7,21 @@ Config files are plain text, one dotted key per line:
     ssr.window_k = 8
     methods = ssr,passthrough
 
-Unknown keys are a hard error naming the key; every parse failure raises
-ConfigInvalid with the offending field path in the message.
+Keys, their parsers and the summary.json echo all come from one table,
+_SCHEMA, which maps each key to the ExperimentConfig section and field it
+sets. Defaults live only in the dataclasses; a key whose field has none
+is required. Unknown keys are a hard error naming the key; every parse
+failure raises ConfigInvalid with the offending field path in the message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, replace
 
 from .affinity import MODE_RAW_SUM, MODE_SOFTMAX, default_temperature
 from .errors import ConfigInvalid
-from .regularizer import STORE_RAW, SsrConfig
-from .synth import NOISE_GAUSSIAN, NoiseModel, TrajectoryConfig
+from .regularizer import SsrConfig
+from .synth import NoiseModel, TrajectoryConfig
 
 __all__ = [
     "METHOD_SSR",
@@ -37,40 +40,6 @@ METHOD_EMA = "ema"
 METHOD_PASSTHROUGH = "passthrough"
 KNOWN_METHODS = (METHOD_SSR, METHOD_EMA, METHOD_PASSTHROUGH)
 
-_KNOWN_KEYS = frozenset(
-    {
-        "scenario.n",
-        "scenario.r",
-        "scenario.length",
-        "scenario.seed",
-        "scenario.speed",
-        "scenario.waypoints",
-        "scenario.state_drift",
-        "noise.kind",
-        "noise.sigma",
-        "noise.burst_prob",
-        "noise.burst_scale",
-        "methods",
-        "trials",
-        "ssr.window_k",
-        "ssr.mode",
-        "ssr.temperature",
-        "ssr.buffer_policy",
-        "ema.alpha",
-        "output.dir",
-        "output.emit_heatmaps",
-        "output.heatmap_frames",
-    }
-)
-_REQUIRED_KEYS = (
-    "scenario.n",
-    "scenario.r",
-    "scenario.length",
-    "scenario.seed",
-    "methods",
-    "output.dir",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -80,9 +49,9 @@ class ExperimentConfig:
     noise: NoiseModel
     methods: tuple[str, ...]
     ssr: SsrConfig
-    ema_alpha: float
-    trials: int
     output_dir: str
+    ema_alpha: float = 0.5
+    trials: int = 1
     emit_heatmaps: bool = False
     heatmap_frames: tuple[int, ...] = ()
 
@@ -108,9 +77,64 @@ class ExperimentConfig:
                     f"output.heatmap_frames: frame {f} outside [0, {self.trajectory.length})"
                 )
         if self.ssr.mode == MODE_SOFTMAX and self.ssr.temperature is None:
-            raise ConfigInvalid(
-                "ssr.temperature: must be resolved to a number before running"
-            )
+            raise ConfigInvalid("ssr.temperature: must be resolved to a number before running")
+
+
+def _flag(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in {"true", "1", "yes", "false", "0", "no"}:
+        raise ValueError(raw)
+    return lowered in {"true", "1", "yes"}
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(","))
+
+
+def _frames(raw: str) -> tuple[int, ...]:
+    return _ints(raw) if raw else ()
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# What each parser that can fail expects, for the error message.
+_EXPECTED = {
+    int: "an integer", float: "a number", _flag: "true or false",
+    _ints: "comma-separated integers", _frames: "comma-separated integers",
+}
+
+# The dataclass of each ExperimentConfig section; None is its own fields.
+_SECTIONS = {
+    "trajectory": TrajectoryConfig, "noise": NoiseModel, "ssr": SsrConfig, None: ExperimentConfig,
+}
+
+# dotted key -> (section, field, parser of the value text)
+_SCHEMA = {
+    "scenario.n": ("trajectory", "n", int),
+    "scenario.r": ("trajectory", "r", int),
+    "scenario.length": ("trajectory", "length", int),
+    "scenario.seed": ("trajectory", "seed", int),
+    "scenario.speed": ("trajectory", "speed", float),
+    "scenario.waypoints": ("trajectory", "waypoint_count", int),
+    "scenario.state_drift": ("trajectory", "state_drift", float),
+    "noise.kind": ("noise", "kind", str),
+    "noise.sigma": ("noise", "sigma", float),
+    "noise.burst_prob": ("noise", "burst_prob", float),
+    "noise.burst_scale": ("noise", "burst_scale", float),
+    "methods": (None, "methods", _names),
+    "trials": (None, "trials", int),
+    "ssr.window_k": ("ssr", "window_k", int),
+    "ssr.mode": ("ssr", "mode", str),
+    "ssr.temperature": ("ssr", "temperature", float),
+    "ssr.buffer_policy": ("ssr", "buffer_policy", str),
+    "ema.alpha": (None, "ema_alpha", float),
+    "output.dir": (None, "output_dir", str),
+    "output.emit_heatmaps": (None, "emit_heatmaps", _flag),
+    "output.heatmap_frames": (None, "heatmap_frames", _frames),
+}
+_KNOWN_KEYS = frozenset(_SCHEMA)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -133,108 +157,42 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _parse_int(values: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in values:
-        if default is None:
-            raise ConfigInvalid(f"{key}: required key is missing")
-        return default
+def _parse(key: str, raw: str, parser):
     try:
-        return int(values[key])
+        return parser(raw)
     except ValueError:
-        raise ConfigInvalid(f"{key}: expected an integer, got {values[key]!r}") from None
-
-
-def _parse_float(values: dict[str, str], key: str, default: float) -> float:
-    if key not in values:
-        return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise ConfigInvalid(f"{key}: expected a number, got {values[key]!r}") from None
-
-
-def _parse_bool(values: dict[str, str], key: str, default: bool) -> bool:
-    if key not in values:
-        return default
-    lowered = values[key].lower()
-    if lowered in {"true", "1", "yes"}:
-        return True
-    if lowered in {"false", "0", "no"}:
-        return False
-    raise ConfigInvalid(f"{key}: expected true or false, got {values[key]!r}")
+        raise ConfigInvalid(f"{key}: expected {_EXPECTED[parser]}, got {raw!r}") from None
 
 
 def parse_int_list(raw: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers such as "0,64,128"; at least one."""
+    return _parse(what, raw, _ints)
+
+
+def _build(cls, prefix: str, kwargs: dict):
     try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigInvalid(
-            f"{what}: expected comma-separated integers, got {raw!r}"
-        ) from None
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{prefix}: {exc}") from exc
 
 
 def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from raw key/value pairs."""
-    for key in _REQUIRED_KEYS:
-        if key not in values:
+    kwargs: dict = {section: {} for section in _SECTIONS}
+    for key, (section, field, parser) in _SCHEMA.items():
+        if key in values:
+            kwargs[section][field] = _parse(key, values[key], parser)
+        elif _SECTIONS[section].__dataclass_fields__[field].default is MISSING:
             raise ConfigInvalid(f"{key}: required key is missing")
-    try:
-        trajectory = TrajectoryConfig(
-            n=_parse_int(values, "scenario.n"),
-            r=_parse_int(values, "scenario.r"),
-            length=_parse_int(values, "scenario.length"),
-            seed=_parse_int(values, "scenario.seed"),
-            speed=_parse_float(values, "scenario.speed", 0.0),
-            waypoint_count=_parse_int(values, "scenario.waypoints", 2),
-            state_drift=_parse_float(values, "scenario.state_drift", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigInvalid(f"scenario: {exc}") from exc
-    try:
-        noise = NoiseModel(
-            kind=values.get("noise.kind", NOISE_GAUSSIAN),
-            sigma=_parse_float(values, "noise.sigma", 0.0),
-            burst_prob=_parse_float(values, "noise.burst_prob", 0.0),
-            burst_scale=_parse_float(values, "noise.burst_scale", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigInvalid(f"noise: {exc}") from exc
-    mode = values.get("ssr.mode", MODE_SOFTMAX)
-    temperature: float | None
-    if mode == MODE_RAW_SUM:
-        if "ssr.temperature" in values:
-            raise ConfigInvalid("ssr.temperature: applies to softmax mode only")
-        temperature = None
-    elif "ssr.temperature" in values:
-        temperature = _parse_float(values, "ssr.temperature", 0.0)
-    else:
+    trajectory = _build(TrajectoryConfig, "scenario", kwargs["trajectory"])
+    noise = _build(NoiseModel, "noise", kwargs["noise"])
+    if kwargs["ssr"].get("mode") == MODE_RAW_SUM and "temperature" in kwargs["ssr"]:
+        raise ConfigInvalid("ssr.temperature: applies to softmax mode only")
+    ssr = _build(SsrConfig, "ssr", kwargs["ssr"])
+    if ssr.mode == MODE_SOFTMAX and ssr.temperature is None:
         # harness states live in R^n
-        temperature = default_temperature(trajectory.n)
-    try:
-        ssr = SsrConfig(
-            window_k=_parse_int(values, "ssr.window_k", 8),
-            mode=mode,
-            temperature=temperature,
-            buffer_policy=values.get("ssr.buffer_policy", STORE_RAW),
-        )
-    except ValueError as exc:
-        raise ConfigInvalid(f"ssr: {exc}") from exc
-    methods = tuple(
-        part.strip() for part in values["methods"].split(",") if part.strip()
-    )
-    frames = values.get("output.heatmap_frames", "")
-    return ExperimentConfig(
-        trajectory=trajectory,
-        noise=noise,
-        methods=methods,
-        ssr=ssr,
-        ema_alpha=_parse_float(values, "ema.alpha", 0.5),
-        trials=_parse_int(values, "trials", 1),
-        output_dir=values["output.dir"],
-        emit_heatmaps=_parse_bool(values, "output.emit_heatmaps", False),
-        heatmap_frames=parse_int_list(frames, "output.heatmap_frames") if frames else (),
-    )
+        ssr = replace(ssr, temperature=default_temperature(trajectory.n))
+    return ExperimentConfig(trajectory=trajectory, noise=noise, ssr=ssr, **kwargs[None])
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -248,35 +206,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Canonical nested echo of a resolved config (JSON-ready)."""
-    return {
-        "scenario": {
-            "n": config.trajectory.n,
-            "r": config.trajectory.r,
-            "length": config.trajectory.length,
-            "seed": config.trajectory.seed,
-            "speed": config.trajectory.speed,
-            "waypoints": config.trajectory.waypoint_count,
-            "state_drift": config.trajectory.state_drift,
-        },
-        "noise": {
-            "kind": config.noise.kind,
-            "sigma": config.noise.sigma,
-            "burst_prob": config.noise.burst_prob,
-            "burst_scale": config.noise.burst_scale,
-        },
-        "methods": list(config.methods),
-        "trials": config.trials,
-        "ssr": {
-            "window_k": config.ssr.window_k,
-            "mode": config.ssr.mode,
-            "temperature": config.ssr.temperature,
-            "buffer_policy": config.ssr.buffer_policy,
-        },
-        "ema": {"alpha": config.ema_alpha},
-        "output": {
-            "dir": config.output_dir,
-            "emit_heatmaps": config.emit_heatmaps,
-            "heatmap_frames": list(config.heatmap_frames),
-        },
-    }
+    """Canonical nested echo of a resolved config (JSON-ready), keyed as the config file is."""
+    echo: dict = {}
+    for key, (section, field, _) in _SCHEMA.items():
+        value = getattr(config if section is None else getattr(config, section), field)
+        head, _, name = key.rpartition(".")
+        (echo.setdefault(head, {}) if head else echo)[name] = (
+            list(value) if isinstance(value, tuple) else value
+        )
+    return echo

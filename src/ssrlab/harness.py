@@ -289,6 +289,14 @@ def write_ablation_outputs(
     return paths
 
 
+def fit_column(value: float, width: int, decimals: int) -> str:
+    """value right-aligned in width: fixed-point if that fits, else e notation (not in __all__)."""
+    text = f"{value:.{decimals}f}"
+    if len(text) > width:
+        text = f"{value:.{min(decimals, max(width - len(f'{value:.0e}') - 1, 0))}e}"
+    return f"{text:>{width}}"
+
+
 def summary_table(bundle: ResultBundle) -> str:
     """Small fixed-width table of aggregate scores per method."""
     header = (
@@ -299,10 +307,10 @@ def summary_table(bundle: ResultBundle) -> str:
     for method in sorted(bundle.methods):
         mean = bundle.methods[method].aggregate_mean
         lines.append(
-            f"{method:<12} {mean['mean_raw_error']:>12.6f} "
-            f"{mean['mean_corrected_error']:>12.6f} "
-            f"{mean['improvement_ratio']:>10.4f} "
-            f"{mean['tail_error_mean']:>12.6f} "
-            f"{mean['win_fraction']:>9.4f}"
+            f"{method:<12} {fit_column(mean['mean_raw_error'], 12, 6)} "
+            f"{fit_column(mean['mean_corrected_error'], 12, 6)} "
+            f"{fit_column(mean['improvement_ratio'], 10, 4)} "
+            f"{fit_column(mean['tail_error_mean'], 12, 6)} "
+            f"{fit_column(mean['win_fraction'], 9, 4)}"
         )
     return "\n".join(lines)

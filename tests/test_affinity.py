@@ -307,6 +307,21 @@ def test_property_residual_is_scale_free(seed, length, dim, exponent):
         warnings.simplefilter("error")
         scaled = self_expressive_residual(scale * window, affinity)
     assert abs(scaled - self_expressive_residual(window, affinity)) <= 1e-12
+    # scaling by 2^e is exact while every entry stays normal, and so is
+    # the residual, bit for bit, at every such e: an entry m 2^p with
+    # 1/2 <= |m| < 1 stays normal for -1021 <= p + e <= 1024
+    powers = np.frexp(window)[1]
+    exponents = np.arange(-1021 - powers.min(), 1025 - powers.max())
+    stack = np.ldexp(window, exponents[:, None, None])
+    assert np.abs(stack[[0, -1]]).min() >= np.finfo(np.float64).smallest_normal
+    assert np.isfinite(stack).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = self_expressive_residual(
+            stack, np.broadcast_to(affinity, (len(exponents), length, length))
+        )
+    unscaled = self_expressive_residual(window, affinity)
+    assert np.array_equal(residuals, np.full(len(exponents), unscaled))
 
 
 @pytest.mark.parametrize("mode", [MODE_SOFTMAX, MODE_RAW_SUM])

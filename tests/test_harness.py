@@ -4,6 +4,7 @@ Runs are tiny (n=8, T=30, 3 trials) so the module stays fast, with one
 exception: the frozen full-scale regression in TestBenchmarkRegression.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import stat
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssrlab
+import ssrlab.config as config_mod
 import ssrlab.harness as harness_mod
 import ssrlab.metrics as metrics_mod
 from ssrlab.cli import main
@@ -27,6 +29,7 @@ from ssrlab.config import (
     _KNOWN_KEYS,
     ExperimentConfig,
     build_experiment_config,
+    config_to_dict,
     load_config,
     parse_config_text,
 )
@@ -34,6 +37,7 @@ from ssrlab.errors import ConfigInvalid, DegenerateRow, InvalidScenario, NonFini
 from ssrlab.harness import (
     CSV_HEADER,
     dump_csv,
+    fit_column,
     run_experiment,
     summary_payload,
     write_experiment_outputs,
@@ -44,7 +48,8 @@ from ssrlab.synth import Scenario, derive_trial_seed, generate_scenario
 from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
-EXAMPLE_CFG = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "example.cfg")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLE_CFG = os.path.join(REPO, "scripts", "example.cfg")
 # Wall seconds per stage in run_meta.json.
 STAGE_KEYS = ("generate_s", "correct_s", "score_s", "write_s")
 
@@ -746,7 +751,7 @@ class TestCli:
             "noise.sigma": "1e160",
             "methods": "ema,passthrough",
             "trials": "1",
-            "output.dir": str(tmp_path / "out"),
+            "output.dir": "out",
         }
         with open(EXAMPLE_CFG, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -762,6 +767,8 @@ class TestCli:
         done = self._simulate_subprocess(tmp_path, cfg=str(cfg))
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+        # the summary table stays a table: huge means print in e notation
+        assert max(map(len, done.stdout.splitlines())) <= 80, done.stdout
         with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
             summary = json.load(fh)
         # E||sigma g|| for g in R^64 is about 7.97 sigma
@@ -827,6 +834,7 @@ class TestCli:
         return subprocess.run(
             [sys.executable, "-m", "ssrlab.cli", command[0], cfg, *command[1:]],
             env=dict(os.environ, PYTHONPATH=src),
+            cwd=tmp_path,
             capture_output=True,
             text=True,
             timeout=120,
@@ -902,3 +910,125 @@ def test_property_config_text_parses_or_raises_config_invalid(text):
     except ConfigInvalid:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+def _flatten(echo: dict, prefix: str = "") -> dict[str, str]:
+    """Config-file values of a config_to_dict echo; an unset (None) value is left out."""
+    values = {}
+    for key, value in echo.items():
+        if isinstance(value, dict):
+            values.update(_flatten(value, f"{prefix}{key}."))
+        elif isinstance(value, list):
+            values[prefix + key] = ",".join(map(str, value))
+        elif value is not None:
+            values[prefix + key] = str(value)
+    return values
+
+
+def _assert_echo_round_trips(config: ExperimentConfig) -> None:
+    assert build_experiment_config(_flatten(config_to_dict(config))) == config
+
+
+def load_workloads():
+    """perfbench/workloads.py, loaded read-only from the file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(REPO, "perfbench", "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses reads the module of each class it decorates from sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every key set, and all but ssr.mode away from their defaults.
+_EVERY_KEY = {
+    **BASE,
+    "scenario.speed": "0.5",
+    "scenario.waypoints": "3",
+    "noise.kind": "burst",
+    "noise.burst_prob": "0.25",
+    "noise.burst_scale": "3.5",
+    "ssr.mode": "softmax",
+    "ssr.temperature": "2.5",
+    "ssr.buffer_policy": "store-corrected",
+    "output.dir": "out",
+    "output.emit_heatmaps": "yes",
+    "output.heatmap_frames": "0,7",
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=config_texts())
+def test_property_config_echo_round_trips(text):
+    try:
+        config = build_experiment_config(parse_config_text(text))
+    except ConfigInvalid:
+        return
+    _assert_echo_round_trips(config)
+
+
+@pytest.mark.parametrize("mode", ["softmax", "raw-sum"])
+def test_every_key_config_round_trips(mode):
+    assert set(_EVERY_KEY) == _KNOWN_KEYS
+    values = {**_EVERY_KEY, "ssr.mode": mode}
+    if mode == "raw-sum":
+        del values["ssr.temperature"]
+    _assert_echo_round_trips(build_experiment_config(values))
+
+
+@pytest.mark.parametrize("name", ["example", "window_sweep", "moving_feedback"])
+def test_perfbench_workload_configs_round_trip(name, tmp_path):
+    text = load_workloads().WORKLOADS[name].config_text(1234, str(tmp_path / "out"))
+    _assert_echo_round_trips(build_experiment_config(parse_config_text(text)))
+
+
+def test_example_cfg_round_trips_and_is_the_example_workload():
+    _assert_echo_round_trips(load_config(EXAMPLE_CFG))
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    template = load_workloads().WORKLOADS["example"].config_text(1234, "{out}").splitlines()
+
+    def other_than_output_dir(lines):
+        return [line for line in lines if line.partition("=")[0].strip() != "output.dir"]
+
+    assert len(lines) == len(template)
+    assert other_than_output_dir(lines) == other_than_output_dir(template)
+
+
+def test_readme_config_table_matches_the_schema():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    defaults = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            defaults[cells[0].strip("`")] = cells[-1].strip("`")
+    assert set(defaults) == _KNOWN_KEYS
+    for key, default in defaults.items():
+        section_name, field, parser = config_mod._SCHEMA[key]
+        expected = config_mod._SECTIONS[section_name].__dataclass_fields__[field].default
+        if default == "required":
+            assert expected is MISSING, key
+        elif key == "ssr.temperature":
+            # the one default that depends on another key
+            assert (default, expected) == ("sqrt(n)", None)
+        else:
+            text = "" if default == "empty" else default
+            assert expected is not MISSING, key
+            assert config_mod._parse(key, text, parser) == expected, key
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, -3.25, 12345.123456, 1e160, -7.9e160, 1e-200, np.inf, np.nan]
+)
+def test_fit_column_keeps_fixed_point_where_it_fits(value):
+    # the widths and decimals of the simulate and ablate-window tables
+    for width, decimals in [(12, 6), (10, 4), (9, 4), (13, 6)]:
+        text = fit_column(value, width, decimals)
+        assert len(text) == width
+        fixed = f"{value:>{width}.{decimals}f}"
+        if len(fixed) == width:
+            assert text == fixed
+        else:
+            assert "e" in text and float(text) == pytest.approx(value, rel=1e-2)
