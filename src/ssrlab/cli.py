@@ -6,8 +6,11 @@ Subcommands:
   affinity-dump CONFIG   write affinity heatmap grids for chosen frames
   selfcheck              run a quick built-in oracle suite
 
-Exit codes: 0 success, 1 selfcheck failure, 2 bad config or arguments,
-3 numeric failure during a run, 4 filesystem error.
+Each subparser names its handler (set_defaults(run=...)), and main maps
+the errors a handler raises onto exit codes: 0 success, 1 selfcheck
+failure, 2 bad config or arguments (ssrlab.errors.ConfigInvalid), 3
+numeric failure during a run (any ssrlab.errors.NumericError), 4
+filesystem error.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import METHOD_SSR, load_config, parse_int_list
-from .errors import ConfigInvalid, NUMERIC_ERRORS
+from .errors import ConfigInvalid, NumericError
 from .harness import (
     dump_heatmaps,
     fit_column,
@@ -43,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run an experiment end to end")
     sim.add_argument("config", help="path to a key=value config file")
+    sim.set_defaults(run=_cmd_simulate)
 
     abl = sub.add_parser("ablate-window", help="sweep the window size")
     abl.add_argument("config", help="path to a key=value config file")
@@ -51,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="2,4,8,16,32,64",
         help="comma separated window sizes (default 2,4,8,16,32,64)",
     )
+    abl.set_defaults(run=_cmd_ablate)
 
     dump = sub.add_parser("affinity-dump", help="write affinity heatmaps")
     dump.add_argument("config", help="path to a key=value config file")
@@ -59,8 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma separated frame indices to capture",
     )
+    dump.set_defaults(run=_cmd_affinity_dump)
 
-    sub.add_parser("selfcheck", help="run the built-in consistency checks")
+    check = sub.add_parser("selfcheck", help="run the built-in consistency checks")
+    check.set_defaults(run=_cmd_selfcheck)
     return parser
 
 
@@ -181,7 +188,7 @@ def _selfcheck_cases() -> list[tuple[str, object]]:
     ]
 
 
-def _cmd_selfcheck() -> int:
+def _cmd_selfcheck(args: argparse.Namespace) -> int:
     failures = 0
     for name, check in _selfcheck_cases():
         try:
@@ -199,18 +206,9 @@ def _cmd_selfcheck() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "ablate-window":
-            return _cmd_ablate(args)
-        if args.command == "affinity-dump":
-            return _cmd_affinity_dump(args)
-        if args.command == "selfcheck":
-            return _cmd_selfcheck()
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -220,13 +218,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
 """Error types shared across the package.
 
-Everything numeric that can fail in a structured way raises a subclass of
-SsrLabError so the CLI can map failures onto stable exit codes.
+Everything that can fail in a structured way raises a subclass of
+SsrLabError so the CLI can map failures onto stable exit codes: a
+ConfigInvalid exits 2, and every numeric failure is a NumericError,
+which exits 3. The class statements below are the only place that
+decides which errors are numeric.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "SsrLabError",
+    "NumericError",
     "DimensionMismatch",
     "RankDeficient",
     "RankMismatch",
@@ -19,7 +23,6 @@ __all__ = [
     "InvalidScore",
     "InvalidScenario",
     "ConfigInvalid",
-    "NUMERIC_ERRORS",
 ]
 
 
@@ -29,63 +32,52 @@ class SsrLabError(Exception):
     frame: int | None = None
 
 
-class DimensionMismatch(SsrLabError):
+class NumericError(SsrLabError):
+    """A numeric failure during a run; the CLI reports it with exit code 3."""
+
+
+class DimensionMismatch(NumericError):
     """Operands live in different ambient dimensions."""
 
 
-class RankDeficient(SsrLabError):
+class RankDeficient(NumericError):
     """Input matrix does not have full column rank."""
 
 
-class RankMismatch(SsrLabError):
+class RankMismatch(NumericError):
     """Subspace ranks differ where equal ranks are required."""
 
 
-class DegenerateGeodesic(SsrLabError):
+class DegenerateGeodesic(NumericError):
     """Geodesic is not unique (a principal angle reaches pi/2)."""
 
 
-class DegenerateRow(SsrLabError):
+class DegenerateRow(NumericError):
     """Raw-sum affinity row sum is too close to zero to normalize."""
 
 
-class AlphaOutOfRange(SsrLabError):
+class AlphaOutOfRange(NumericError):
     """Blend coefficient outside [0, 1]."""
 
 
-class LengthMismatch(SsrLabError):
+class LengthMismatch(NumericError):
     """Paired sequences have different lengths."""
 
 
-class NonFiniteAffinity(SsrLabError):
+class NonFiniteAffinity(NumericError):
     """Window states are so large that their dot products overflow."""
 
 
-class InvalidScore(SsrLabError):
+class InvalidScore(NumericError):
     """A per-frame score is not a finite nonnegative number."""
 
 
-class InvalidScenario(SsrLabError):
+class InvalidScenario(NumericError):
     """A generated state or basis is not finite, or breaks its subspace invariants."""
 
 
 class ConfigInvalid(SsrLabError):
     """Configuration error; message names the offending field path."""
-
-
-# Errors that the CLI reports as numeric degeneracy (exit code 3).
-NUMERIC_ERRORS = (
-    DimensionMismatch,
-    RankDeficient,
-    RankMismatch,
-    DegenerateGeodesic,
-    DegenerateRow,
-    AlphaOutOfRange,
-    LengthMismatch,
-    NonFiniteAffinity,
-    InvalidScore,
-    InvalidScenario,
-)
 
 
 def annotated(exc: SsrLabError, context: str) -> SsrLabError:

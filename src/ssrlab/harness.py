@@ -1,16 +1,18 @@
 """Experiment runner and deterministic result writers.
 
-A run generates each trial's scenario once as arrays (synth.Scenario),
+run_experiment is one loop over trials and, inside each, over methods.
+It generates each trial's scenario once as arrays (synth.Scenario),
 passes its T x d noisy array through every configured method (the
 corrector is one run_stream call, which also yields the heatmaps and
 residuals; the baselines are one ema_fuse or passthrough_step call) and
 scores each output against the same scenario with one score_run pass,
-which gives a T x 4 array of per-frame scores. A numeric error names
-its method, trial and frame. All emitted payloads
-(CSV, summary JSON, heatmap grids, ablation tables) are byte-identical
-across reruns; the wall-clock timestamp lives in its own run_meta.json,
-outside the determinism guarantee. Every file is written to a temp name
-and atomically renamed.
+which gives a T x 4 array of per-frame scores, appended to its method's
+list. A numeric error names its method, trial and frame. All emitted
+payloads (CSV, summary JSON, heatmap grids, ablation tables) are
+byte-identical across reruns; summary.json's provenance reads the seed
+from the config and the version from TOOL_VERSION, and the wall-clock
+timestamp lives in its own run_meta.json, outside the determinism
+guarantee. Every file is written to a temp name and atomically renamed.
 """
 
 from __future__ import annotations
@@ -28,14 +30,8 @@ from time import perf_counter
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .config import (
-    METHOD_EMA,
-    METHOD_PASSTHROUGH,
-    METHOD_SSR,
-    ExperimentConfig,
-    config_to_dict,
-)
-from .errors import ConfigInvalid, NUMERIC_ERRORS, annotated
+from .config import METHOD_EMA, METHOD_SSR, ExperimentConfig, config_to_dict
+from .errors import NumericError, annotated
 from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, naming_trial, score_run
 from .regularizer import ema_fuse, passthrough_step, run_stream
 from .synth import derive_trial_seed, generate_scenario
@@ -46,12 +42,10 @@ __all__ = [
     "ResultBundle",
     "run_experiment",
     "dump_csv",
-    "dump_summary_json",
     "dump_heatmaps",
     "write_experiment_outputs",
     "write_ablation_outputs",
     "summary_table",
-    "heatmap_filename",
 ]
 
 CSV_HEADER = ",".join(("frame", "method", "trial") + SCORE_COLUMNS)
@@ -74,7 +68,7 @@ class MethodResult:
 
 @dataclass(frozen=True)
 class ResultBundle:
-    """Scored experiment plus provenance.
+    """Scored experiment; its seed is config.trajectory.seed.
 
     heatmaps maps a captured frame to its read-only affinity entries.
     The timestamp and timings (stage seconds, frames/s) are excluded from
@@ -84,45 +78,8 @@ class ResultBundle:
     config: ExperimentConfig
     methods: dict[str, MethodResult]
     heatmaps: dict[int, np.ndarray]
-    seed: int
-    tool_version: str
     timestamp: str
     timings: dict[str, float] = field(default_factory=dict)
-
-
-def _run_trial(
-    config: ExperimentConfig, trial: int, seconds: dict[str, float]
-) -> tuple[dict[str, tuple[np.ndarray, RunSummary]], dict[int, np.ndarray]]:
-    seed = derive_trial_seed(config.trajectory.seed, trial)
-    start = perf_counter()
-    with naming_trial(trial):
-        scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
-    seconds["generate_s"] += perf_counter() - start
-    noisy = scenario.noisy
-    capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
-    out: dict[str, tuple[np.ndarray, RunSummary]] = {}
-    heatmaps: dict[int, np.ndarray] = {}
-    for method in config.methods:
-        residuals = None
-        start = perf_counter()
-        try:
-            if method == METHOD_SSR:
-                corrected, heatmaps, residuals = run_stream(
-                    config.ssr, noisy, keep_affinities=capture
-                )
-            elif method == METHOD_EMA:
-                corrected = ema_fuse(noisy, config.ema_alpha)
-            elif method == METHOD_PASSTHROUGH:
-                corrected = passthrough_step(noisy)
-            else:  # pragma: no cover - methods validated at config build
-                raise ConfigInvalid(f"methods: unknown method {method!r}")
-            scoring = perf_counter()
-            out[method] = score_run(scenario, corrected, residuals)
-            seconds["correct_s"] += scoring - start
-            seconds["score_s"] += perf_counter() - scoring
-        except NUMERIC_ERRORS as exc:
-            raise annotated(exc, f"method={method}, trial={trial}, frame={exc.frame}") from exc
-    return out, heatmaps
 
 
 def _aggregate(summaries: tuple[RunSummary, ...]) -> tuple[dict[str, float], dict[str, float]]:
@@ -138,29 +95,46 @@ def _aggregate(summaries: tuple[RunSummary, ...]) -> tuple[dict[str, float], dic
 def run_experiment(config: ExperimentConfig) -> ResultBundle:
     """Run all configured methods over all trials, in trial order, and score them."""
     seconds = dict.fromkeys(("generate_s", "correct_s", "score_s"), 0.0)
-    trial_results = [_run_trial(config, i, seconds) for i in range(config.trials)]
-    methods: dict[str, MethodResult] = {}
-    for method in config.methods:
-        scores = tuple(result[0][method][0] for result in trial_results)
-        summaries = tuple(result[0][method][1] for result in trial_results)
-        mean, std = _aggregate(summaries)
-        methods[method] = MethodResult(
-            scores=scores,
-            summaries=summaries,
-            aggregate_mean=mean,
-            aggregate_std=std,
-        )
+    runs: dict[str, list[tuple[np.ndarray, RunSummary]]] = {m: [] for m in config.methods}
     heatmaps: dict[int, np.ndarray] = {}
-    for _, grabbed in trial_results:
-        heatmaps.update(grabbed)
+    for trial in range(config.trials):
+        seed = derive_trial_seed(config.trajectory.seed, trial)
+        start = perf_counter()
+        with naming_trial(trial):
+            scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+        seconds["generate_s"] += perf_counter() - start
+        capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
+        for method, results in runs.items():
+            residuals = None
+            start = perf_counter()
+            try:
+                if method == METHOD_SSR:
+                    corrected, grabbed, residuals = run_stream(
+                        config.ssr, scenario.noisy, keep_affinities=capture
+                    )
+                    heatmaps.update(grabbed)
+                elif method == METHOD_EMA:
+                    corrected = ema_fuse(scenario.noisy, config.ema_alpha)
+                else:  # passthrough, the one other method a config accepts
+                    corrected = passthrough_step(scenario.noisy)
+                scoring = perf_counter()
+                results.append(score_run(scenario, corrected, residuals))
+                seconds["correct_s"] += scoring - start
+                seconds["score_s"] += perf_counter() - scoring
+            except NumericError as exc:
+                raise annotated(exc, f"method={method}, trial={trial}, frame={exc.frame}") from exc
+        # free this trial's arrays before the next scenario is generated (peak RSS)
+        del scenario, corrected
+    methods: dict[str, MethodResult] = {}
+    for method, results in runs.items():
+        scores, summaries = zip(*results)
+        methods[method] = MethodResult(scores, summaries, *_aggregate(summaries))
     frames = len(config.methods) * config.trials * config.trajectory.length
     seconds["frames_per_s"] = frames / sum(seconds.values())
     return ResultBundle(
         config=config,
         methods=methods,
         heatmaps=dict(sorted(heatmaps.items())),
-        seed=config.trajectory.seed,
-        tool_version=TOOL_VERSION,
         timestamp=datetime.now(timezone.utc).isoformat(),
         timings=seconds,
     )
@@ -209,17 +183,11 @@ def summary_payload(bundle: ResultBundle) -> dict:
         "config": config_to_dict(bundle.config),
         "methods": methods,
         "provenance": {
-            "seed": bundle.seed,
-            "tool_version": bundle.tool_version,
+            "seed": bundle.config.trajectory.seed,
+            "tool_version": TOOL_VERSION,
             "trials": bundle.config.trials,
         },
     }
-
-
-def dump_summary_json(bundle: ResultBundle, path: str) -> None:
-    """Canonical summary JSON; keys sorted, no volatile fields."""
-    payload = summary_payload(bundle)
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def dump_run_meta(bundle: ResultBundle, path: str, write_s: float) -> None:
@@ -232,16 +200,12 @@ def dump_run_meta(bundle: ResultBundle, path: str, write_s: float) -> None:
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def heatmap_filename(frame: int) -> str:
-    return f"affinity_f{frame:05}.csv"
-
-
 def dump_heatmaps(bundle: ResultBundle, directory: str) -> list[str]:
     """One CSV grid per captured frame; returns the written paths."""
     written = []
     for frame, grid in sorted(bundle.heatmaps.items()):
         rows = [",".join("%.17g" % v for v in row) for row in grid.tolist()]
-        path = os.path.join(directory, heatmap_filename(frame))
+        path = os.path.join(directory, f"affinity_f{frame:05}.csv")
         _atomic_write_text(path, "\n".join(rows) + "\n")
         written.append(path)
     return written
@@ -258,7 +222,10 @@ def write_experiment_outputs(bundle: ResultBundle, directory: str | None = None)
     }
     start = perf_counter()
     dump_csv(bundle, paths["csv"])
-    dump_summary_json(bundle, paths["summary"])
+    # Canonical summary JSON: keys sorted, no volatile fields.
+    _atomic_write_text(
+        paths["summary"], json.dumps(summary_payload(bundle), sort_keys=True, indent=2) + "\n"
+    )
     if bundle.heatmaps:
         dump_heatmaps(bundle, out_dir)
     dump_run_meta(bundle, paths["meta"], perf_counter() - start)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affinity import vector_norms
-from .errors import NUMERIC_ERRORS, DimensionMismatch, InvalidScore, LengthMismatch, annotated
+from .errors import DimensionMismatch, InvalidScore, LengthMismatch, NumericError, annotated
 from .grassmann import span_membership_residual
 from .regularizer import SsrConfig, run_stream
 from .synth import (
@@ -149,7 +149,7 @@ def naming_trial(trial: int) -> Iterator[None]:
     """Re-raise numeric errors as "(scenario generation, trial=i): ...", keeping the frame."""
     try:
         yield
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         raise annotated(exc, f"scenario generation, trial={trial}") from exc
 
 
@@ -185,7 +185,7 @@ def ablate_window(
             try:
                 corrected = run_stream(config, scenario.noisy, residuals=False)[0]
                 _, summary = score_run(scenario, corrected)
-            except NUMERIC_ERRORS as exc:
+            except NumericError as exc:
                 raise annotated(exc, f"window_k={k}, trial={i}, frame={exc.frame}") from exc
             ratios.append(summary.improvement_ratio)
         values = np.array(ratios)

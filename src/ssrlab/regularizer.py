@@ -40,7 +40,7 @@ from .affinity import (
     default_temperature,
     self_expressive_residual,
 )
-from .errors import NUMERIC_ERRORS, AlphaOutOfRange, DimensionMismatch
+from .errors import AlphaOutOfRange, DimensionMismatch, NumericError
 
 __all__ = [
     "STORE_RAW",
@@ -176,7 +176,7 @@ def run_stream(
         if looped < length:
             frame = k
             corrected[k:] = correct_current(windows, mode, tau)
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         exc.frame += frame
         # An earlier frame's full affinity may fail first; it is formed below.
         failure, stop = exc, exc.frame + 1
@@ -194,7 +194,7 @@ def run_stream(
                 block[:, -1] = raw[start:end]
             try:
                 affinity = compute_affinity(block, config.mode, config.temperature)
-            except NUMERIC_ERRORS as exc:
+            except NumericError as exc:
                 exc.frame += start
                 raise
             if scores is not None:

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .affinity import _SCALED_NORM_BELOW, vector_norms
 from .errors import DegenerateGeodesic, DimensionMismatch, InvalidScenario, RankDeficient
 from .grassmann import (
     ANGLE_DEGENERACY_MARGIN,
@@ -284,19 +285,22 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
 def _clean_states(config: TrajectoryConfig, bases: np.ndarray) -> np.ndarray:
     """Unit-norm states in each frame's subspace, with the optional coefficient walk."""
     coefs = np.empty((config.length, config.r))
-    coef = np.eye(config.r)[0]  # kept when the first draw is all but zero
+    coef = np.eye(config.r)[0]  # kept when the first draw is exactly zero
     drawn = config.length if config.state_drift > 0.0 else 1
     with np.errstate(over="ignore"):
         for t, rng in enumerate(_substreams(config.seed, _STREAM_CLEAN, range(drawn))):
             draw = rng.standard_normal(config.r)
             stepped = draw if t == 0 else coef + config.state_drift * draw
             norm = np.linalg.norm(stepped)
-            if norm == np.inf:
+            if t > 0 and norm == np.inf:
                 # the step or its squares overflow: rescale it exactly by a power of two
                 shift = -np.frexp(config.state_drift)[1]
                 stepped = np.ldexp(coef, shift) + np.ldexp(config.state_drift, shift) * draw
                 norm = np.linalg.norm(stepped)
-            if norm >= 1e-12:
+            if not _SCALED_NORM_BELOW <= norm < np.inf:
+                # squares overflow or underflow: measure again so the norm scales with the step
+                norm = vector_norms(stepped)
+            if norm > 0.0:
                 coef = stepped / norm
             coefs[t] = coef
     coefs[drawn:] = coef

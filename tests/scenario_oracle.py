@@ -17,6 +17,7 @@ comparison with generate_scenario.
 
 import numpy as np
 
+from ssrlab.affinity import vector_norms
 from ssrlab.errors import DegenerateGeodesic, RankDeficient
 from ssrlab.grassmann import (
     ANGLE_DEGENERACY_MARGIN,
@@ -122,10 +123,16 @@ def truth_subspaces(config):
     return align_bases(out, pieces)
 
 
+def scaled_norm(vector):
+    """Plain norm, or vector_norms' scaled one where the squares overflow or underflow."""
+    norm = np.linalg.norm(vector)
+    return norm if 2.0**-484 <= norm < np.inf else vector_norms(vector)
+
+
 def clean_states(config, subspaces):
     coef = frame_rng(config.seed, STREAM_CLEAN, 0).standard_normal(config.r)
-    norm = np.linalg.norm(coef)
-    if norm < 1e-12:
+    norm = scaled_norm(coef)
+    if norm == 0.0:
         coef = np.zeros(config.r)
         coef[0] = 1.0
     else:
@@ -142,8 +149,8 @@ def clean_states(config, subspaces):
                 # overflowed: the same step times 2**shift, exactly
                 shift = -np.frexp(config.state_drift)[1]
                 stepped = np.ldexp(coef, shift) + np.ldexp(config.state_drift, shift) * draw
-                norm = np.linalg.norm(stepped)
-            if norm >= 1e-12:
+            norm = scaled_norm(stepped)
+            if norm > 0.0:
                 coef = stepped / norm
         if prev is not None and coef is prev[0] and subspace is prev[1]:
             state = prev[2]

@@ -21,19 +21,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssrlab
+import ssrlab.cli as cli_mod
 import ssrlab.config as config_mod
+import ssrlab.errors as errors_mod
 import ssrlab.harness as harness_mod
 import ssrlab.metrics as metrics_mod
+from ssrlab.affinity import AFFINITY_MODES
 from ssrlab.cli import main
 from ssrlab.config import (
     _KNOWN_KEYS,
+    KNOWN_METHODS,
     ExperimentConfig,
     build_experiment_config,
     config_to_dict,
     load_config,
     parse_config_text,
 )
-from ssrlab.errors import ConfigInvalid, DegenerateRow, InvalidScenario, NonFiniteAffinity
+from ssrlab.errors import (
+    ConfigInvalid,
+    DegenerateRow,
+    InvalidScenario,
+    NonFiniteAffinity,
+    NumericError,
+    SsrLabError,
+)
 from ssrlab.harness import (
     CSV_HEADER,
     dump_csv,
@@ -43,8 +54,8 @@ from ssrlab.harness import (
     write_experiment_outputs,
 )
 from ssrlab.metrics import ablate_window, score_run
-from ssrlab.regularizer import ema_fuse
-from ssrlab.synth import Scenario, derive_trial_seed, generate_scenario
+from ssrlab.regularizer import BUFFER_POLICIES, ema_fuse
+from ssrlab.synth import NOISE_KINDS, Scenario, derive_trial_seed, generate_scenario
 from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -52,6 +63,15 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_CFG = os.path.join(REPO, "scripts", "example.cfg")
 # Wall seconds per stage in run_meta.json.
 STAGE_KEYS = ("generate_s", "correct_s", "score_s", "write_s")
+# Every error class the package defines, found by walking ssrlab.errors.
+ERROR_CLASSES = sorted(
+    (
+        value
+        for value in vars(errors_mod).values()
+        if isinstance(value, type) and issubclass(value, SsrLabError) and value is not SsrLabError
+    ),
+    key=lambda cls: cls.__name__,
+)
 
 BASE = {
     "scenario.n": "8",
@@ -460,8 +480,6 @@ class TestWriters:
             config=make_config(tmp_path),
             methods={},
             heatmaps={},
-            seed=0,
-            tool_version="0",
             timestamp="",
         )
         path = tmp_path / "empty.csv"
@@ -574,6 +592,25 @@ class TestCli:
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_package_error_maps_onto_its_exit_code(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        def fail(config):
+            raise error("injected")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", fail)
+        code = main(["simulate", write_cfg_file(tmp_path)])
+        err = capsys.readouterr().err
+        is_config = error is ConfigInvalid
+        assert code == (2 if is_config else 3)
+        assert err.startswith("config error:" if is_config else "numeric error:")
+        assert "Traceback" not in err
+        assert is_config or issubclass(error, NumericError)
+
+    def test_error_classes_are_found(self):
+        assert {ConfigInvalid, NumericError, DegenerateRow} <= set(ERROR_CLASSES)
 
     def test_numeric_error_exits_three(self, tmp_path, monkeypatch, capsys):
         crafted = crafted_scenario([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -958,8 +995,58 @@ _EVERY_KEY = {
 }
 
 
+def _finite_at_least_zero():
+    return st.floats(min_value=0.0, allow_infinity=False)
+
+
+# A value from each key's valid domain. scenario.r stays below every
+# scenario.n, and output.heatmap_frames below every scenario.length, so
+# these keys combine freely with BASE and with each other; only ssr.mode
+# raw-sum beside an ssr.temperature fails to build.
+_VALID_VALUES = {
+    "scenario.n": st.integers(min_value=8, max_value=10**6),
+    "scenario.r": st.integers(min_value=1, max_value=7),
+    "scenario.length": st.integers(min_value=30, max_value=10**6),
+    "scenario.seed": st.integers(min_value=0, max_value=2**64 - 1),
+    "scenario.speed": _finite_at_least_zero(),
+    "scenario.waypoints": st.integers(min_value=2, max_value=10**6),
+    "scenario.state_drift": _finite_at_least_zero(),
+    "noise.kind": st.sampled_from(sorted(NOISE_KINDS)),
+    "noise.sigma": _finite_at_least_zero(),
+    "noise.burst_prob": st.floats(min_value=0.0, max_value=1.0),
+    "noise.burst_scale": _finite_at_least_zero(),
+    "methods": st.lists(
+        st.sampled_from(KNOWN_METHODS), min_size=1, max_size=3, unique=True
+    ).map(",".join),
+    "trials": st.integers(min_value=1, max_value=10**6),
+    "ssr.window_k": st.integers(min_value=1, max_value=10**6),
+    "ssr.mode": st.sampled_from(sorted(AFFINITY_MODES)),
+    "ssr.temperature": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "ssr.buffer_policy": st.sampled_from(sorted(BUFFER_POLICIES)),
+    "ema.alpha": st.floats(min_value=0.0, max_value=1.0),
+    "output.dir": st.text(alphabet="abz09/._-", min_size=1, max_size=12),
+    "output.emit_heatmaps": st.sampled_from(["true", "1", "YES", "false", "0", "No"]),
+    "output.heatmap_frames": st.lists(st.integers(min_value=0, max_value=29), max_size=4).map(
+        lambda frames: ",".join(map(str, frames))
+    ),
+}
+
+
+@st.composite
+def valid_config_texts(draw) -> str:
+    values = {**BASE, "output.dir": "out"}
+    for key in draw(st.lists(st.sampled_from(sorted(_VALID_VALUES)), max_size=6)):
+        value = draw(_VALID_VALUES[key])
+        values[key] = repr(value) if isinstance(value, float) else str(value)
+    return "\n".join(f"{key} = {value}" for key, value in values.items())
+
+
+def test_valid_values_cover_every_key():
+    assert set(_VALID_VALUES) == _KNOWN_KEYS
+
+
 @settings(max_examples=400, deadline=None)
-@given(text=config_texts())
+@given(text=valid_config_texts())
 def test_property_config_echo_round_trips(text):
     try:
         config = build_experiment_config(parse_config_text(text))

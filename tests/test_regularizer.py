@@ -20,11 +20,11 @@ from ssrlab.affinity import (
     correct_current,
 )
 from ssrlab.errors import (
-    NUMERIC_ERRORS,
     AlphaOutOfRange,
     DegenerateRow,
     DimensionMismatch,
     NonFiniteAffinity,
+    NumericError,
 )
 from ssrlab.grassmann import orthonormalize, span_membership_residual
 from ssrlab.regularizer import (
@@ -68,7 +68,7 @@ def per_window_stream(states, config: SsrConfig, full: bool = False) -> np.ndarr
             if full:
                 compute_affinity(window, config.mode, config.temperature)
             corrected[t] = correct_current(window[None], config.mode, config.temperature)[0]
-        except NUMERIC_ERRORS as exc:
+        except NumericError as exc:
             exc.frame = t
             raise
         if config.buffer_policy == STORE_CORRECTED:
@@ -80,7 +80,7 @@ def outcome(run, *args, **kwargs):
     """("ok", result) or (error type name, message, frame) of run(*args, **kwargs)."""
     try:
         return ("ok", run(*args, **kwargs))
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         return (type(exc).__name__, str(exc), exc.frame)
 
 

@@ -8,6 +8,7 @@ g ~ N(0, I_n), evaluated with math.gamma, not with the library.
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,33 @@ class TestStaticScenario:
         norms = np.linalg.norm(scenario.clean, axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-12)
         assert np.array_equal(scenario.clean, scenario_oracle(config, noise)[0])
+
+    @pytest.mark.parametrize("drift", [0.0, 0.05])
+    def test_clean_states_do_not_depend_on_the_first_draws_scale(self, monkeypatch, drift):
+        # only the first draw's direction starts the walk: scaled by 2**e,
+        # from where its squares underflow to where they overflow, it must
+        # give the same clean stream bit for bit
+        config = TrajectoryConfig(n=6, r=3, length=5, seed=0, state_drift=drift)
+        bases = np.broadcast_to(np.eye(6, 3), (5, 6, 3))
+        first = np.array([0.8, -1.3, 0.4])
+        later = list(np.random.default_rng(5).standard_normal((4, 3)))
+
+        def clean_at(e):
+            draws = [np.ldexp(first, e), *later]
+            monkeypatch.setattr(
+                synth_mod,
+                "_substreams",
+                lambda seed, stream, frames: (
+                    SimpleNamespace(standard_normal=lambda size, d=draws[t]: d.copy())
+                    for t in frames
+                ),
+            )
+            return synth_mod._clean_states(config, bases)
+
+        reference = clean_at(0)
+        assert np.array_equal(reference[0], np.eye(6, 3) @ (first / np.linalg.norm(first)))
+        for e in (-1000, -520, -41, 500, 1000):
+            assert np.array_equal(clean_at(e), reference), e
 
     def test_coefficient_drift_moves_the_state_inside_the_subspace(self):
         clean, _, bases = generate_scenario(
