@@ -32,7 +32,7 @@ import numpy as np
 from ._version import TOOL_VERSION
 from .config import METHOD_EMA, METHOD_SSR, ExperimentConfig, config_to_dict
 from .errors import NumericError, annotated
-from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, naming_trial, score_run
+from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, naming_trial, scaled_stat, score_run
 from .regularizer import ema_fuse, passthrough_step, run_stream
 from .synth import derive_trial_seed, generate_scenario
 
@@ -87,8 +87,8 @@ def _aggregate(summaries: tuple[RunSummary, ...]) -> tuple[dict[str, float], dic
     std: dict[str, float] = {}
     for name in _SUMMARY_FIELDS:
         values = np.array([getattr(s, name) for s in summaries])
-        mean[name] = float(values.mean())
-        std[name] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        mean[name] = scaled_stat(values)
+        std[name] = scaled_stat(values, ddof=1) if len(values) > 1 else 0.0
     return mean, std
 
 

@@ -73,6 +73,27 @@ class AblationRow:
     std_improvement_ratio: float
 
 
+def scaled_stat(values: np.ndarray, ddof: int | None = None) -> float:
+    """values.mean(), or values.std(ddof=ddof), measured so that it scales with the data.
+
+    The plain value is kept, bit for bit, unless it is not finite, as
+    when a sum or square overflows though every value is finite; then it
+    is taken again after exact scaling by the power of two just above the
+    largest |value|, as in affinity.vector_norms. Shared with
+    ssrlab.harness, not in __all__.
+    """
+
+    def plain(v: np.ndarray) -> np.floating:
+        return v.mean() if ddof is None else v.std(ddof=ddof)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = plain(values)
+        if not np.isfinite(value):
+            shift = np.frexp(np.abs(values).max())[1]
+            value = np.ldexp(plain(np.ldexp(values, -shift)), shift)
+    return float(value)
+
+
 def improvement_ratio(mean_raw: float, mean_corrected: float) -> float:
     """Fraction of mean raw error removed; equal means give exactly 0."""
     if mean_corrected == mean_raw:
@@ -132,13 +153,13 @@ def score_run(
         exc.frame = frame
         raise exc
     raw, corr = scores[:, 0], scores[:, 1]
-    mean_raw = float(raw.mean())
-    mean_corr = float(corr.mean())
+    mean_raw = scaled_stat(raw)
+    mean_corr = scaled_stat(corr)
     summary = RunSummary(
         mean_raw_error=mean_raw,
         mean_corrected_error=mean_corr,
         improvement_ratio=improvement_ratio(mean_raw, mean_corr),
-        tail_error_mean=float(corr[int(0.75 * length) :].mean()),
+        tail_error_mean=scaled_stat(corr[int(0.75 * length) :]),
         win_fraction=float(np.mean(corr < raw)),
     )
     return scores, summary
@@ -189,11 +210,11 @@ def ablate_window(
                 raise annotated(exc, f"window_k={k}, trial={i}, frame={exc.frame}") from exc
             ratios.append(summary.improvement_ratio)
         values = np.array(ratios)
-        std = float(values.std(ddof=1)) if trials > 1 else 0.0
+        std = scaled_stat(values, ddof=1) if trials > 1 else 0.0
         rows.append(
             AblationRow(
                 window_k=k,
-                mean_improvement_ratio=float(values.mean()),
+                mean_improvement_ratio=scaled_stat(values),
                 std_improvement_ratio=std,
             )
         )

@@ -26,6 +26,7 @@ import ssrlab.config as config_mod
 import ssrlab.errors as errors_mod
 import ssrlab.harness as harness_mod
 import ssrlab.metrics as metrics_mod
+import ssrlab.synth as synth_mod
 from ssrlab.affinity import AFFINITY_MODES
 from ssrlab.cli import main
 from ssrlab.config import (
@@ -43,6 +44,7 @@ from ssrlab.errors import (
     InvalidScenario,
     NonFiniteAffinity,
     NumericError,
+    RankDeficient,
     SsrLabError,
 )
 from ssrlab.harness import (
@@ -55,7 +57,13 @@ from ssrlab.harness import (
 )
 from ssrlab.metrics import ablate_window, score_run
 from ssrlab.regularizer import BUFFER_POLICIES, ema_fuse
-from ssrlab.synth import NOISE_KINDS, Scenario, derive_trial_seed, generate_scenario
+from ssrlab.synth import (
+    NOISE_KINDS,
+    WAYPOINT_ATTEMPTS,
+    Scenario,
+    derive_trial_seed,
+    generate_scenario,
+)
 from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -589,6 +597,48 @@ class TestCli:
         bad.write_text("nonsense.key = 1\n")
         assert main(["simulate", str(bad)]) == 2
         assert "nonsense.key" in capsys.readouterr().err
+        for key, value, named in [
+            ("methods", "ssr,ema,ssr", "methods: duplicate"),
+            ("trials", "0", "trials: must be at least 1"),
+            ("scenario.speed", "inf", "scenario: speed must be finite"),
+            ("scenario.speed", "nan", "scenario: speed must be finite"),
+        ]:
+            assert main(["simulate", write_cfg_file(tmp_path, **{key: value})]) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {named}"), err
+
+    def test_unknown_subcommand_exits_two(self, capsys):
+        # argparse rejects it; the CLI's only exit codes are 0, 2, 3 and 4
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'selfcheck'" in capsys.readouterr().err
+        assert cli_mod.__all__ == ["main"]
+
+    def test_degenerate_waypoints_are_redrawn_then_exit_three(self, tmp_path, monkeypatch, capsys):
+        # attempt 0 draws a rank-deficient waypoint and is skipped; a margin
+        # of pi/2 then rejects every pair, so each later set is redrawn until
+        # the attempts run out
+        real = synth_mod.orthonormalize
+        calls = []
+
+        def rank_deficient_once(matrix):
+            calls.append(matrix.shape)
+            if len(calls) == 1:
+                raise RankDeficient("injected")
+            return real(matrix)
+
+        monkeypatch.setattr(synth_mod, "orthonormalize", rank_deficient_once)
+        monkeypatch.setattr(synth_mod, "ANGLE_DEGENERACY_MARGIN", np.pi / 2)
+        cfg = write_cfg_file(tmp_path, trials=1, **{"scenario.speed": "1.0"})
+        assert main(["simulate", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "numeric error: (scenario generation, trial=0): "
+            f"no usable waypoint set after {WAYPOINT_ATTEMPTS} attempts\n"
+        )
+        # one failed draw, then two waypoints on each of the other attempts
+        assert len(calls) == 1 + 2 * (WAYPOINT_ATTEMPTS - 1)
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2
@@ -783,34 +833,40 @@ class TestCli:
     def test_huge_finite_scores_run_without_warnings(self, tmp_path):
         # scripts/example.cfg at noise 1e160: the distances' squares
         # overflow, the distances do not, and the norms are measured
-        # again after exact power-of-two scaling
-        overrides = {
-            "noise.sigma": "1e160",
-            "methods": "ema,passthrough",
-            "trials": "1",
-            "output.dir": "out",
-        }
+        # again after exact power-of-two scaling; at 1e307 the sums
+        # behind the means overflow too, and are taken again the same way
         with open(EXAMPLE_CFG, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        cfg = tmp_path / "example.cfg"
-        cfg.write_text(
-            "\n".join(
-                f"{key} = {overrides[key]}" if key in overrides else line
-                for line in lines
-                for key in [line.partition("=")[0].strip()]
+
+        def no_constant(name):
+            raise AssertionError(f"summary.json holds {name}")
+
+        for sigma in (1e160, 1e307):
+            overrides = {
+                "noise.sigma": repr(sigma),
+                "methods": "ema,passthrough",
+                "trials": "1",
+                "output.dir": "out",
+            }
+            cfg = tmp_path / "example.cfg"
+            cfg.write_text(
+                "\n".join(
+                    f"{key} = {overrides[key]}" if key in overrides else line
+                    for line in lines
+                    for key in [line.partition("=")[0].strip()]
+                )
+                + "\n"
             )
-            + "\n"
-        )
-        done = self._simulate_subprocess(tmp_path, cfg=str(cfg))
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
-        # the summary table stays a table: huge means print in e notation
-        assert max(map(len, done.stdout.splitlines())) <= 80, done.stdout
-        with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        # E||sigma g|| for g in R^64 is about 7.97 sigma
-        raw = summary["methods"]["passthrough"]["aggregate_mean"]["mean_raw_error"]
-        assert 7.5e160 < raw < 8.5e160
+            done = self._simulate_subprocess(tmp_path, cfg=str(cfg))
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == ""
+            # the summary table stays a table: huge means print in e notation
+            assert max(map(len, done.stdout.splitlines())) <= 80, done.stdout
+            with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
+                summary = json.load(fh, parse_constant=no_constant)
+            # E||sigma g|| for g in R^64 is about 7.97 sigma
+            raw = summary["methods"]["passthrough"]["aggregate_mean"]["mean_raw_error"]
+            assert 7.5 * sigma < raw < 8.5 * sigma
 
     def test_huge_finite_states_run_without_warnings(self, tmp_path):
         # at 1e153 every dot product is finite; the self-expression
@@ -887,20 +943,15 @@ class TestCli:
         cfg = write_cfg_file(tmp_path)
         assert main(["affinity-dump", cfg, "--frames", ""]) == 2
 
-    def test_selfcheck_passes(self, capsys):
-        assert main(["selfcheck"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
-
     def test_runs_without_importing_scipy(self, tmp_path):
-        # scipy is a test oracle only; a fresh process that checks itself
-        # and simulates a moving subspace must never load it
+        # scipy is a test oracle only; a fresh process that simulates a
+        # moving subspace must never load it
         cfg = write_cfg_file(
             tmp_path, trials=1, **{"scenario.length": "16", "scenario.speed": "1.0", "scenario.waypoints": "3"}
         )
         code = (
             "import sys\n"
             "from ssrlab.cli import main\n"
-            "assert main(['selfcheck']) == 0\n"
             f"assert main(['simulate', {cfg!r}]) == 0\n"
             "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
@@ -1104,6 +1155,19 @@ def test_readme_config_table_matches_the_schema():
             text = "" if default == "empty" else default
             assert expected is not MISSING, key
             assert config_mod._parse(key, text, parser) == expected, key
+
+
+def test_readme_quick_start_table_matches_simulate(tmp_path, capsys):
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("summary table:\n\n```\n", 1)[1].split("```", 1)[0]
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        text = fh.read().replace("output.dir = out/example", f"output.dir = {tmp_path / 'out'}")
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines(keepends=True)
+    assert "".join(out[:4]) == table
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ so the corrector removed exactly half the mean error.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssrlab.errors import DimensionMismatch, InvalidScore, LengthMismatch
@@ -16,6 +16,7 @@ from ssrlab.metrics import (
     RunSummary,
     ablate_window,
     improvement_ratio,
+    scaled_stat,
     score_run,
 )
 from ssrlab.regularizer import SsrConfig
@@ -257,8 +258,30 @@ def test_property_scores_scale_with_the_data(seed, exponent):
     # the scaling itself is exact: no entry leaves the normal range
     for x, original in zip((clean, noisy, scaled_corrected), (*scenario[:2], corrected)):
         assert np.array_equal(np.ldexp(x, -exponent), original)
-    scores, _ = score_run(scenario, corrected)
-    scaled, _ = score_run(Scenario(clean, noisy, scenario.bases), scaled_corrected)
+    scores, summary = score_run(scenario, corrected)
+    scaled, scaled_summary = score_run(Scenario(clean, noisy, scenario.bases), scaled_corrected)
     errors = [RAW, CORRECTED]
     assert np.array_equal(scaled[:, errors], np.ldexp(scores[:, errors], exponent))
     assert np.array_equal(scaled[:, SUBSPACE], scores[:, SUBSPACE])
+    for name in ("mean_raw_error", "mean_corrected_error", "tail_error_mean"):
+        assert getattr(scaled_summary, name) == np.ldexp(getattr(summary, name), exponent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=2, max_value=300),
+    exponent=st.integers(min_value=-400, max_value=1022),
+)
+@example(seed=0, size=300, exponent=1022)
+def test_property_scaled_stat_scales_with_the_data(seed, size, exponent):
+    # at scale 1 the mean and std are numpy's, bit for bit; scaled by 2**e
+    # they scale by exactly 2**e, also where the plain squares (e above
+    # about 511) or sums (e near 1022) overflow
+    values = np.random.default_rng(seed).uniform(0.5, 2.0, size)
+    scaled = np.ldexp(values, exponent)
+    assert np.array_equal(np.ldexp(scaled, -exponent), values)
+    for ddof in (None, 1):
+        plain = values.mean() if ddof is None else values.std(ddof=ddof)
+        assert scaled_stat(values, ddof) == plain
+        assert scaled_stat(scaled, ddof) == np.ldexp(plain, exponent)
