@@ -80,6 +80,11 @@ class ConfigInvalid(SsrLabError):
     """Configuration error; message names the offending field path."""
 
 
+def frame_named(context: str, exc: SsrLabError) -> str:
+    """context, then ", frame=N" when exc names its frame; shared, not in __all__."""
+    return context if exc.frame is None else f"{context}, frame={exc.frame}"
+
+
 def annotated(exc: SsrLabError, context: str) -> SsrLabError:
     """exc's type and frame, message prefixed "(context): "; shared, not in __all__."""
     named = type(exc)(f"({context}): {exc}")

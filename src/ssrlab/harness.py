@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import TOOL_VERSION
 from .config import METHOD_EMA, METHOD_SSR, ExperimentConfig, config_to_dict
-from .errors import NumericError, annotated
+from .errors import NumericError, annotated, frame_named
 from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, naming_trial, scaled_stat, score_run
 from .regularizer import ema_fuse, passthrough_step, run_stream
 from .synth import derive_trial_seed, generate_scenario
@@ -122,7 +122,7 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
                 seconds["correct_s"] += scoring - start
                 seconds["score_s"] += perf_counter() - scoring
             except NumericError as exc:
-                raise annotated(exc, f"method={method}, trial={trial}, frame={exc.frame}") from exc
+                raise annotated(exc, frame_named(f"method={method}, trial={trial}", exc)) from exc
         # free this trial's arrays before the next scenario is generated (peak RSS)
         del scenario, corrected
     methods: dict[str, MethodResult] = {}

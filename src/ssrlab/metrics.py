@@ -8,13 +8,16 @@ distances to the clean state, the corrected state's relative distance
 from the true subspace, and the self-expression residual.
 
 improvement_ratio compares mean corrected error to mean raw error:
-1 - mean_corrected / max(mean_raw, 1e-12), except that equal means give
-exactly 0 (so an identity method scores 0 even on a noiseless run where
-the guarded division would otherwise report spurious improvement).
+1 - mean_corrected / mean_raw, with no floor, so it reads the same at
+any scale of the data. Equal means give exactly 0 (an identity method
+scores 0 even on a noiseless run). Where no finite ratio exists, a raw
+error of exactly 0 under a positive corrected one or a quotient beyond
+float64, it raises InvalidScore.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -22,7 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affinity import vector_norms
-from .errors import DimensionMismatch, InvalidScore, LengthMismatch, NumericError, annotated
+from .errors import (
+    DimensionMismatch,
+    InvalidScore,
+    LengthMismatch,
+    NumericError,
+    annotated,
+    frame_named,
+)
 from .grassmann import span_membership_residual
 from .regularizer import SsrConfig, run_stream
 from .synth import (
@@ -43,8 +53,6 @@ __all__ = [
 ]
 
 SCORE_COLUMNS = ("raw_error", "corrected_error", "subspace_residual", "se_residual")
-
-_RAW_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,21 @@ def scaled_stat(values: np.ndarray, ddof: int | None = None) -> float:
 
 
 def improvement_ratio(mean_raw: float, mean_corrected: float) -> float:
-    """Fraction of mean raw error removed; equal means give exactly 0."""
+    """Fraction of mean raw error removed, 1 - mean_corrected / mean_raw; equal means give 0.
+
+    Raises:
+        InvalidScore: mean_raw is 0 under a positive mean_corrected, or
+            the quotient overflows float64.
+    """
     if mean_corrected == mean_raw:
         return 0.0
-    return 1.0 - mean_corrected / max(mean_raw, _RAW_FLOOR)
+    quotient = mean_corrected / mean_raw if mean_raw > 0.0 else math.inf
+    if not math.isfinite(quotient):
+        raise InvalidScore(
+            f"no finite improvement ratio: mean corrected error {mean_corrected:.3e}"
+            f" over mean raw error {mean_raw:.3e}"
+        )
+    return 1.0 - quotient
 
 
 def score_run(
@@ -207,7 +226,7 @@ def ablate_window(
                 corrected = run_stream(config, scenario.noisy, residuals=False)[0]
                 _, summary = score_run(scenario, corrected)
             except NumericError as exc:
-                raise annotated(exc, f"window_k={k}, trial={i}, frame={exc.frame}") from exc
+                raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
             ratios.append(summary.improvement_ratio)
         values = np.array(ratios)
         std = scaled_stat(values, ddof=1) if trials > 1 else 0.0

@@ -14,9 +14,17 @@ its frame is done.
 Correction forms only each window's current affinity row. One
 affinity.correct_current call corrects all full windows under store-raw;
 a row loop that repeats its operations bit for bit corrects the first
-window_k (shorter) windows and, under store-corrected, every frame. The
-full L x L affinities, all of whose rows are then checked, are formed
-only for residuals and kept affinities, BLOCK_FRAMES windows per call.
+window_k (shorter) windows and, under store-corrected, every frame.
+
+Residuals come from lag bands: the dot products x_t . x_{t-j}, j <= k,
+taken once over the stream, hold every window's Gram matrix G, which is
+gathered in frame chunks; ||S - CS||^2 = tr((I - C) G (I - C)^T) then
+needs no L x d product. A window the Gram form cannot vouch for to 1e-12,
+one with more rows than the state has entries, and a kept frame take the
+direct path instead: compute_affinity and self_expressive_residual over
+a stack of equal-length windows. That path also checks every row of the
+windows it takes and raises each numeric error, so with residuals or
+kept affinities every window's affinity is checked in full.
 
 The two baselines take and return T x d streams as well: ema_fuse runs
 the exponential recurrence over the rows, passthrough_step is the identity.
@@ -57,9 +65,16 @@ STORE_RAW = "store-raw"
 STORE_CORRECTED = "store-corrected"
 BUFFER_POLICIES = frozenset({STORE_RAW, STORE_CORRECTED})
 
-# Full windows per compute_affinity call for residuals and affinities; at
-# window_k = 64 each (BLOCK_FRAMES, 65, 65) temporary takes about 0.5 MB.
-BLOCK_FRAMES = 16
+# float64 entries in each (frames, W, W) or (frames, L, d) temporary of the
+# residual pass: 256 kB.
+_CHUNK_ENTRIES = 2**15
+# Gram traces outside this range go to the direct path: below it, underflow
+# in the bands is no longer far below the trace's last bit; above it, the
+# products and error estimates of the Gram form might overflow.
+_GRAM_RANGE = (2.0**-900, 2.0**900)
+# Softmax windows whose largest logit, |x|^2 / tau, exceeds this go to the
+# direct path; below it no row's weights underflow, and no logit overflows.
+_LOGIT_SPAN = 2048.0
 
 
 @dataclass(frozen=True)
@@ -180,31 +195,168 @@ def run_stream(
         exc.frame += frame
         # An earlier frame's full affinity may fail first; it is formed below.
         failure, stop = exc, exc.frame + 1
-    scores = np.empty(length) if residuals else None
-    keep = set(keep_affinities)
-    kept: dict[int, np.ndarray] = {}
+    keep = {t for t in keep_affinities if 0 <= t < stop}
+    scores, kept = None, {}
     if residuals or keep:
-        # The frames up to the first failure, warm-up frames one by one.
-        starts = [*range(min(k, stop)), *range(k, stop, BLOCK_FRAMES)]
-        for start, end in zip(starts, starts[1:] + [stop]):
-            block = buf[: start + 1][None] if start < k else windows[start - k : end - k]
-            if feedback:
+        # Every window up to the first failure is checked in full, as residuals
+        # need; the ones the banded pass cannot vouch for take the direct path.
+        scores = _banded_residuals(buf, raw, k, mode, tau, stop)
+        direct = np.isnan(scores)
+        direct[list(keep)] = True
+        frames = np.flatnonzero(direct)
+        split = int(np.searchsorted(frames, k))
+        # each warm-up window has its own length, the full ones share k + 1
+        groups = [frames[i : i + 1] for i in range(split)]
+        if split < len(frames):
+            groups.append(frames[split:])
+        for group in groups:
+            size = min(int(group[0]), k) + 1
+            step = max(1, _CHUNK_ENTRIES // (size * max(size, raw.shape[1])))
+            for i in range(0, len(group), step):
+                t = group[i : i + step]
+                stack = buf[t[:, None] + np.arange(1 - size, 1)]
                 # the windows as each frame saw them: raw current state last
-                block = block.copy()
-                block[:, -1] = raw[start:end]
-            try:
-                affinity = compute_affinity(block, config.mode, config.temperature)
-            except NumericError as exc:
-                exc.frame += start
-                raise
-            if scores is not None:
-                scores[start:end] = self_expressive_residual(block, affinity)
-            for t in keep.intersection(range(start, end)):
-                kept[t] = affinity[t - start].copy()
-                kept[t].flags.writeable = False
+                stack[:, -1] = raw[t]
+                try:
+                    affinity = compute_affinity(stack, config.mode, config.temperature)
+                except NumericError as exc:
+                    exc.frame = int(t[exc.frame])
+                    raise
+                scores[t] = self_expressive_residual(stack, affinity)
+                for j, frame in enumerate(t.tolist()):
+                    if frame in keep:
+                        kept[frame] = affinity[j].copy()
+                        kept[frame].flags.writeable = False
     if failure is not None:
         raise failure
-    return corrected, kept, scores
+    return corrected, kept, scores if residuals else None
+
+
+def _banded_residuals(buf, raw, k, mode, tau, stop) -> np.ndarray:
+    """Residuals of frames 0 .. stop - 1 from lag bands; NaN where the Gram form cannot vouch.
+
+    Window t has the L = min(t, k) + 1 rows buf[t - L + 1 .. t - 1] and
+    raw[t], and its Gram matrix G holds only dot products of rows at most
+    k apart: the lag bands x_s . x_{s-j}, j <= k, taken once over the
+    stream. Windows up to W = min(k + 1, d) rows are gathered W x W, a
+    shorter one after W - L zero rows whose logits are -inf (weight
+    exactly 0), W^2 entries per frame where the direct form takes L d.
+    With D = I - C, ||S - CS||^2 = sum((D G) * D) needs no L x d product.
+
+    The value's error estimate (probabilistic rounding constants, sqrt(n)
+    per n-term sum; Higham & Mary, SIAM J. Sci. Comput. 2019) covers the
+    rounding of the bands against the direct Gram matrix, its effect on C,
+    the cancellation in the Gram form and the direct form's own rounding.
+    A window is NaN (for the direct path to decide) unless that estimate
+    is below 1e-12 of the value, tr G lies in _GRAM_RANGE, no softmax
+    logit exceeds _LOGIT_SPAN and no raw-sum row sum lies within the
+    bands' error of the degenerate-row test, so every window that could
+    fail a check reaches the direct path. Non-finite bands give NaN too.
+    """
+    d = buf.shape[1]
+    width = min(k + 1, d)
+    scores = np.full(stop, np.nan)
+    # frames whose window fits in width rows: all of them when width = k + 1
+    count = stop if width == k + 1 else min(stop, width)
+    if count == 0:
+        return scores
+    feedback = buf is not raw
+    with np.errstate(all="ignore"):
+        # history[t] holds stream rows t - W + 1 .. t, zero rows before the start
+        padded = np.zeros((count + width - 1, d))
+        padded[width - 1 :] = buf[:count]
+        history = sliding_window_view(padded, width, axis=0).swapaxes(1, 2)
+        # bands[W - 1 + s, i] = x_s . x_{s-W+1+i}: lag W - 1 - i, zero rows ahead
+        bands = np.zeros((count + width - 1, width))
+        bands[width - 1 :] = (history @ buf[:count, :, None])[..., 0]
+        if feedback:
+            # the raw current state against the corrected history, then itself
+            current = (history @ raw[:count, :, None])[..., 0]
+            current[:, -1] = np.einsum("ij,ij->i", raw[:count], raw[:count])
+        index = np.arange(width)
+        lag = np.abs(index[:, None] - index)
+        gather = np.maximum.outer(index, index) * width + width - 1 - lag
+        step = max(1, _CHUNK_ENTRIES // width**2)
+        for start in range(0, count, step):
+            t = np.arange(start, min(count, start + step))
+            gram = bands.ravel()[t[:, None, None] * width + gather]
+            if feedback:
+                gram[:, -1] = gram[:, :, -1] = current[t]
+            scores[t] = _gram_residuals(gram, t, mode, tau, d)
+    return scores
+
+
+def _gram_residuals(gram, t, mode, tau, d) -> np.ndarray:
+    """Residuals of frames t from their W x W Gram matrices, or NaN; see _banded_residuals.
+
+    A frame t < W - 1 has W - 1 - t zero rows ahead of its first state.
+    The error estimate of r = ||S - CS||, in units of u = 2**-53, is
+    nu sum v^2 / 2r + |e| with v = |I - C| n over the row norms n: nu
+    covers the rounding of the bands, of (I - C) G and of the two sums,
+    and e_a the change in row a of CS that C's rounding in either form
+    and the direct form's own product can make.
+    """
+    width = gram.shape[-1]
+    index = np.arange(width)
+    head = np.count_nonzero(t < width - 1)
+    pad = index < (width - 1 - t[:head])[:, None]
+    norms2 = gram[:, index, index]
+    trace = norms2.sum(axis=-1)
+    norms = np.sqrt(norms2)
+    root_d, root_w = math.sqrt(d), math.sqrt(width)
+    if mode == MODE_SOFTMAX:
+        # |x_a . x_b| <= |x_a| max|x|: a shift at or above each row's max logit
+        peak = norms.max(axis=-1)
+        shift = norms * peak[:, None] / tau
+        weights = gram / tau
+        weights -= shift[..., None]
+        np.copyto(weights[:head], -np.inf, where=pad[:, None, :])
+        np.exp(weights, out=weights)
+        weights /= np.einsum("fab->fa", weights)[..., None]
+        np.copyto(weights[:head], 0.0, where=pad[..., None])
+        reach = np.einsum("fab,fb->fa", weights, norms)
+        # |I - C| n, as every C_ab >= 0 and C_aa <= 1
+        spread = reach + (1.0 - 2.0 * weights[:, index, index]) * norms
+        # logits move by about (2 sqrt d + 3) u |logit| in either form
+        rounding = 2.0 * (2.0 * root_d + 3.0) * shift * spread
+        # a row's largest weight is at least exp(-peak^2 / 4 tau): no underflow
+        normal = peak * peak / tau <= _LOGIT_SPAN
+        near = False
+    else:
+        sums = np.einsum("fab->fa", gram)
+        sums[:head][pad] = 1.0  # zero rows get weights 0
+        weights = gram / sums[..., None]
+        magnitudes = np.einsum("fab->fa", np.abs(gram))
+        total = norms.sum(axis=-1, keepdims=True)
+        # either form's row sums lie within d u n_a sum(n) + W u sum|G_ab| of the exact ones
+        slack = 2.0**-50 * (d * norms * total + width * magnitudes)
+        near = (np.abs(sums) <= DEGENERATE_ROW_TOL * magnitudes + slack).any(axis=-1)
+        reach = np.einsum("fab,fb->fa", np.abs(weights), norms)
+        diagonal = weights[:, index, index]
+        spread = reach + (np.abs(1.0 - diagonal) - np.abs(diagonal)) * norms
+        # C's row a moves by its sum's error over |sum|, weighing sum_b |C_ab| (n_a + n_b)
+        gain = magnitudes / np.abs(sums)
+        through = gain * norms + reach
+        moved = 2.0 * root_d * norms * (norms * total + trace[:, None] + total * through)
+        rounding = moved / np.abs(sums) + root_w * gain * (through + norms)
+        normal = True
+    rounding += (3.0 * root_w + 5.0) * reach
+    defect = -weights  # I - C
+    defect[:, index, index] += 1.0
+    r2 = np.einsum("fab,fab->fa", defect @ gram, defect).sum(axis=-1)
+    r = np.sqrt(r2)
+    nu = root_d + 2.0 * root_w + 2.0
+    estimate = nu * np.einsum("fa,fa->f", spread, spread)
+    estimate += 2.0 * r * np.linalg.norm(rounding, axis=-1)
+    vouched = (
+        (2.0**-53 * estimate <= 2e-12 * r2)
+        & ((r2 > 0.0) | (t == 0))  # frame 0: C = [[1]], exactly 0 in both forms
+        & (trace >= _GRAM_RANGE[0])
+        & (trace <= _GRAM_RANGE[1])
+        & normal
+        & ~near
+    )
+    return np.where(vouched, np.sqrt(r2 / trace), np.nan)
 
 
 def ema_fuse(states: np.ndarray, alpha: float) -> np.ndarray:

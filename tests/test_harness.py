@@ -56,7 +56,7 @@ from ssrlab.harness import (
     write_experiment_outputs,
 )
 from ssrlab.metrics import ablate_window, score_run
-from ssrlab.regularizer import BUFFER_POLICIES, ema_fuse
+from ssrlab.regularizer import BUFFER_POLICIES, ema_fuse, run_stream
 from ssrlab.synth import (
     NOISE_KINDS,
     WAYPOINT_ATTEMPTS,
@@ -217,14 +217,18 @@ class TestRunExperiment:
         assert result.aggregate_mean["improvement_ratio"] == 0.0
 
     def test_static_noiseless_ssr_error_is_negligible(self, tmp_path):
+        # the corrector itself; scored, a raw error of exactly 0 under a
+        # positive corrected one has no finite improvement ratio
         config = make_config(
             tmp_path,
             methods="ssr",
             **{"noise.sigma": "0.0", "scenario.state_drift": "0.0"},
         )
-        bundle = run_experiment(config)
-        for scores in bundle.methods["ssr"].scores:
-            assert np.all(scores[:, 1] < 1e-9)
+        for trial in range(config.trials):
+            seed = derive_trial_seed(config.trajectory.seed, trial)
+            scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+            corrected = run_stream(config.ssr, scenario.noisy)[0]
+            assert np.all(np.linalg.norm(corrected - scenario.clean, axis=1) < 1e-9)
 
     def test_ema_matches_local_recursion(self, tmp_path):
         config = make_config(tmp_path, methods="ema", trials=1)
@@ -507,7 +511,8 @@ class TestWriters:
             **{"scenario.n": "3", "scenario.r": "1", "scenario.length": "1"},
         )
         paths = write_experiment_outputs(run_experiment(config))
-        lines = open(paths["csv"], encoding="utf-8").read().splitlines()
+        with open(paths["csv"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         assert len(lines) == 2
         frame, method, trial, raw, corrected = lines[1].split(",")[:5]
         assert (frame, method, trial) == ("0", "passthrough", "0")
@@ -517,8 +522,12 @@ class TestWriters:
     def test_two_frame_heatmap_matches_hand_softmax(self, tmp_path, monkeypatch):
         # orthonormal pair at temperature 1: Gram is the identity, so each
         # row softmaxes [1, 0] into [e, 1] / (1 + e)
+        # (clean frame 1 sits half a unit from its observation, so the run
+        # has a finite improvement ratio)
         crafted = crafted_scenario(
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], bases=[[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]]
+            [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]],
+            noisy=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            bases=[[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]],
         )
         monkeypatch.setattr(
             harness_mod, "generate_scenario", lambda cfg, noise: crafted
@@ -829,6 +838,24 @@ class TestCli:
         assert "(method=ema, trial=0, frame=0)" in done.stderr
         assert "Traceback" not in done.stderr
         assert "Warning" not in done.stderr
+
+    def test_vanishing_raw_error_exits_three(self, tmp_path, capsys):
+        # at sigma 1e-320 the noisy states are the clean ones bit for bit:
+        # the raw error is exactly 0 under a positive corrected error, so
+        # no finite improvement ratio exists, in either command
+        overrides = {
+            "methods": "ssr",
+            "noise.sigma": "1e-320",
+            "scenario.length": "20",
+            "scenario.seed": "1",
+        }
+        done = self._simulate_subprocess(tmp_path, **overrides)
+        assert done.returncode == 3, done.stderr
+        assert "numeric error: (method=ssr, trial=0): no finite improvement ratio" in done.stderr
+        assert "Traceback" not in done.stderr
+        cfg = write_cfg_file(tmp_path, trials=1, **overrides)
+        assert main(["ablate-window", cfg, "--sizes", "2"]) == 3
+        assert "(window_k=2, trial=0): no finite improvement ratio" in capsys.readouterr().err
 
     def test_huge_finite_scores_run_without_warnings(self, tmp_path):
         # scripts/example.cfg at noise 1e160: the distances' squares

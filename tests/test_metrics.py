@@ -19,7 +19,7 @@ from ssrlab.metrics import (
     scaled_stat,
     score_run,
 )
-from ssrlab.regularizer import SsrConfig
+from ssrlab.regularizer import SsrConfig, run_stream
 from ssrlab.synth import NoiseModel, Scenario, TrajectoryConfig, generate_scenario
 
 RAW, CORRECTED, SUBSPACE, SE = range(len(SCORE_COLUMNS))
@@ -47,6 +47,25 @@ class TestImprovementRatio:
     def test_perfect_correction(self):
         assert improvement_ratio(3.0, 0.0) == 1.0
 
+    def test_tiny_means_give_the_plain_quotient(self):
+        assert improvement_ratio(1e-300, 2e-300) == -1.0
+        assert improvement_ratio(2.0**-1074, 2.0**-1073) == -1.0
+
+    @pytest.mark.parametrize("means", [(0.0, 1e-300), (1e-300, 1e300)])
+    def test_no_finite_ratio_raises(self, means):
+        with pytest.raises(InvalidScore, match="no finite improvement ratio"):
+            improvement_ratio(*means)
+
+    def test_tiny_raw_error_is_not_floored(self):
+        # a static run at sigma 1e-13: the raw error lies far below 1e-12
+        traj = TrajectoryConfig(n=8, r=2, length=20, seed=1, state_drift=0.05)
+        scenario = generate_scenario(traj, NoiseModel(sigma=1e-13))
+        corrected = run_stream(SsrConfig(), scenario.noisy, residuals=False)[0]
+        _, summary = score_run(scenario, corrected)
+        raw, corr = summary.mean_raw_error, summary.mean_corrected_error
+        assert raw < 1e-12
+        assert summary.improvement_ratio == 1.0 - corr / raw
+
 
 class TestScoreRun:
     def test_two_frame_hand_example(self):
@@ -69,7 +88,8 @@ class TestScoreRun:
         assert summary.win_fraction == 0.0
 
     def test_subspace_residual_tracks_leakage(self):
-        scores, _ = score_run(line_scenario(np.zeros(3)), np.array([[0.6, 0.8, 0.0]]))
+        # a raw error of 1, so the run has a finite improvement ratio
+        scores, _ = score_run(line_scenario([0.0, 0.0, 1.0]), np.array([[0.6, 0.8, 0.0]]))
         assert scores[0, SUBSPACE] == pytest.approx(0.8, abs=1e-15)
 
     def test_se_residuals_default_to_zero(self):
@@ -92,7 +112,8 @@ class TestScoreRun:
             score_run(line_scenario(np.zeros(3)), np.zeros((1, 4)))
 
     def test_tail_window_is_final_quarter(self):
-        scenario = line_scenario(*np.zeros((8, 3)))
+        # raw errors of 1, so the run has a finite improvement ratio
+        scenario = line_scenario(*np.tile([0.0, 0.0, 1.0], (8, 1)))
         corrected = np.array([[1.0 + 0.1 * t, 0.0, 0.0] for t in range(8)])
         _, summary = score_run(scenario, corrected)
         # tail indices 6, 7: errors 0.6 and 0.7
@@ -265,6 +286,7 @@ def test_property_scores_scale_with_the_data(seed, exponent):
     assert np.array_equal(scaled[:, SUBSPACE], scores[:, SUBSPACE])
     for name in ("mean_raw_error", "mean_corrected_error", "tail_error_mean"):
         assert getattr(scaled_summary, name) == np.ldexp(getattr(summary, name), exponent)
+    assert scaled_summary.improvement_ratio == summary.improvement_ratio
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ temperature 1, the current row of the affinity is
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ssrlab.affinity import (
     MODE_RAW_SUM,
     compute_affinity,
     correct_current,
+    default_temperature,
+    self_expressive_residual,
 )
 from ssrlab.errors import (
     AlphaOutOfRange,
@@ -28,7 +31,6 @@ from ssrlab.errors import (
 )
 from ssrlab.grassmann import orthonormalize, span_membership_residual
 from ssrlab.regularizer import (
-    BLOCK_FRAMES,
     STORE_CORRECTED,
     STORE_RAW,
     SsrConfig,
@@ -40,6 +42,15 @@ from ssrlab.regularizer import (
 from stream_oracle import WindowFailure, list_oracle
 
 E = math.e
+# Frames per chunk of the residual pass that the properties below set, so
+# that short streams reach chunk seams and a partial last chunk.
+CHUNK_MAX = 8
+
+
+def chunks_of(frames: int, window_k: int, dim: int):
+    """Make the residual pass take `frames` banded windows per chunk."""
+    width = min(window_k + 1, dim)
+    return mock.patch.object(regularizer_mod, "_CHUNK_ENTRIES", frames * width * width)
 
 
 def ema_oracle(stream: np.ndarray, alpha: float) -> np.ndarray:
@@ -152,8 +163,9 @@ class TestSsrStep:
             assert np.array_equal(ssr_step(window, config)[0], corrected[t])
 
     def test_store_raw_window_holds_inputs(self):
-        # long enough for the warm-up frames and two batched blocks
-        states = random_states(np.random.default_rng(19), 3 + 2 * BLOCK_FRAMES + 1, 5)
+        # long enough for the warm-up frames and two chunks of the residual pass
+        chunk = regularizer_mod._CHUNK_ENTRIES // (3 + 1) ** 2
+        states = random_states(np.random.default_rng(19), 3 + 2 * chunk + 1, 5)
         config = SsrConfig(window_k=3, buffer_policy=STORE_RAW)
         corrected, _, _ = run_stream(config, states)
         for t in range(len(states)):
@@ -237,9 +249,10 @@ class TestRunStream:
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    # up to two blocks past the warm-up, so block boundaries, a partial
-    # last block and the warm-up/batched seam all occur
-    extra=st.integers(min_value=-10, max_value=2 * BLOCK_FRAMES + 3),
+    # up to two chunks past the warm-up, so chunk seams, a partial last
+    # chunk and the warm-up/full seam all occur
+    extra=st.integers(min_value=-10, max_value=2 * CHUNK_MAX + 3),
+    chunk=st.integers(min_value=1, max_value=CHUNK_MAX),
     dim=st.integers(min_value=1, max_value=8),
     window_k=st.integers(min_value=1, max_value=10),
     mode=st.sampled_from(["softmax", MODE_RAW_SUM]),
@@ -247,7 +260,7 @@ class TestRunStream:
     temperature=st.one_of(st.none(), st.floats(min_value=0.2, max_value=5.0)),
 )
 def test_property_run_stream_matches_list_oracle(
-    seed, extra, dim, window_k, mode, policy, temperature
+    seed, extra, chunk, dim, window_k, mode, policy, temperature
 ):
     length = max(1, window_k + extra)
     if mode == MODE_RAW_SUM:
@@ -260,9 +273,10 @@ def test_property_run_stream_matches_list_oracle(
         window_k=window_k, mode=mode, temperature=temperature, buffer_policy=policy
     )
     try:
-        corrected, affinities, residuals = run_stream(
-            config, states, keep_affinities=range(length)
-        )
+        with chunks_of(chunk, window_k, dim):
+            corrected, affinities, residuals = run_stream(
+                config, states, keep_affinities=range(length)
+            )
     except DegenerateRow:
         assume(False)
     outputs, oracle_affinities, oracle_residuals = list_oracle(
@@ -313,14 +327,15 @@ def test_property_row_kernel_matches_each_windows_affinity(seed, window_k, extra
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     window_k=st.integers(min_value=1, max_value=10),
-    length=st.integers(min_value=1, max_value=2 * BLOCK_FRAMES + 14),
+    length=st.integers(min_value=1, max_value=2 * CHUNK_MAX + 14),
+    chunk=st.integers(min_value=1, max_value=CHUNK_MAX),
     where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     fault=st.sampled_from(["overflow", "logits", "cancel", "hidden"]),
     policy=st.sampled_from([STORE_RAW, STORE_CORRECTED]),
     full=st.booleans(),
 )
 def test_property_error_frame_is_the_oracles_first_failing_window(
-    seed, window_k, length, where, fault, policy, full
+    seed, window_k, length, chunk, where, fault, policy, full
 ):
     # one injected state breaks the window it enters: entries of 1e200
     # overflow every dot product with it; entries of 1e150 keep the dot
@@ -365,7 +380,8 @@ def test_property_error_frame_is_the_oracles_first_failing_window(
         window_k=window_k, mode=mode, temperature=temperature, buffer_policy=policy
     )
     try:
-        run_stream(config, states, residuals=full)
+        with chunks_of(chunk, window_k, 3):
+            run_stream(config, states, residuals=full)
         ours = None
     except (NonFiniteAffinity, DegenerateRow) as exc:
         ours = (type(exc).__name__, exc.frame)
@@ -378,6 +394,129 @@ def test_property_error_frame_is_the_oracles_first_failing_window(
     else:
         kind = "NonFiniteAffinity" if mode == "softmax" else "DegenerateRow"
         assert expected == (kind, frame)
+
+
+def direct_residuals(states, config: SsrConfig) -> np.ndarray:
+    """Each frame's residual from compute_affinity and self_expressive_residual of its window."""
+    corrected = run_stream(config, states, residuals=False)[0]
+    buf = corrected if config.buffer_policy == STORE_CORRECTED else states
+    values = []
+    for t in range(len(states)):
+        window = np.array(buf[max(0, t - config.window_k) : t + 1])
+        window[-1] = states[t]
+        affinity = compute_affinity(window, config.mode, config.temperature)
+        values.append(self_expressive_residual(window, affinity))
+    return np.array(values)
+
+
+def banded_residuals(states, config: SsrConfig) -> np.ndarray:
+    """The banded pass's residuals of a stream; NaN marks a window left to the direct path."""
+    corrected = run_stream(config, states, residuals=False)[0]
+    buf = corrected if config.buffer_policy == STORE_CORRECTED else states
+    tau = config.temperature
+    if config.mode == "softmax" and tau is None:
+        tau = default_temperature(states.shape[1])
+    with np.errstate(all="ignore"):
+        return regularizer_mod._banded_residuals(
+            buf, states, config.window_k, config.mode, tau, len(states)
+        )
+
+
+class TestDirectPath:
+    """Windows the Gram form cannot vouch for get the direct form's value bit for bit."""
+
+    @staticmethod
+    def check(states, config, frames):
+        routed = np.isnan(banded_residuals(states, config))
+        assert routed[frames].all()
+        residuals = run_stream(config, states)[2]
+        expected = direct_residuals(states, config)
+        assert np.array_equal(residuals[routed], expected[routed])
+        return residuals
+
+    @pytest.mark.parametrize("mode", ["softmax", MODE_RAW_SUM])
+    @pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
+    def test_constant_stream(self, mode, policy):
+        states = np.tile([0.6, 0.8, 0.0, 0.5], (40, 1))
+        config = SsrConfig(window_k=8, mode=mode, buffer_policy=policy)
+        # exactly 0 in exact arithmetic; the direct form rounds C S
+        residuals = self.check(states, config, slice(1, None))
+        assert np.all(residuals <= 4 * np.finfo(float).eps)
+
+    def test_two_identical_states(self):
+        states = random_states(np.random.default_rng(43), 20, 6)
+        states[1] = states[0]
+        self.check(states, SsrConfig(window_k=4), [1])
+
+    def test_raw_sum_weights_near_the_degenerate_limit(self):
+        # row 0 of frame 1's window sums to 1.5e-4 of its magnitudes, so
+        # that window's weights reach 1 / (1.5 DEGENERATE_ROW_TOL) / 2
+        a = 1.0 + 3.0 * DEGENERATE_ROW_TOL
+        later = 2.0 + random_states(np.random.default_rng(47), 10, 2)
+        states = np.vstack([[[1.0, 0.0], [-a, 0.5]], later])
+        config = SsrConfig(window_k=1, mode=MODE_RAW_SUM)
+        gram = states[:2] @ states[:2].T
+        assert abs(gram[0].sum()) < 2.0 * DEGENERATE_ROW_TOL * np.abs(gram[0]).sum()
+        assert np.abs(compute_affinity(states[:2], MODE_RAW_SUM)).max() > 0.3 / DEGENERATE_ROW_TOL
+        self.check(states, config, [1])
+
+    @pytest.mark.parametrize("exponent", [-500, 500])
+    @pytest.mark.parametrize("mode", ["softmax", MODE_RAW_SUM])
+    def test_states_scaled_far_from_one(self, exponent, mode):
+        offset = 1.0 if mode == MODE_RAW_SUM else 0.0
+        states = np.ldexp(random_states(np.random.default_rng(53), 30, 4) + offset, exponent)
+        config = SsrConfig(window_k=5, mode=mode)
+        residuals = self.check(states, config, slice(None))
+        if mode == MODE_RAW_SUM:  # C does not change with the scale
+            unscaled = run_stream(config, np.ldexp(states, -exponent))[2]
+            np.testing.assert_allclose(residuals, unscaled, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
+    def test_windows_longer_than_the_dimension(self, policy):
+        # k + 1 = 7 rows in R^3: frames 0 .. 2 fit in 3 rows, the rest do not
+        states = random_states(np.random.default_rng(59), 30, 3)
+        config = SsrConfig(window_k=6, buffer_policy=policy)
+        self.check(states, config, slice(3, None))
+        assert not np.isnan(banded_residuals(states, config)[1:3]).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=1, max_value=40),
+    dim=st.integers(min_value=1, max_value=24),
+    window_k=st.integers(min_value=1, max_value=12),
+    mode=st.sampled_from(["softmax", MODE_RAW_SUM]),
+    policy=st.sampled_from([STORE_RAW, STORE_CORRECTED]),
+    temperature=st.one_of(st.none(), st.floats(min_value=0.05, max_value=20.0)),
+    # iid states, or a common state plus noise down to 1e-8 of it
+    noise=st.one_of(st.none(), st.floats(min_value=1e-8, max_value=1.0)),
+    exponent=st.sampled_from([0, 0, 0, -300, 300]),
+)
+def test_property_banded_residuals_are_the_direct_ones_within_1e_12(
+    seed, length, dim, window_k, mode, policy, temperature, noise, exponent
+):
+    # every window the banded pass vouches for is within 1e-12 of the
+    # direct form; the others are left to it (NaN)
+    rng = np.random.default_rng(seed)
+    states = random_states(rng, length, dim)
+    if noise is not None:
+        states = rng.standard_normal(dim) + noise * states
+    if mode == MODE_RAW_SUM:
+        temperature = None
+        states += 1.0
+    states = np.ldexp(states, exponent)
+    config = SsrConfig(
+        window_k=window_k, mode=mode, temperature=temperature, buffer_policy=policy
+    )
+    try:
+        expected = direct_residuals(states, config)
+    except DegenerateRow:
+        assume(False)
+    ours = banded_residuals(states, config)
+    vouched = ~np.isnan(ours)
+    np.testing.assert_allclose(ours[vouched], expected[vouched], rtol=1e-12, atol=0.0)
+
 
 
 @settings(max_examples=200, deadline=None)
