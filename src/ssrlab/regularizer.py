@@ -102,6 +102,8 @@ class SsrConfig:
             raise ValueError(f"unknown affinity mode {self.mode!r}")
         if self.temperature is not None and not self.temperature > 0.0:
             raise ValueError("temperature must be positive when given")
+        if self.temperature is not None and self.mode != MODE_SOFTMAX:
+            raise ValueError("temperature applies to softmax mode only")
         if self.buffer_policy not in BUFFER_POLICIES:
             raise ValueError(f"unknown buffer policy {self.buffer_policy!r}")
 

@@ -637,6 +637,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SsrConfig(buffer_policy="store-everything")
 
+    def test_temperature_only_in_softmax_mode(self):
+        # compute_affinity's rule, which the residual pass no longer reaches
+        # for every window
+        with pytest.raises(ValueError, match="softmax mode only"):
+            SsrConfig(mode=MODE_RAW_SUM, temperature=1.0)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
