@@ -12,10 +12,10 @@ hard error: its entries, and so the corrected state, would blow up.
 compute_affinity and self_expressive_residual also take a stack of
 windows, (..., L, d), and treat every window exactly as they treat one,
 so a stack of a stream's windows costs one call. They are run_stream's
-direct path for the windows its banded Gram form of the residual cannot
-vouch for, and the oracle that form is tested against. correct_current
-(and, bit for bit, run_stream's row loop) forms only each window's
-current row.
+direct path for every raw-sum window and for the softmax windows its
+banded Gram form of the residual cannot vouch for, and the oracle that
+form is tested against. correct_current (and, bit for bit, run_stream's
+row loop) forms only each window's current row.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, replace
 
-from .affinity import MODE_RAW_SUM, MODE_SOFTMAX, default_temperature
+from .affinity import MODE_SOFTMAX, default_temperature
 from .errors import ConfigInvalid
 from .regularizer import SsrConfig
 from .synth import NoiseModel, TrajectoryConfig
@@ -186,8 +186,6 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
             raise ConfigInvalid(f"{key}: required key is missing")
     trajectory = _build(TrajectoryConfig, "scenario", kwargs["trajectory"])
     noise = _build(NoiseModel, "noise", kwargs["noise"])
-    if kwargs["ssr"].get("mode") == MODE_RAW_SUM and "temperature" in kwargs["ssr"]:
-        raise ConfigInvalid("ssr.temperature: applies to softmax mode only")
     ssr = _build(SsrConfig, "ssr", kwargs["ssr"])
     if ssr.mode == MODE_SOFTMAX and ssr.temperature is None:
         # harness states live in R^n

@@ -211,9 +211,9 @@ def dump_heatmaps(bundle: ResultBundle, directory: str) -> list[str]:
     return written
 
 
-def write_experiment_outputs(bundle: ResultBundle, directory: str | None = None) -> dict[str, str]:
-    """Write results.csv, summary.json, run_meta.json, and heatmaps."""
-    out_dir = directory if directory is not None else bundle.config.output_dir
+def write_experiment_outputs(bundle: ResultBundle) -> dict[str, str]:
+    """Write results.csv, summary.json, run_meta.json, and heatmaps into config.output_dir."""
+    out_dir = bundle.config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "csv": os.path.join(out_dir, "results.csv"),

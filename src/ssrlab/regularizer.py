@@ -16,15 +16,15 @@ affinity.correct_current call corrects all full windows under store-raw;
 a row loop that repeats its operations bit for bit corrects the first
 window_k (shorter) windows and, under store-corrected, every frame.
 
-Residuals come from lag bands: the dot products x_t . x_{t-j}, j <= k,
-taken once over the stream, hold every window's Gram matrix G, which is
+Softmax residuals come from lag bands: the dot products x_t . x_{t-j},
+j <= k, taken once over the stream, hold every window's Gram matrix G,
 gathered in frame chunks; ||S - CS||^2 = tr((I - C) G (I - C)^T) then
-needs no L x d product. A window the Gram form cannot vouch for to 1e-12,
-one with more rows than the state has entries, and a kept frame take the
-direct path instead: compute_affinity and self_expressive_residual over
-a stack of equal-length windows. That path also checks every row of the
-windows it takes and raises each numeric error, so with residuals or
-kept affinities every window's affinity is checked in full.
+needs no L x d product. Every raw-sum window, a window the Gram form
+cannot vouch for to 1e-12, one with more rows than the state has entries
+and a kept frame take the direct path instead: compute_affinity and
+self_expressive_residual over a stack of equal-length windows. That path
+checks every row of the windows it takes and raises each numeric error,
+so with residuals or kept affinities every affinity is checked in full.
 
 The two baselines take and return T x d streams as well: ema_fuse runs
 the exponential recurrence over the rows, passthrough_step is the identity.
@@ -200,9 +200,12 @@ def run_stream(
     keep = {t for t in keep_affinities if 0 <= t < stop}
     scores, kept = None, {}
     if residuals or keep:
-        # Every window up to the first failure is checked in full, as residuals
-        # need; the ones the banded pass cannot vouch for take the direct path.
-        scores = _banded_residuals(buf, raw, k, mode, tau, stop)
+        # Every window up to the first failure is checked in full, as residuals need;
+        # raw-sum ones and those the banded pass cannot vouch for take the direct path.
+        if mode == MODE_SOFTMAX:
+            scores = _banded_residuals(buf, raw, k, tau, stop)
+        else:
+            scores = np.full(stop, np.nan)
         direct = np.isnan(scores)
         direct[list(keep)] = True
         frames = np.flatnonzero(direct)
@@ -234,7 +237,7 @@ def run_stream(
     return corrected, kept, scores if residuals else None
 
 
-def _banded_residuals(buf, raw, k, mode, tau, stop) -> np.ndarray:
+def _banded_residuals(buf, raw, k, tau, stop) -> np.ndarray:
     """Residuals of frames 0 .. stop - 1 from lag bands; NaN where the Gram form cannot vouch.
 
     Window t has the L = min(t, k) + 1 rows buf[t - L + 1 .. t - 1] and
@@ -250,10 +253,10 @@ def _banded_residuals(buf, raw, k, mode, tau, stop) -> np.ndarray:
     rounding of the bands against the direct Gram matrix, its effect on C,
     the cancellation in the Gram form and the direct form's own rounding.
     A window is NaN (for the direct path to decide) unless that estimate
-    is below 1e-12 of the value, tr G lies in _GRAM_RANGE, no softmax
-    logit exceeds _LOGIT_SPAN and no raw-sum row sum lies within the
-    bands' error of the degenerate-row test, so every window that could
-    fail a check reaches the direct path. Non-finite bands give NaN too.
+    is below 1e-12 of the value, tr G lies in _GRAM_RANGE and no logit
+    exceeds _LOGIT_SPAN, so every window that could fail a check reaches
+    the direct path. Non-finite bands give NaN too. The Gram form serves
+    softmax windows only; run_stream sends raw-sum windows direct.
     """
     d = buf.shape[1]
     width = min(k + 1, d)
@@ -284,11 +287,11 @@ def _banded_residuals(buf, raw, k, mode, tau, stop) -> np.ndarray:
             gram = bands.ravel()[t[:, None, None] * width + gather]
             if feedback:
                 gram[:, -1] = gram[:, :, -1] = current[t]
-            scores[t] = _gram_residuals(gram, t, mode, tau, d)
+            scores[t] = _gram_residuals(gram, t, tau, d)
     return scores
 
 
-def _gram_residuals(gram, t, mode, tau, d) -> np.ndarray:
+def _gram_residuals(gram, t, tau, d) -> np.ndarray:
     """Residuals of frames t from their W x W Gram matrices, or NaN; see _banded_residuals.
 
     A frame t < W - 1 has W - 1 - t zero rows ahead of its first state.
@@ -306,42 +309,20 @@ def _gram_residuals(gram, t, mode, tau, d) -> np.ndarray:
     trace = norms2.sum(axis=-1)
     norms = np.sqrt(norms2)
     root_d, root_w = math.sqrt(d), math.sqrt(width)
-    if mode == MODE_SOFTMAX:
-        # |x_a . x_b| <= |x_a| max|x|: a shift at or above each row's max logit
-        peak = norms.max(axis=-1)
-        shift = norms * peak[:, None] / tau
-        weights = gram / tau
-        weights -= shift[..., None]
-        np.copyto(weights[:head], -np.inf, where=pad[:, None, :])
-        np.exp(weights, out=weights)
-        weights /= np.einsum("fab->fa", weights)[..., None]
-        np.copyto(weights[:head], 0.0, where=pad[..., None])
-        reach = np.einsum("fab,fb->fa", weights, norms)
-        # |I - C| n, as every C_ab >= 0 and C_aa <= 1
-        spread = reach + (1.0 - 2.0 * weights[:, index, index]) * norms
-        # logits move by about (2 sqrt d + 3) u |logit| in either form
-        rounding = 2.0 * (2.0 * root_d + 3.0) * shift * spread
-        # a row's largest weight is at least exp(-peak^2 / 4 tau): no underflow
-        normal = peak * peak / tau <= _LOGIT_SPAN
-        near = False
-    else:
-        sums = np.einsum("fab->fa", gram)
-        sums[:head][pad] = 1.0  # zero rows get weights 0
-        weights = gram / sums[..., None]
-        magnitudes = np.einsum("fab->fa", np.abs(gram))
-        total = norms.sum(axis=-1, keepdims=True)
-        # either form's row sums lie within d u n_a sum(n) + W u sum|G_ab| of the exact ones
-        slack = 2.0**-50 * (d * norms * total + width * magnitudes)
-        near = (np.abs(sums) <= DEGENERATE_ROW_TOL * magnitudes + slack).any(axis=-1)
-        reach = np.einsum("fab,fb->fa", np.abs(weights), norms)
-        diagonal = weights[:, index, index]
-        spread = reach + (np.abs(1.0 - diagonal) - np.abs(diagonal)) * norms
-        # C's row a moves by its sum's error over |sum|, weighing sum_b |C_ab| (n_a + n_b)
-        gain = magnitudes / np.abs(sums)
-        through = gain * norms + reach
-        moved = 2.0 * root_d * norms * (norms * total + trace[:, None] + total * through)
-        rounding = moved / np.abs(sums) + root_w * gain * (through + norms)
-        normal = True
+    # |x_a . x_b| <= |x_a| max|x|: a shift at or above each row's max logit
+    peak = norms.max(axis=-1)
+    shift = norms * peak[:, None] / tau
+    weights = gram / tau
+    weights -= shift[..., None]
+    np.copyto(weights[:head], -np.inf, where=pad[:, None, :])
+    np.exp(weights, out=weights)
+    weights /= np.einsum("fab->fa", weights)[..., None]
+    np.copyto(weights[:head], 0.0, where=pad[..., None])
+    reach = np.einsum("fab,fb->fa", weights, norms)
+    # |I - C| n, as every C_ab >= 0 and C_aa <= 1
+    spread = reach + (1.0 - 2.0 * weights[:, index, index]) * norms
+    # logits move by about (2 sqrt d + 3) u |logit| in either form
+    rounding = 2.0 * (2.0 * root_d + 3.0) * shift * spread
     rounding += (3.0 * root_w + 5.0) * reach
     defect = -weights  # I - C
     defect[:, index, index] += 1.0
@@ -355,8 +336,8 @@ def _gram_residuals(gram, t, mode, tau, d) -> np.ndarray:
         & ((r2 > 0.0) | (t == 0))  # frame 0: C = [[1]], exactly 0 in both forms
         & (trace >= _GRAM_RANGE[0])
         & (trace <= _GRAM_RANGE[1])
-        & normal
-        & ~near
+        # a row's largest weight is at least exp(-peak^2 / 4 tau): no underflow
+        & (peak * peak / tau <= _LOGIT_SPAN)
     )
     return np.where(vouched, np.sqrt(r2 / trace), np.nan)
 

@@ -411,15 +411,15 @@ def direct_residuals(states, config: SsrConfig) -> np.ndarray:
 
 def banded_residuals(states, config: SsrConfig) -> np.ndarray:
     """The banded pass's residuals of a stream; NaN marks a window left to the direct path."""
+    if config.mode == MODE_RAW_SUM:  # run_stream sends every raw-sum window direct
+        return np.full(len(states), np.nan)
     corrected = run_stream(config, states, residuals=False)[0]
     buf = corrected if config.buffer_policy == STORE_CORRECTED else states
     tau = config.temperature
-    if config.mode == "softmax" and tau is None:
+    if tau is None:
         tau = default_temperature(states.shape[1])
     with np.errstate(all="ignore"):
-        return regularizer_mod._banded_residuals(
-            buf, states, config.window_k, config.mode, tau, len(states)
-        )
+        return regularizer_mod._banded_residuals(buf, states, config.window_k, tau, len(states))
 
 
 class TestDirectPath:
@@ -472,6 +472,13 @@ class TestDirectPath:
             np.testing.assert_allclose(residuals, unscaled, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
+    def test_raw_sum_windows_take_the_direct_path(self, policy):
+        # the Gram form serves softmax windows only
+        states = random_states(np.random.default_rng(61), 30, 5) + 1.0
+        config = SsrConfig(window_k=4, mode=MODE_RAW_SUM, buffer_policy=policy)
+        self.check(states, config, slice(None))
+
+    @pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
     def test_windows_longer_than_the_dimension(self, policy):
         # k + 1 = 7 rows in R^3: frames 0 .. 2 fit in 3 rows, the rest do not
         states = random_states(np.random.default_rng(59), 30, 3)
@@ -516,6 +523,10 @@ def test_property_banded_residuals_are_the_direct_ones_within_1e_12(
     ours = banded_residuals(states, config)
     vouched = ~np.isnan(ours)
     np.testing.assert_allclose(ours[vouched], expected[vouched], rtol=1e-12, atol=0.0)
+    if mode == MODE_RAW_SUM:
+        # every raw-sum window is left to the direct path, whose value run_stream returns
+        assert not vouched.any()
+        assert np.array_equal(run_stream(config, states)[2], expected)
 
 
 
