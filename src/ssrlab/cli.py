@@ -81,10 +81,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     sizes = parse_int_list(args.sizes, "--sizes")
     if any(k < 1 for k in sizes):
         raise ConfigInvalid("--sizes: window sizes must be at least 1")
+    timings: dict[str, float] = {}
     rows = ablate_window(
-        sizes, config.trajectory, config.noise, config.trials, config.ssr
+        sizes, config.trajectory, config.noise, config.trials, config.ssr, timings
     )
-    paths = write_ablation_outputs(config, rows)
+    paths = write_ablation_outputs(config, rows, timings)
     print(f"{'window_k':>9} {'mean_improve':>13} {'std_improve':>12}")
     for row in rows:
         print(

@@ -190,13 +190,13 @@ def summary_payload(bundle: ResultBundle) -> dict:
     }
 
 
-def dump_run_meta(bundle: ResultBundle, path: str, write_s: float) -> None:
+def dump_run_meta(path: str, timestamp: str, timings: dict[str, float], write_s: float) -> None:
     """Volatile provenance, kept out of the payload files: the timestamp, timings, write_s,
     this process's peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    meta = {"timestamp_utc": bundle.timestamp, "peak_rss_mb": rss_mb,
+    meta = {"timestamp_utc": timestamp, "peak_rss_mb": rss_mb,
             "python_version": platform.python_version(), "numpy_version": np.__version__,
-            **bundle.timings, "write_s": write_s}
+            **timings, "write_s": write_s}
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
@@ -228,19 +228,22 @@ def write_experiment_outputs(bundle: ResultBundle) -> dict[str, str]:
     )
     if bundle.heatmaps:
         dump_heatmaps(bundle, out_dir)
-    dump_run_meta(bundle, paths["meta"], perf_counter() - start)
+    dump_run_meta(paths["meta"], bundle.timestamp, bundle.timings, perf_counter() - start)
     return paths
 
 
 def write_ablation_outputs(
-    config: ExperimentConfig, rows: list[AblationRow]
+    config: ExperimentConfig, rows: list[AblationRow], timings: dict[str, float]
 ) -> dict[str, str]:
-    """Write ablation.csv and ablation.json into config.output_dir."""
+    """Write ablation.csv, ablation.json and run_meta.json (with ablate_window's timings)."""
     os.makedirs(config.output_dir, exist_ok=True)
     paths = {
         "csv": os.path.join(config.output_dir, "ablation.csv"),
         "json": os.path.join(config.output_dir, "ablation.json"),
+        "meta": os.path.join(config.output_dir, "run_meta.json"),
     }
+    timestamp = datetime.now(timezone.utc).isoformat()
+    start = perf_counter()
     lines = ["window_k,mean_improvement_ratio,std_improvement_ratio"]
     for row in rows:
         lines.append(
@@ -253,6 +256,7 @@ def write_ablation_outputs(
         "rows": [asdict(row) for row in rows],
     }
     _atomic_write_text(paths["json"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    dump_run_meta(paths["meta"], timestamp, timings, perf_counter() - start)
     return paths
 
 

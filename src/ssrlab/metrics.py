@@ -7,6 +7,9 @@ scores as one T x 4 array, columns SCORE_COLUMNS: the raw and corrected
 distances to the clean state, the corrected state's relative distance
 from the true subspace, and the self-expression residual.
 
+ablate_window corrects its trials as one (trials, T, d) stack, one
+run_stream call per window size, and scores them trial by trial.
+
 improvement_ratio compares mean corrected error to mean raw error:
 1 - mean_corrected / mean_raw, with no floor, so it reads the same at
 any scale of the data. Equal means give exactly 0 (an identity method
@@ -21,6 +24,7 @@ import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -199,35 +203,59 @@ def ablate_window(
     noise: NoiseModel,
     trials: int,
     ssr: SsrConfig | None = None,
+    timings: dict[str, float] | None = None,
 ) -> list[AblationRow]:
     """Sweep window_k over fresh trials of the same scenario family.
 
     Trial i runs on the scenario seeded by derive_trial_seed(seed, i),
     identical across sizes, so rows differ only through window_k. The
-    std is the sample standard deviation across trials (0 for a single
-    trial). A numeric error names the window size, trial and frame.
+    noisy states fill one read-only (trials, T, d) stack, each scenario
+    holding its row, and each size corrects it in one run_stream call.
+    The std is the sample standard deviation across trials (0 for a
+    single trial). A numeric error names the window size, trial and frame:
+    after any failure the size reruns trial by trial, so the first failing
+    trial raises. timings, if given, receives generate_s, correct_s,
+    score_s and frames_per_s.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not sizes:
         raise ValueError("sizes must be nonempty")
     base = ssr if ssr is not None else SsrConfig()
+    start = perf_counter()
+    try:
+        noisy = np.empty((trials, trajectory.length, trajectory.n))
+    except ValueError as exc:  # more entries than numpy can index: no memory holds them
+        raise MemoryError(str(exc)) from exc
     scenarios = []
-    for i in range(trials):
+    for i, row in enumerate(noisy):
         with naming_trial(i):
             seed = derive_trial_seed(trajectory.seed, i)
-            scenarios.append(generate_scenario(replace(trajectory, seed=seed), noise))
+            scenario = generate_scenario(replace(trajectory, seed=seed), noise)
+        row[...] = scenario.noisy
+        row.flags.writeable = False
+        scenarios.append(scenario._replace(noisy=row))
+    noisy.flags.writeable = False
+    seconds = {"generate_s": perf_counter() - start, "correct_s": 0.0, "score_s": 0.0}
     rows = []
     for k in sizes:
         config = replace(base, window_k=k)
-        ratios = []
-        for i, scenario in enumerate(scenarios):
-            try:
-                corrected = run_stream(config, scenario.noisy, residuals=False)[0]
-                _, summary = score_run(scenario, corrected)
-            except NumericError as exc:
-                raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
-            ratios.append(summary.improvement_ratio)
+        try:
+            start = perf_counter()
+            corrected = run_stream(config, noisy, residuals=False)[0]
+            scoring = perf_counter()
+            ratios = [score_run(s, c)[1].improvement_ratio for s, c in zip(scenarios, corrected)]
+            seconds["correct_s"] += scoring - start
+            seconds["score_s"] += perf_counter() - scoring
+            del corrected  # before the next size's stack is allocated (peak RSS)
+        except NumericError:
+            ratios = []  # trial by trial, correcting then scoring each
+            for i, scenario in enumerate(scenarios):
+                try:
+                    corrected = run_stream(config, scenario.noisy, residuals=False)[0]
+                    ratios.append(score_run(scenario, corrected)[1].improvement_ratio)
+                except NumericError as exc:
+                    raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
         values = np.array(ratios)
         std = scaled_stat(values, ddof=1) if trials > 1 else 0.0
         rows.append(
@@ -237,4 +265,8 @@ def ablate_window(
                 std_improvement_ratio=std,
             )
         )
+    if timings is not None:
+        frames = len(sizes) * trials * trajectory.length
+        timings.update(seconds, frames_per_s=frames / sum(seconds.values()))
     return rows
+

@@ -15,6 +15,8 @@ Correction forms only each window's current affinity row. One
 affinity.correct_current call corrects all full windows under store-raw;
 a row loop that repeats its operations bit for bit corrects the first
 window_k (shorter) windows and, under store-corrected, every frame.
+A (B, T, d) stack of streams is corrected bit for bit as B runs, with
+one correct_current call per warm-up frame index for all B streams.
 
 Softmax residuals come from lag bands: the dot products x_t . x_{t-j},
 j <= k, taken once over the stream, hold every window's Gram matrix G,
@@ -138,7 +140,8 @@ def run_stream(
 
     Args:
         config: corrector settings.
-        states: T x d array of incoming states (not modified).
+        states: T x d array of incoming states (not modified), or a
+            (B, T, d) stack of streams, corrected alone; see _run_stack.
         residuals: also compute the per-frame self-expression residuals.
         keep_affinities: frames whose affinities to return.
 
@@ -148,8 +151,12 @@ def run_stream(
         the way has its frame attribute set to the first failing frame.
     """
     raw = np.asarray(states, dtype=np.float64)
+    if raw.ndim == 3:
+        if residuals or list(keep_affinities):
+            raise ValueError("a (B, T, d) stack takes no residuals and no kept frames")
+        return _run_stack(config, raw), {}, None
     if raw.ndim != 2:
-        raise DimensionMismatch(f"states must form a T x d array, got shape {raw.shape}")
+        raise DimensionMismatch(f"states must be T x d or (B, T, d), got shape {raw.shape}")
     length, k = len(raw), config.window_k
     feedback = config.buffer_policy == STORE_CORRECTED
     if feedback:
@@ -235,6 +242,36 @@ def run_stream(
     if failure is not None:
         raise failure
     return corrected, kept, scores if residuals else None
+
+
+def _run_stack(config: SsrConfig, raw: np.ndarray) -> np.ndarray:
+    """Corrected (B, T, d) stack, bit for bit B run_stream calls; no residuals or kept frames.
+
+    Under store-raw the warm-up windows of frame t < k form one (B, t + 1, d)
+    correct_current call; full windows and store-corrected streams go stream
+    by stream. An error's frame is in its stream, not always the first failure.
+    """
+    corrected = np.empty_like(raw)
+    if config.buffer_policy == STORE_CORRECTED:
+        for stream, out in zip(raw, corrected):
+            out[:] = run_stream(config, stream, residuals=False)[0]
+        return corrected
+    length, k = raw.shape[1], config.window_k
+    mode, tau = config.mode, config.temperature  # correct_current resolves tau = None
+    try:
+        with np.errstate(all="ignore"):
+            for frame in range(min(k, length)):
+                corrected[:, frame] = correct_current(raw[:, : frame + 1], mode, tau)
+        frame = k
+        for stream, out in zip(raw, corrected[:, k:]):
+            if len(out):
+                windows = sliding_window_view(stream, k + 1, axis=0).swapaxes(1, 2)
+                out[:] = correct_current(windows, mode, tau)
+    except NumericError as exc:
+        # correct_current names the failing window: a stream in the warm-up, then frame - k
+        exc.frame = frame if frame < k else exc.frame + k
+        raise
+    return corrected
 
 
 def _banded_residuals(buf, raw, k, tau, stop) -> np.ndarray:

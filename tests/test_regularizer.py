@@ -237,7 +237,12 @@ class TestRunStream:
         with pytest.raises(DimensionMismatch):
             run_stream(SsrConfig(), np.ones(3))
         with pytest.raises(DimensionMismatch):
+            run_stream(SsrConfig(), np.ones((2, 2, 2, 2)))
+        # a (B, T, d) stack is corrected only, without residuals or kept frames
+        with pytest.raises(ValueError, match="no residuals and no kept frames"):
             run_stream(SsrConfig(), np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="no residuals and no kept frames"):
+            run_stream(SsrConfig(), np.ones((2, 2, 2)), residuals=False, keep_affinities=[0])
 
     def test_numeric_error_carries_its_frame(self):
         config = SsrConfig(window_k=4, mode=MODE_RAW_SUM)
