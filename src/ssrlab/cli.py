@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate CONFIG        run the configured experiment, write outputs
-  ablate-window CONFIG   sweep window sizes, write ablation.csv/.json
+  ablate-window CONFIG   sweep window sizes, write ablation.csv/.json, run_meta.json
   affinity-dump CONFIG   write affinity heatmap grids for chosen frames
 
 Each subparser names its handler (set_defaults(run=...)), and main maps

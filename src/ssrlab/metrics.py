@@ -269,4 +269,3 @@ def ablate_window(
         frames = len(sizes) * trials * trajectory.length
         timings.update(seconds, frames_per_s=frames / sum(seconds.values()))
     return rows
-

@@ -56,7 +56,7 @@ from ssrlab.harness import (
     write_experiment_outputs,
 )
 from ssrlab.metrics import ablate_window, score_run
-from ssrlab.regularizer import BUFFER_POLICIES, ema_fuse, run_stream
+from ssrlab.regularizer import BUFFER_POLICIES, SsrConfig, ema_fuse, run_stream
 from ssrlab.synth import (
     NOISE_KINDS,
     WAYPOINT_ATTEMPTS,
@@ -726,6 +726,58 @@ class TestCli:
         assert "numeric error: (window_k=2, trial=0, frame=2): the current row has" in err
         assert "Traceback" not in err
 
+    def test_ablation_error_names_the_first_failing_trial(self, tmp_path, monkeypatch, capsys):
+        # at window_k=3 frames 0..2 are warm-up frames; trial 1 fails at frame 2,
+        # which the stacked warm-up meets first, trial 0 only at frame 3
+        late = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                [-0.15, -0.7, math.sqrt(0.4875 + 1e-10)]]
+        early = [*near_cancelling_scenario().noisy, late[0]]
+        trials = [crafted_scenario([[1.0, 0.0, 0.0]] * 4, noisy=states) for states in (late, early)]
+        config = SsrConfig(window_k=3, mode="raw-sum")
+        with pytest.raises(DegenerateRow) as excinfo:
+            run_stream(config, np.stack([t.noisy for t in trials]), residuals=False)
+        assert excinfo.value.frame == 2
+        with pytest.raises(DegenerateRow) as excinfo:
+            run_stream(config, trials[0].noisy, residuals=False)
+        assert excinfo.value.frame == 3
+        scenarios = iter(trials)
+        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(scenarios))
+        cfg = write_cfg_file(
+            tmp_path,
+            trials=2,
+            **{"scenario.n": "3", "scenario.r": "1", "scenario.length": "4", "ssr.mode": "raw-sum"},
+        )
+        assert main(["ablate-window", cfg, "--sizes", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: (window_k=3, trial=0, frame=3): the current row has" in err
+        assert "Traceback" not in err
+
+    def test_ablation_score_error_wins_over_a_later_trials_correction(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # trial 0 corrects cleanly but, noiseless, has no finite improvement
+        # ratio; trial 1's correction fails at frame 2, in the stack's warm-up
+        noiseless = crafted_scenario([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        scenarios = iter([noiseless, near_cancelling_scenario()])
+        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(scenarios))
+        cfg = write_cfg_file(
+            tmp_path,
+            trials=2,
+            **{"scenario.n": "3", "scenario.r": "1", "scenario.length": "3", "ssr.mode": "raw-sum"},
+        )
+        assert main(["ablate-window", cfg, "--sizes", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: (window_k=2, trial=0): no finite improvement ratio" in err
+        assert "Traceback" not in err
+
+    def test_unindexable_sweep_exits_two(self, tmp_path, capsys):
+        # one scenario fits, but the trials x length x n noisy stack is past intp
+        cfg = write_cfg_file(tmp_path, trials=2**62)
+        assert main(["ablate-window", cfg, "--sizes", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "does not fit in memory" in err
+        assert "Traceback" not in err
+
     def test_unallocatable_scenario_exits_two(self, tmp_path, capsys):
         cfg = write_cfg_file(tmp_path, **{"scenario.n": "1000000000000000"})
         assert main(["simulate", cfg]) == 2
@@ -763,6 +815,31 @@ class TestCli:
         assert [r["window_k"] for r in rows] == [1, 2, 4]
         header = csv_path.read_text().splitlines()[0]
         assert header == "window_k,mean_improvement_ratio,std_improvement_ratio"
+
+    def test_ablate_window_writes_run_meta(self, tmp_path, capsys):
+        cfg = write_cfg_file(tmp_path, trials=2)
+        out = tmp_path / "out"
+        payloads = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert main(["ablate-window", cfg, "--sizes", "1,2,4"]) == 0
+            wall = time.perf_counter() - start
+            payloads.append({n: (out / n).read_bytes() for n in ("ablation.csv", "ablation.json")})
+        assert sorted(os.listdir(out)) == ["ablation.csv", "ablation.json", "run_meta.json"]
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert set(meta) == {
+            "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
+            *STAGE_KEYS, "frames_per_s",
+        }
+        stages = [meta[key] for key in STAGE_KEYS]
+        assert all(isinstance(value, float) and value >= 0.0 for value in stages)
+        assert sum(stages) <= wall
+        assert meta["frames_per_s"] >= 3 * 2 * 30 / wall
+        assert meta["numpy_version"] == np.__version__
+        # the volatile file leaves the payloads byte for byte as they were
+        assert payloads[0] == payloads[1]
+        for key in meta:
+            assert key.encode() not in payloads[0]["ablation.json"]
 
     def test_ablate_bad_sizes_exits_two(self, tmp_path):
         cfg = write_cfg_file(tmp_path)

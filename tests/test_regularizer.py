@@ -296,6 +296,50 @@ def test_property_run_stream_matches_list_oracle(
         np.testing.assert_allclose(affinities[t], theirs, rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    streams=st.integers(min_value=1, max_value=4),
+    window_k=st.integers(min_value=1, max_value=12),
+    # from the empty stream through the warm-up to past k
+    extra=st.integers(min_value=-13, max_value=10),
+    dim=st.integers(min_value=1, max_value=8),
+    mode=st.sampled_from(["softmax", MODE_RAW_SUM]),
+    policy=st.sampled_from([STORE_RAW, STORE_CORRECTED]),
+    temperature=st.one_of(st.none(), st.floats(min_value=0.2, max_value=5.0)),
+)
+def test_property_stack_matches_per_stream_runs(
+    seed, streams, window_k, extra, dim, mode, policy, temperature
+):
+    # a store-raw stack's warm-up goes through correct_current, each
+    # stream's through the row loop: the bits must be the same, and a
+    # stack fails where some stream fails, at that stream's first failure
+    length = max(0, window_k + extra)
+    if mode == MODE_RAW_SUM:
+        temperature = None
+    offset = 1.0 if mode == MODE_RAW_SUM else 0.0
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_states(rng, length, dim) + offset for _ in range(streams)])
+    config = SsrConfig(
+        window_k=window_k, mode=mode, temperature=temperature, buffer_policy=policy
+    )
+    expected, failures = [], set()
+    for stream in stack:
+        try:
+            expected.append(run_stream(config, stream, residuals=False)[0])
+        except NumericError as exc:
+            failures.add(exc.frame)
+    if failures:
+        with pytest.raises(NumericError) as excinfo:
+            run_stream(config, stack, residuals=False)
+        assert excinfo.value.frame in failures
+        return
+    corrected, kept, residuals = run_stream(config, stack, residuals=False)
+    assert corrected.shape == stack.shape
+    assert np.array_equal(corrected, np.reshape(expected, stack.shape))
+    assert kept == {} and residuals is None
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
