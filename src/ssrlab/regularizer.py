@@ -141,7 +141,8 @@ def run_stream(
     Args:
         config: corrector settings.
         states: T x d array of incoming states (not modified), or a
-            (B, T, d) stack of streams, corrected alone; see _run_stack.
+            (B, T, d) stack of streams, corrected into a (B, T, d) stack
+            with residuals=False and no kept frames (else ValueError).
         residuals: also compute the per-frame self-expression residuals.
         keep_affinities: frames whose affinities to return.
 
