@@ -15,10 +15,20 @@ first, and records each per-layer metric's median, min and max: one
 traced run moves a layer's timing by 20% on unchanged code.
 
 Each workload also gets a ``summary``: per end-to-end metric, the parent
-and change medians over the pairs, their ratio (change / parent) and the
-number of pairs the change won. Which way is better comes from the
-``better`` field of the change checkout's BENCHMARK.json, which the
-script only reads.
+and change medians over the pairs, their ratio (change / parent), the
+number of pairs the change won, and each side's interquartile range
+(Q3 - Q1 of ``statistics.quantiles(values, n=4)``; None under 2 pairs).
+Three flags read these against the metric's ``bound``:
+
+- ``past_bound``: the change median is worse than the parent median by
+  more than bound x parent median;
+- ``unresolved``: the parent IQR exceeds bound x parent median;
+- ``gain_met``: the change won at least 9 of 10 pairs, and its median is
+  better than the parent's by more than the parent IQR.
+
+The last two are None under 2 pairs. Which way is better, and each
+bound, come from the ``better`` and ``bound`` fields of the change
+checkout's BENCHMARK.json, which the script only reads.
 
 The output names each checkout by its git commit and source digest, as
 perfbench reports them, plus the host (nproc; Python, numpy and scipy
@@ -76,20 +86,38 @@ def spread(runs: list[dict]) -> dict:
     }
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: both medians, change / parent, pairs the change won."""
+def iqr(values: list[float]) -> float | None:
+    """Q3 - Q1 of values, or None under 2 values."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(pairs: list[dict], spec: dict[str, dict]) -> dict:
+    """Per end-to-end metric: medians, change / parent, pairs the change won, IQRs and flags."""
     summary = {}
     for name in END_TO_END:
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
-        sign = 1.0 if better[name] == "higher" else -1.0
+        sign = 1.0 if spec[name]["better"] == "higher" else -1.0
         medians = statistics.median(parent), statistics.median(change)
+        allowed = spec[name]["bound"] * medians[0]
+        gain = sign * (medians[1] - medians[0])
+        won = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+        spread_p = iqr(parent)
+        judged = spread_p is not None
         summary[name] = {
             "parent_median": medians[0],
             "change_median": medians[1],
             "ratio": medians[1] / medians[0] if medians[0] else None,
-            "change_won": sum(sign * (c - p) > 0.0 for p, c in zip(parent, change)),
+            "change_won": won,
             "pairs": len(pairs),
+            "parent_iqr": spread_p,
+            "change_iqr": iqr(change),
+            "past_bound": -gain > allowed,
+            "unresolved": (spread_p > allowed) if judged else None,
+            "gain_met": (10 * won >= 9 * len(pairs) and gain > spread_p) if judged else None,
         }
     return summary
 
@@ -106,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {metric["name"]: metric["better"] for metric in json.load(fh)["end_to_end"]}
+        spec = {metric["name"]: metric for metric in json.load(fh)["end_to_end"]}
     seeds = [int(part) for part in args.seeds.split(",")]
     report: dict = {"seconds": args.seconds, "seeds": seeds, "workloads": {}}
     for workload in args.workloads.split(","):
@@ -132,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                     for side in order
                 },
             )
-        entry = {"pairs": pairs, "summary": summarize(pairs, better)}
+        entry = {"pairs": pairs, "summary": summarize(pairs, spec)}
         if args.traced_seed is not None:
             traced: dict = {"parent": [], "change": []}
             for number in range(TRACED_RUNS):

@@ -70,7 +70,7 @@ def denoising_fixture() -> dict:
     for trial in range(TRIALS):
         seed = derive_trial_seed(BASE_SEED, trial)
         scenario = generate_scenario(replace(TRAJECTORY, seed=seed), NOISE)
-        corrected, _, _ = run_stream(SSR, scenario.noisy)
+        corrected = run_stream(SSR, scenario.noisy, residuals=False)[0]
         _, summary = score_run(scenario, corrected)
         _, base = score_run(scenario, scenario.noisy)
         wins += int(summary.mean_corrected_error < base.mean_corrected_error)

@@ -18,7 +18,7 @@ from .config import build_experiment_config
 from .errors import SsrLabError
 from .harness import run_experiment
 from .metrics import ablate_window, score_run
-from .regularizer import SsrConfig, run_stream, ssr_step
+from .regularizer import SsrConfig, run_stream
 from .synth import NoiseModel, Scenario, TrajectoryConfig, derive_trial_seed, generate_scenario
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "score_run",
     "SsrConfig",
     "run_stream",
-    "ssr_step",
     "NoiseModel",
     "Scenario",
     "TrajectoryConfig",

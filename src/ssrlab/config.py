@@ -26,10 +26,7 @@ from .synth import NoiseModel, TrajectoryConfig
 __all__ = [
     "METHOD_SSR",
     "METHOD_EMA",
-    "METHOD_PASSTHROUGH",
-    "KNOWN_METHODS",
     "ExperimentConfig",
-    "parse_config_text",
     "parse_int_list",
     "load_config",
     "config_to_dict",

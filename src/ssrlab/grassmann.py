@@ -26,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "RANK_TOL",
     "ORTHONORMALITY_TOL",
     "ANGLE_DEGENERACY_MARGIN",
     "orthonormalize",

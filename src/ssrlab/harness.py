@@ -1,13 +1,14 @@
 """Experiment runner and deterministic result writers.
 
 run_experiment is one loop over trials and, inside each, over methods.
-It generates each trial's scenario once as arrays (synth.Scenario),
-passes its T x d noisy array through every configured method (the
-corrector is one run_stream call, which also yields the heatmaps and
-residuals; the baselines are one ema_fuse or passthrough_step call) and
-scores each output against the same scenario with one score_run pass,
-which gives a T x 4 array of per-frame scores, appended to its method's
-list. A numeric error names its method, trial and frame. All emitted
+It takes each trial's scenario once as arrays from metrics.trial_scenario,
+as ablate_window does, passes its T x d noisy array through every
+configured method (the corrector is one run_stream call, which also
+yields the heatmaps and residuals; the baselines are one ema_fuse or
+passthrough_step call) and scores each output against the same scenario
+with one score_run pass, which gives a T x 4 array of per-frame scores,
+appended to its method's list; metrics.mean_and_std aggregates the
+trials. A numeric error names its method, trial and frame. All emitted
 payloads (CSV, summary JSON, heatmap grids, ablation tables) are
 byte-identical across reruns; summary.json's provenance reads the seed
 from the config and the version from TOOL_VERSION, and the wall-clock
@@ -23,7 +24,7 @@ import platform
 import resource
 import secrets
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from time import perf_counter
 
@@ -32,12 +33,10 @@ import numpy as np
 from ._version import TOOL_VERSION
 from .config import METHOD_EMA, METHOD_SSR, ExperimentConfig, config_to_dict
 from .errors import NumericError, annotated, frame_named
-from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, naming_trial, scaled_stat, score_run
+from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, mean_and_std, score_run, trial_scenario
 from .regularizer import ema_fuse, passthrough_step, run_stream
-from .synth import derive_trial_seed, generate_scenario
 
 __all__ = [
-    "CSV_HEADER",
     "MethodResult",
     "ResultBundle",
     "run_experiment",
@@ -86,9 +85,7 @@ def _aggregate(summaries: tuple[RunSummary, ...]) -> tuple[dict[str, float], dic
     mean: dict[str, float] = {}
     std: dict[str, float] = {}
     for name in _SUMMARY_FIELDS:
-        values = np.array([getattr(s, name) for s in summaries])
-        mean[name] = scaled_stat(values)
-        std[name] = scaled_stat(values, ddof=1) if len(values) > 1 else 0.0
+        mean[name], std[name] = mean_and_std(np.array([getattr(s, name) for s in summaries]))
     return mean, std
 
 
@@ -98,10 +95,8 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
     runs: dict[str, list[tuple[np.ndarray, RunSummary]]] = {m: [] for m in config.methods}
     heatmaps: dict[int, np.ndarray] = {}
     for trial in range(config.trials):
-        seed = derive_trial_seed(config.trajectory.seed, trial)
         start = perf_counter()
-        with naming_trial(trial):
-            scenario = generate_scenario(replace(config.trajectory, seed=seed), config.noise)
+        scenario = trial_scenario(config.trajectory, config.noise, trial)
         seconds["generate_s"] += perf_counter() - start
         capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
         for method, results in runs.items():

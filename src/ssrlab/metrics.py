@@ -7,8 +7,10 @@ scores as one T x 4 array, columns SCORE_COLUMNS: the raw and corrected
 distances to the clean state, the corrected state's relative distance
 from the true subspace, and the self-expression residual.
 
-ablate_window corrects its trials as one (trials, T, d) stack, one
-run_stream call per window size, and scores them trial by trial.
+Both runners, ablate_window and harness.run_experiment, make trial i's
+scenario with trial_scenario and take means and sample stds with
+mean_and_std. ablate_window corrects its trials as one (trials, T, d)
+stack, one run_stream call per window size, and scores its rows.
 
 improvement_ratio compares mean corrected error to mean raw error:
 1 - mean_corrected / mean_raw, with no floor, so it reads the same at
@@ -21,8 +23,6 @@ float64, it raises InvalidScore.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -188,13 +188,23 @@ def score_run(
     return scores, summary
 
 
-@contextmanager
-def naming_trial(trial: int) -> Iterator[None]:
-    """Re-raise numeric errors as "(scenario generation, trial=i): ...", keeping the frame."""
+def trial_scenario(trajectory: TrajectoryConfig, noise: NoiseModel, trial: int) -> Scenario:
+    """Trial i's scenario, seeded by derive_trial_seed(seed, i).
+
+    A numeric error is re-raised as "(scenario generation, trial=i): ...",
+    keeping its frame. Shared with ssrlab.harness, not in __all__.
+    """
+    seed = derive_trial_seed(trajectory.seed, trial)
     try:
-        yield
+        return generate_scenario(replace(trajectory, seed=seed), noise)
     except NumericError as exc:
         raise annotated(exc, f"scenario generation, trial={trial}") from exc
+
+
+def mean_and_std(values: np.ndarray) -> tuple[float, float]:
+    """scaled_stat mean and sample std of values (std 0 for one value); shared, not in __all__."""
+    std = scaled_stat(values, ddof=1) if len(values) > 1 else 0.0
+    return scaled_stat(values), std
 
 
 def ablate_window(
@@ -207,15 +217,16 @@ def ablate_window(
 ) -> list[AblationRow]:
     """Sweep window_k over fresh trials of the same scenario family.
 
-    Trial i runs on the scenario seeded by derive_trial_seed(seed, i),
-    identical across sizes, so rows differ only through window_k. The
-    noisy states fill one read-only (trials, T, d) stack, each scenario
-    holding its row, and each size corrects it in one run_stream call.
-    The std is the sample standard deviation across trials (0 for a
-    single trial). A numeric error names the window size, trial and frame:
-    after any failure the size reruns trial by trial, so the first failing
-    trial raises. timings, if given, receives generate_s, correct_s,
-    score_s and frames_per_s.
+    Trial i runs on trial_scenario(trajectory, noise, i), identical
+    across sizes, so rows differ only through window_k. The noisy states
+    fill one read-only (trials, T, d) stack, each scenario holding its
+    row, and each size corrects it in one run_stream call, then scores
+    its rows trial by trial. The std is the sample standard deviation
+    across trials (0 for a single trial). A numeric error names the
+    window size, trial and frame: only when the stacked call raised is
+    each trial corrected on its own, so the first failing trial raises.
+    timings, if given, receives generate_s, correct_s, score_s and
+    frames_per_s.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -229,9 +240,7 @@ def ablate_window(
         raise MemoryError(str(exc)) from exc
     scenarios = []
     for i, row in enumerate(noisy):
-        with naming_trial(i):
-            seed = derive_trial_seed(trajectory.seed, i)
-            scenario = generate_scenario(replace(trajectory, seed=seed), noise)
+        scenario = trial_scenario(trajectory, noise, i)
         row[...] = scenario.noisy
         row.flags.writeable = False
         scenarios.append(scenario._replace(noisy=row))
@@ -240,31 +249,26 @@ def ablate_window(
     rows = []
     for k in sizes:
         config = replace(base, window_k=k)
+        start = perf_counter()
         try:
-            start = perf_counter()
-            corrected = run_stream(config, noisy, residuals=False)[0]
-            scoring = perf_counter()
-            ratios = [score_run(s, c)[1].improvement_ratio for s, c in zip(scenarios, corrected)]
-            seconds["correct_s"] += scoring - start
-            seconds["score_s"] += perf_counter() - scoring
-            del corrected  # before the next size's stack is allocated (peak RSS)
+            stack = run_stream(config, noisy, residuals=False)[0]
         except NumericError:
-            ratios = []  # trial by trial, correcting then scoring each
-            for i, scenario in enumerate(scenarios):
-                try:
+            stack = None  # each trial is corrected on its own below
+        scoring = perf_counter()
+        ratios = []
+        for i, scenario in enumerate(scenarios):
+            try:
+                if stack is None:
                     corrected = run_stream(config, scenario.noisy, residuals=False)[0]
-                    ratios.append(score_run(scenario, corrected)[1].improvement_ratio)
-                except NumericError as exc:
-                    raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
-        values = np.array(ratios)
-        std = scaled_stat(values, ddof=1) if trials > 1 else 0.0
-        rows.append(
-            AblationRow(
-                window_k=k,
-                mean_improvement_ratio=scaled_stat(values),
-                std_improvement_ratio=std,
-            )
-        )
+                else:
+                    corrected = stack[i]
+                ratios.append(score_run(scenario, corrected)[1].improvement_ratio)
+            except NumericError as exc:
+                raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
+        seconds["correct_s"] += scoring - start
+        seconds["score_s"] += perf_counter() - scoring
+        del stack, corrected  # before the next size's stack is allocated (peak RSS)
+        rows.append(AblationRow(k, *mean_and_std(np.array(ratios))))
     if timings is not None:
         frames = len(sizes) * trials * trajectory.length
         timings.update(seconds, frames_per_s=frames / sum(seconds.values()))

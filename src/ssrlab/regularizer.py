@@ -53,8 +53,6 @@ from .affinity import (
 from .errors import AlphaOutOfRange, DimensionMismatch, NumericError
 
 __all__ = [
-    "STORE_RAW",
-    "STORE_CORRECTED",
     "BUFFER_POLICIES",
     "SsrConfig",
     "ssr_step",

@@ -41,16 +41,11 @@ from .grassmann import (
 )
 
 __all__ = [
-    "NOISE_GAUSSIAN",
-    "NOISE_DRIFT_WALK",
-    "NOISE_BURST",
     "NOISE_KINDS",
-    "MEMBERSHIP_TOL",
     "WAYPOINT_ATTEMPTS",
     "TrajectoryConfig",
     "NoiseModel",
     "Scenario",
-    "sample_waypoints",
     "generate_scenario",
     "derive_trial_seed",
 ]

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import ssrlab.harness as harness_mod
+import ssrlab.metrics as metrics_mod
 from ssrlab.affinity import MODE_RAW_SUM, MODE_SOFTMAX, compute_affinity
 from ssrlab.grassmann import (
     orthonormalize,
@@ -361,7 +361,7 @@ def test_degenerate_row_failure_is_structured(tmp_path, monkeypatch, capsys):
     # reach an exactly-zero sum, so the scenario is injected.
     states = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     crafted = Scenario(states, states, np.broadcast_to(np.eye(3, 1), (2, 3, 1)))
-    monkeypatch.setattr(harness_mod, "generate_scenario", lambda cfg, noise: crafted)
+    monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: crafted)
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(
         "\n".join(

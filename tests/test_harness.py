@@ -279,7 +279,7 @@ class TestRunExperiment:
     def test_numeric_failure_names_method_trial_frame(self, tmp_path, monkeypatch):
         crafted = crafted_scenario([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         monkeypatch.setattr(
-            harness_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
         )
         config = make_config(
             tmp_path,
@@ -502,7 +502,7 @@ class TestWriters:
         # noisy sits exactly one unit from clean, so both error columns read 1
         crafted = crafted_scenario([[1.0, 0.0, 0.0]], noisy=[[1.0, 1.0, 0.0]])
         monkeypatch.setattr(
-            harness_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
         )
         config = make_config(
             tmp_path,
@@ -530,7 +530,7 @@ class TestWriters:
             bases=[[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]],
         )
         monkeypatch.setattr(
-            harness_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
         )
         config = make_config(
             tmp_path,
@@ -674,7 +674,7 @@ class TestCli:
     def test_numeric_error_exits_three(self, tmp_path, monkeypatch, capsys):
         crafted = crafted_scenario([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         monkeypatch.setattr(
-            harness_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
         )
         cfg = write_cfg_file(
             tmp_path,
@@ -695,7 +695,7 @@ class TestCli:
         # the relative guard rejects the third row where an absolute 1e-12 floor did not
         crafted = near_cancelling_scenario()
         monkeypatch.setattr(
-            harness_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
         )
         cfg = write_cfg_file(
             tmp_path,
@@ -769,6 +769,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numeric error: (window_k=2, trial=0): no finite improvement ratio" in err
         assert "Traceback" not in err
+
+    def test_ablation_scores_the_stack_without_correcting_again(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the stack corrects both trials cleanly; trial 1, noiseless, has no
+        # finite improvement ratio, which its row of the stack already shows
+        noisy = crafted_scenario(
+            [[1.0, 0.0, 0.0]] * 3, noisy=[[1.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.0]]
+        )
+        noiseless = crafted_scenario([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        scenarios = iter([noisy, noiseless])
+        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(scenarios))
+        shapes = []
+
+        def counted(config, states, **kwargs):
+            shapes.append(np.shape(states))
+            return run_stream(config, states, **kwargs)
+
+        monkeypatch.setattr(metrics_mod, "run_stream", counted)
+        cfg = write_cfg_file(
+            tmp_path,
+            trials=2,
+            **{"scenario.n": "3", "scenario.r": "1", "scenario.length": "3", "ssr.mode": "raw-sum"},
+        )
+        assert main(["ablate-window", cfg, "--sizes", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: (window_k=2, trial=1): no finite improvement ratio" in err
+        assert shapes == [(2, 3, 3)]
 
     def test_unindexable_sweep_exits_two(self, tmp_path, capsys):
         # one scenario fits, but the trials x length x n noisy stack is past intp
@@ -1259,6 +1287,14 @@ def test_readme_config_table_matches_the_schema():
             text = "" if default == "empty" else default
             assert expected is not MISSING, key
             assert config_mod._parse(key, text, parser) == expected, key
+
+
+def test_readme_package_namespace_matches_all():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    listing = section.split("`ssrlab.__all__`, holds these names:\n\n", 1)[1].split("\n\n", 1)[0]
+    names = [line.split("`")[1] for line in listing.splitlines() if line.startswith("- `")]
+    assert names == ssrlab.__all__
 
 
 def test_readme_quick_start_table_matches_simulate(tmp_path, capsys):
