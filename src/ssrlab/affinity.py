@@ -30,7 +30,6 @@ __all__ = [
     "MODE_SOFTMAX",
     "MODE_RAW_SUM",
     "AFFINITY_MODES",
-    "DEGENERATE_ROW_TOL",
     "default_temperature",
     "compute_affinity",
     "correct_current",

@@ -3,7 +3,7 @@
 Subcommands:
   simulate CONFIG        run the configured experiment, write outputs
   ablate-window CONFIG   sweep window sizes, write ablation.csv/.json, run_meta.json
-  affinity-dump CONFIG   write affinity heatmap grids for chosen frames
+  affinity-dump CONFIG   write trial 0's affinity grids for chosen frames
 
 Each subparser names its handler (set_defaults(run=...)), and main maps
 the errors a handler raises onto exit codes: 0 success, 2 bad config or
@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from .config import METHOD_SSR, load_config, parse_int_list
-from .errors import ConfigInvalid, NumericError
+from .config import load_config, parse_int_list
+from .errors import ConfigInvalid, NumericError, annotated, frame_named
 from .harness import (
     dump_heatmaps,
     fit_column,
@@ -29,7 +28,8 @@ from .harness import (
     write_ablation_outputs,
     write_experiment_outputs,
 )
-from .metrics import ablate_window
+from .metrics import ablate_window, trial_scenario
+from .regularizer import run_stream
 
 __all__ = ["main"]
 
@@ -103,17 +103,14 @@ def _cmd_affinity_dump(args: argparse.Namespace) -> int:
     for frame in frames:
         if not 0 <= frame < config.trajectory.length:
             raise ConfigInvalid(f"--frames: frame {frame} outside [0, {config.trajectory.length})")
-    config = replace(
-        config,
-        methods=(METHOD_SSR,),
-        trials=1,
-        emit_heatmaps=True,
-        heatmap_frames=frames,
-    )
-    bundle = run_experiment(config)
+    # trial 0 corrected as simulate corrects it, every window checked in full; nothing scored
+    noisy = trial_scenario(config.trajectory, config.noise, 0).noisy
+    try:
+        kept = run_stream(config.ssr, noisy, residuals=False, keep_affinities=frames)[1]
+    except NumericError as exc:
+        raise annotated(exc, frame_named("method=ssr, trial=0", exc)) from exc
     os.makedirs(config.output_dir, exist_ok=True)
-    written = dump_heatmaps(bundle, config.output_dir)
-    for path in written:
+    for path in dump_heatmaps(kept, config.output_dir):
         print(f"wrote {path}")
     return 0
 

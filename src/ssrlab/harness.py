@@ -195,10 +195,10 @@ def dump_run_meta(path: str, timestamp: str, timings: dict[str, float], write_s:
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def dump_heatmaps(bundle: ResultBundle, directory: str) -> list[str]:
-    """One CSV grid per captured frame; returns the written paths."""
+def dump_heatmaps(heatmaps: dict[int, np.ndarray], directory: str) -> list[str]:
+    """One CSV grid per {frame: affinity} entry, in frame order; returns the written paths."""
     written = []
-    for frame, grid in sorted(bundle.heatmaps.items()):
+    for frame, grid in sorted(heatmaps.items()):
         rows = [",".join("%.17g" % v for v in row) for row in grid.tolist()]
         path = os.path.join(directory, f"affinity_f{frame:05}.csv")
         _atomic_write_text(path, "\n".join(rows) + "\n")
@@ -222,7 +222,7 @@ def write_experiment_outputs(bundle: ResultBundle) -> dict[str, str]:
         paths["summary"], json.dumps(summary_payload(bundle), sort_keys=True, indent=2) + "\n"
     )
     if bundle.heatmaps:
-        dump_heatmaps(bundle, out_dir)
+        dump_heatmaps(bundle.heatmaps, out_dir)
     dump_run_meta(paths["meta"], bundle.timestamp, bundle.timings, perf_counter() - start)
     return paths
 

@@ -11,12 +11,14 @@ observed states (the default; feedback cannot compound smoothing),
 "store-corrected" writes each corrected state back into the buffer once
 its frame is done.
 
-Correction forms only each window's current affinity row. One
-affinity.correct_current call corrects all full windows under store-raw;
-a row loop that repeats its operations bit for bit corrects the first
-window_k (shorter) windows and, under store-corrected, every frame.
-A (B, T, d) stack of streams is corrected bit for bit as B runs, with
-one correct_current call per warm-up frame index for all B streams.
+Correction forms only each window's current affinity row, in one flow
+for a stream and a (B, T, d) stack: a stream is a stack of one. Under
+store-raw one affinity.correct_current call per stream corrects its full
+windows. A row loop corrects, stream by stream, the first window_k
+(shorter) windows and, under store-corrected, every frame: a softmax row
+repeats correct_current's operations bit for bit, a raw-sum row is a
+correct_current call. A store-raw stack of several streams takes its
+warm-up as one correct_current call per frame index instead.
 
 Softmax residuals come from lag bands: the dot products x_t . x_{t-j},
 j <= k, taken once over the stream, hold every window's Gram matrix G,
@@ -43,7 +45,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .affinity import (
     AFFINITY_MODES,
-    DEGENERATE_ROW_TOL,
     MODE_SOFTMAX,
     compute_affinity,
     correct_current,
@@ -142,74 +143,79 @@ def run_stream(
             (B, T, d) stack of streams, corrected into a (B, T, d) stack
             with residuals=False and no kept frames (else ValueError).
         residuals: also compute the per-frame self-expression residuals.
-        keep_affinities: frames whose affinities to return.
+        keep_affinities: frames whose affinities to return; with any
+            frame in range, every window is checked in full.
 
     Returns:
         (T x d corrected states, {frame: read-only affinity} for the
         kept frames, the T residuals or None). A numeric error raised on
-        the way has its frame attribute set to the first failing frame.
+        the way has its frame attribute set to the first failing frame,
+        for a stack the first of some failing stream.
     """
     raw = np.asarray(states, dtype=np.float64)
     if raw.ndim == 3:
         if residuals or list(keep_affinities):
             raise ValueError("a (B, T, d) stack takes no residuals and no kept frames")
-        return _run_stack(config, raw), {}, None
-    if raw.ndim != 2:
+    elif raw.ndim != 2:
         raise DimensionMismatch(f"states must be T x d or (B, T, d), got shape {raw.shape}")
-    length, k = len(raw), config.window_k
+    streams = raw if raw.ndim == 3 else raw[None]  # a stream is a stack of one
+    length, k = streams.shape[1], config.window_k
     feedback = config.buffer_policy == STORE_CORRECTED
     if feedback:
         # the windows read the outputs, written over a copy of the inputs
-        buf = corrected = raw.copy()
+        bufs = corrected = streams.copy()
     else:
-        buf, corrected = raw, np.empty_like(raw)
-    if length > k:
-        # windows[i] is the (k + 1) x d view of buffer rows i .. i + k
-        windows = sliding_window_view(buf, k + 1, axis=0).swapaxes(1, 2)
+        bufs, corrected = streams, np.empty_like(streams)
     # The row loop takes windows shorter than k + 1 (padded with zeros, their
-    # sums would round differently) and every store-corrected frame. Each row is
-    # correct_current of its window bit for bit (same two-row gemm, same row
-    # ops) without its per-call checks; correct_current raises a failing row's error.
+    # sums would round differently) and every store-corrected frame. A softmax
+    # row is correct_current of its window bit for bit (same two-row gemm, same
+    # row ops) without its per-call checks; correct_current forms raw-sum rows
+    # and raises a failing row's error.
     looped = length if feedback else min(k, length)
     mode, tau = config.mode, config.temperature
     if mode == MODE_SOFTMAX and tau is None and length:  # an empty T x 0 stream passes
-        tau = default_temperature(raw.shape[1])
+        tau = default_temperature(streams.shape[2])
     frame, stop, failure = 0, length, None
     try:
         with np.errstate(all="ignore"):
-            for frame in range(looped):
-                window = buf[max(frame - k, 0) : frame + 1]
-                row = (window[-2:] @ window.T)[-1]
-                if mode == MODE_SOFTMAX:
-                    row /= tau
-                    peak, low = row.max(), row.min()
-                    # min and max apart: NaN reaches both, their sum can overflow
-                    ok = math.isfinite(peak) and math.isfinite(low)
-                    row -= peak
-                    np.exp(row, out=row)
-                    row /= row.sum()
-                else:
-                    total = row.sum()
-                    # False for a non-finite entry too: its magnitude is inf or NaN
-                    ok = abs(total) > DEGENERATE_ROW_TOL * np.abs(row).sum()
-                    row /= total
-                corrected[frame] = (
-                    row[None] @ window if ok else correct_current(window[None], mode, tau)[0]
-                )
-        if looped < length:
-            frame = k
-            corrected[k:] = correct_current(windows, mode, tau)
+            if not feedback and len(streams) > 1:  # one warm-up call per frame
+                for frame in range(looped):
+                    corrected[:, frame] = correct_current(streams[:, : frame + 1], mode, tau)
+            else:
+                for buf, out in zip(bufs, corrected):
+                    for frame in range(looped):
+                        window = buf[max(frame - k, 0) : frame + 1]
+                        if mode == MODE_SOFTMAX:
+                            row = (window[-2:] @ window.T)[-1] / tau
+                            peak, low = row.max(), row.min()
+                            # min and max apart: NaN reaches both, their sum can overflow
+                            if math.isfinite(peak) and math.isfinite(low):
+                                row -= peak
+                                np.exp(row, out=row)
+                                row /= row.sum()
+                                out[frame] = row[None] @ window
+                                continue
+                        out[frame] = correct_current(window[None], mode, tau)[0]
+            if looped < length:
+                frame = k
+                for buf, out in zip(bufs, corrected):
+                    # windows[i] is the (k + 1) x d view of buffer rows i .. i + k
+                    windows = sliding_window_view(buf, k + 1, axis=0).swapaxes(1, 2)
+                    out[k:] = correct_current(windows, mode, tau)
     except NumericError as exc:
-        exc.frame += frame
+        # exc.frame indexes the call's windows: a row's call holds one, a warm-up
+        # call one per stream, a full-window call those of frames k, k + 1, ...
+        exc.frame = frame if frame < k else frame + exc.frame
         # An earlier frame's full affinity may fail first; it is formed below.
         failure, stop = exc, exc.frame + 1
-    keep = {t for t in keep_affinities if 0 <= t < stop}
+    keep = {t for t in keep_affinities if 0 <= t < length}
     scores, kept = None, {}
     if residuals or keep:
-        # Every window up to the first failure is checked in full, as residuals need;
-        # raw-sum ones and those the banded pass cannot vouch for take the direct path.
+        # Every window up to the first failure is checked in full, kept frames past it
+        # or not; raw-sum ones and those the banded pass cannot vouch for go direct.
+        buf, keep = bufs[0], {t for t in keep if t < stop}
         if mode == MODE_SOFTMAX:
-            scores = _banded_residuals(buf, raw, k, tau, stop)
+            scores = _banded_residuals(buf, raw, k, tau, stop, feedback)
         else:
             scores = np.full(stop, np.nan)
         direct = np.isnan(scores)
@@ -240,44 +246,15 @@ def run_stream(
                         kept[frame].flags.writeable = False
     if failure is not None:
         raise failure
-    return corrected, kept, scores if residuals else None
+    return corrected if raw.ndim == 3 else corrected[0], kept, scores if residuals else None
 
 
-def _run_stack(config: SsrConfig, raw: np.ndarray) -> np.ndarray:
-    """Corrected (B, T, d) stack, bit for bit B run_stream calls; no residuals or kept frames.
-
-    Under store-raw the warm-up windows of frame t < k form one (B, t + 1, d)
-    correct_current call; full windows and store-corrected streams go stream
-    by stream. An error's frame is in its stream, not always the first failure.
-    """
-    corrected = np.empty_like(raw)
-    if config.buffer_policy == STORE_CORRECTED:
-        for stream, out in zip(raw, corrected):
-            out[:] = run_stream(config, stream, residuals=False)[0]
-        return corrected
-    length, k = raw.shape[1], config.window_k
-    mode, tau = config.mode, config.temperature  # correct_current resolves tau = None
-    try:
-        with np.errstate(all="ignore"):
-            for frame in range(min(k, length)):
-                corrected[:, frame] = correct_current(raw[:, : frame + 1], mode, tau)
-        frame = k
-        for stream, out in zip(raw, corrected[:, k:]):
-            if len(out):
-                windows = sliding_window_view(stream, k + 1, axis=0).swapaxes(1, 2)
-                out[:] = correct_current(windows, mode, tau)
-    except NumericError as exc:
-        # correct_current names the failing window: a stream in the warm-up, then frame - k
-        exc.frame = frame if frame < k else exc.frame + k
-        raise
-    return corrected
-
-
-def _banded_residuals(buf, raw, k, tau, stop) -> np.ndarray:
+def _banded_residuals(buf, raw, k, tau, stop, feedback) -> np.ndarray:
     """Residuals of frames 0 .. stop - 1 from lag bands; NaN where the Gram form cannot vouch.
 
     Window t has the L = min(t, k) + 1 rows buf[t - L + 1 .. t - 1] and
-    raw[t], and its Gram matrix G holds only dot products of rows at most
+    raw[t] (buf holds the corrected states with feedback, else the raw
+    ones), and its Gram matrix G holds only dot products of rows at most
     k apart: the lag bands x_s . x_{s-j}, j <= k, taken once over the
     stream. Windows up to W = min(k + 1, d) rows are gathered W x W, a
     shorter one after W - L zero rows whose logits are -inf (weight
@@ -301,7 +278,6 @@ def _banded_residuals(buf, raw, k, tau, stop) -> np.ndarray:
     count = stop if width == k + 1 else min(stop, width)
     if count == 0:
         return scores
-    feedback = buf is not raw
     with np.errstate(all="ignore"):
         # history[t] holds stream rows t - W + 1 .. t, zero rows before the start
         padded = np.zeros((count + width - 1, d))

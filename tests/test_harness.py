@@ -880,6 +880,46 @@ class TestCli:
         assert (tmp_path / "out" / "affinity_f00000.csv").exists()
         assert (tmp_path / "out" / "affinity_f00005.csv").exists()
 
+    def test_affinity_dump_writes_the_grids_simulate_writes(self, tmp_path, capsys):
+        frames = {"output.emit_heatmaps": "true", "output.heatmap_frames": "0,5,29"}
+        run = write_cfg_file(
+            tmp_path, "run.cfg", **frames, **{"output.dir": str(tmp_path / "simulated")}
+        )
+        assert main(["simulate", run]) == 0
+        dump = write_cfg_file(tmp_path, "dump.cfg")
+        assert main(["affinity-dump", dump, "--frames", "0,5,29"]) == 0
+        for frame in (0, 5, 29):
+            name = f"affinity_f{frame:05}.csv"
+            grid = (tmp_path / "out" / name).read_bytes()
+            assert grid == (tmp_path / "simulated" / name).read_bytes()
+
+    def test_affinity_dump_scores_nothing(self, tmp_path, monkeypatch, capsys):
+        # noiseless, no corrected stream has a finite improvement ratio, and
+        # the config names no ssr method: affinity-dump corrects trial 0 with
+        # the ssr settings all the same, and scores no trial
+        def scored(*args):
+            raise AssertionError("affinity-dump scored a trial")
+
+        monkeypatch.setattr(metrics_mod, "score_run", scored)
+        monkeypatch.setattr(harness_mod, "score_run", scored)
+        cfg = write_cfg_file(tmp_path, methods="passthrough", **{"noise.sigma": "0.0"})
+        assert main(["affinity-dump", cfg, "--frames", "0,7"]) == 0
+        assert sorted(os.listdir(tmp_path / "out")) == ["affinity_f00000.csv", "affinity_f00007.csv"]
+
+    def test_affinity_dump_numeric_error_names_method_trial_frame(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            metrics_mod, "generate_scenario", lambda cfg, noise: near_cancelling_scenario()
+        )
+        cfg = write_cfg_file(
+            tmp_path,
+            **{"scenario.n": "3", "scenario.r": "1", "scenario.length": "3", "ssr.mode": "raw-sum"},
+        )
+        assert main(["affinity-dump", cfg, "--frames", "0"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: (method=ssr, trial=0, frame=2): row 2 has |sum phi|" in err
+
     def test_affinity_dump_bad_frame_exits_two(self, tmp_path, capsys):
         cfg = write_cfg_file(tmp_path)
         assert main(["affinity-dump", cfg, "--frames", "999"]) == 2

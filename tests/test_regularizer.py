@@ -311,9 +311,10 @@ def test_property_run_stream_matches_list_oracle(
 def test_property_stack_matches_per_stream_runs(
     seed, streams, window_k, extra, dim, mode, policy, temperature
 ):
-    # a store-raw stack's warm-up goes through correct_current, each
-    # stream's through the row loop: the bits must be the same, and a
-    # stack fails where some stream fails, at that stream's first failure
+    # a store-raw stack of several streams takes its warm-up as one
+    # correct_current call per frame, a stream (a stack of one) takes the
+    # row loop: the bits must be the same, and a stack fails where some
+    # stream fails, at that stream's first failure
     length = max(0, window_k + extra)
     if mode == MODE_RAW_SUM:
         temperature = None
@@ -463,12 +464,15 @@ def banded_residuals(states, config: SsrConfig) -> np.ndarray:
     if config.mode == MODE_RAW_SUM:  # run_stream sends every raw-sum window direct
         return np.full(len(states), np.nan)
     corrected = run_stream(config, states, residuals=False)[0]
-    buf = corrected if config.buffer_policy == STORE_CORRECTED else states
+    feedback = config.buffer_policy == STORE_CORRECTED
+    buf = corrected if feedback else states
     tau = config.temperature
     if tau is None:
         tau = default_temperature(states.shape[1])
     with np.errstate(all="ignore"):
-        return regularizer_mod._banded_residuals(buf, states, config.window_k, tau, len(states))
+        return regularizer_mod._banded_residuals(
+            buf, states, config.window_k, tau, len(states), feedback
+        )
 
 
 class TestDirectPath:
@@ -610,8 +614,21 @@ def test_property_row_loop_is_each_windows_correct_current(
         assert ours == theirs
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The (windows, rows) shape of every correct_current call run_stream makes."""
+    shapes = []
+
+    def spy(windows, *args):
+        shapes.append(windows.shape[:2])
+        return correct_current(windows, *args)
+
+    monkeypatch.setattr(regularizer_mod, "correct_current", spy)
+    return shapes
+
+
 @pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
-def test_logits_whose_max_plus_min_overflows_are_finite(policy, monkeypatch):
+def test_logits_whose_max_plus_min_overflows_are_finite(policy, calls):
     # every logit lies near 1.5e308: finite, although the row's max plus
     # its min is not, so the row loop must accept every row itself rather
     # than hand it to correct_current as a failure
@@ -619,18 +636,51 @@ def test_logits_whose_max_plus_min_overflows_are_finite(policy, monkeypatch):
     states = scale * np.array([[1.0], [1.0 - 2e-16], [0.9999], [1.0], [0.99995]])
     config = SsrConfig(window_k=2, temperature=1.0, buffer_policy=policy)
     expected = per_window_stream(states, config)
-    stacks = []
-
-    def spy(windows, *args):
-        stacks.append(len(windows))
-        return correct_current(windows, *args)
-
-    monkeypatch.setattr(regularizer_mod, "correct_current", spy)
     corrected, _, _ = run_stream(config, states, residuals=False)
     assert np.all(np.isfinite(corrected))
     assert np.array_equal(corrected, expected)
     # store-raw corrects its three full windows in one call, nothing else
-    assert stacks == ([3] if policy == STORE_RAW else [])
+    assert calls == ([(3, 3)] if policy == STORE_RAW else [])
+
+
+class TestCorrectionFlow:
+    """A stream is a stack of one; only a store-raw stack of several batches its warm-up."""
+
+    K, LENGTH = 3, 10
+
+    def states(self, streams: int) -> np.ndarray:
+        return random_states(np.random.default_rng(11), streams * self.LENGTH, 4).reshape(
+            streams, self.LENGTH, 4
+        )
+
+    def test_one_stream_stack_loops_its_warm_up(self, calls):
+        run_stream(SsrConfig(window_k=self.K), self.states(1), residuals=False)
+        assert calls == [(self.LENGTH - self.K, self.K + 1)]
+
+    def test_stack_of_two_batches_its_warm_up(self, calls):
+        run_stream(SsrConfig(window_k=self.K), self.states(2), residuals=False)
+        warm_up = [(2, t + 1) for t in range(self.K)]
+        assert calls == warm_up + [(self.LENGTH - self.K, self.K + 1)] * 2
+
+    def test_raw_sum_rows_take_correct_current(self, calls):
+        config = SsrConfig(window_k=self.K, mode=MODE_RAW_SUM, buffer_policy=STORE_CORRECTED)
+        states = self.states(1)[0] + 1.0
+        corrected = run_stream(config, states, residuals=False)[0]
+        assert calls == [(1, min(t, self.K) + 1) for t in range(self.LENGTH)]
+        assert np.array_equal(corrected, per_window_stream(states, config))
+
+
+def test_kept_frames_past_a_failure_still_check_every_window():
+    # frame 1's window has a degenerate oldest row, [1, -1], checked only
+    # in full; frame 2's current row, [sqrt 2, -sqrt 2 - 3, 3], sums to
+    # rounding. Kept frames, even past the failure, check every window in
+    # full, as residuals do
+    states = np.array([[1.0, 0.0], [-1.0, 3.0], [math.sqrt(2.0), -1.0], [1.0, 1.0]])
+    config = SsrConfig(window_k=2, mode=MODE_RAW_SUM)
+    for residuals, keep, frame in ((False, (), 2), (True, (), 1), (False, (3,), 1)):
+        with pytest.raises(DegenerateRow) as excinfo:
+            run_stream(config, states, residuals=residuals, keep_affinities=keep)
+        assert excinfo.value.frame == frame
 
 
 class TestEmaFuse:
