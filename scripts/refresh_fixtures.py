@@ -29,12 +29,10 @@ from ssrlab import (  # noqa: E402
     TrajectoryConfig,
     ablate_window,
     build_experiment_config,
-    derive_trial_seed,
-    generate_scenario,
     run_experiment,
-    run_stream,
-    score_run,
 )
+from ssrlab.affinity import default_temperature  # noqa: E402
+from ssrlab.config import ExperimentConfig  # noqa: E402
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
 
@@ -65,16 +63,16 @@ def _scenario_echo() -> dict:
 
 
 def denoising_fixture() -> dict:
-    ratios = []
-    wins = 0
-    for trial in range(TRIALS):
-        seed = derive_trial_seed(BASE_SEED, trial)
-        scenario = generate_scenario(replace(TRAJECTORY, seed=seed), NOISE)
-        corrected = run_stream(SSR, scenario.noisy, residuals=False)[0]
-        _, summary = score_run(scenario, corrected)
-        _, base = score_run(scenario, scenario.noisy)
-        wins += int(summary.mean_corrected_error < base.mean_corrected_error)
-        ratios.append(summary.improvement_ratio)
+    # the harness takes a resolved temperature, sqrt(n) as the corrector's default
+    ssr = replace(SSR, temperature=default_temperature(TRAJECTORY.n))
+    config = ExperimentConfig(
+        trajectory=TRAJECTORY, noise=NOISE, methods=("ssr", "passthrough"), ssr=ssr,
+        output_dir="unused", trials=TRIALS,
+    )
+    methods = run_experiment(config).methods
+    ours, base = methods["ssr"].summaries, methods["passthrough"].summaries
+    ratios = [s.improvement_ratio for s in ours]
+    wins = sum(s.mean_corrected_error < b.mean_corrected_error for s, b in zip(ours, base))
     return {
         "scenario": _scenario_echo(),
         "ssr_window_k": SSR.window_k,

@@ -185,11 +185,12 @@ def summary_payload(bundle: ResultBundle) -> dict:
     }
 
 
-def dump_run_meta(path: str, timestamp: str, timings: dict[str, float], write_s: float) -> None:
-    """Volatile provenance, kept out of the payload files: the timestamp, timings, write_s,
-    this process's peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
+def dump_run_meta(path: str, command: str, timestamp: str, timings: dict[str, float],
+                  write_s: float) -> None:
+    """Volatile provenance outside the payloads: the writing command, timestamp, timings,
+    write_s, peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    meta = {"timestamp_utc": timestamp, "peak_rss_mb": rss_mb,
+    meta = {"command": command, "timestamp_utc": timestamp, "peak_rss_mb": rss_mb,
             "python_version": platform.python_version(), "numpy_version": np.__version__,
             **timings, "write_s": write_s}
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -223,7 +224,8 @@ def write_experiment_outputs(bundle: ResultBundle) -> dict[str, str]:
     )
     if bundle.heatmaps:
         dump_heatmaps(bundle.heatmaps, out_dir)
-    dump_run_meta(paths["meta"], bundle.timestamp, bundle.timings, perf_counter() - start)
+    dump_run_meta(paths["meta"], "simulate", bundle.timestamp, bundle.timings,
+                  perf_counter() - start)
     return paths
 
 
@@ -251,7 +253,7 @@ def write_ablation_outputs(
         "rows": [asdict(row) for row in rows],
     }
     _atomic_write_text(paths["json"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    dump_run_meta(paths["meta"], timestamp, timings, perf_counter() - start)
+    dump_run_meta(paths["meta"], "ablate-window", timestamp, timings, perf_counter() - start)
     return paths
 
 

@@ -12,13 +12,14 @@ observed states (the default; feedback cannot compound smoothing),
 its frame is done.
 
 Correction forms only each window's current affinity row, in one flow
-for a stream and a (B, T, d) stack: a stream is a stack of one. Under
-store-raw one affinity.correct_current call per stream corrects its full
-windows. A row loop corrects, stream by stream, the first window_k
-(shorter) windows and, under store-corrected, every frame: a softmax row
-repeats correct_current's operations bit for bit, a raw-sum row is a
-correct_current call. A store-raw stack of several streams takes its
-warm-up as one correct_current call per frame index instead.
+for a stream and a (B, T, d) stack: a stream is a stack of one, and the
+buffer policy alone picks the path. Under store-raw every window is known
+before correction starts, so affinity.correct_current corrects them all:
+one call per warm-up frame index over the B windows of that length, then
+one call per stream over its full windows. Under store-corrected each
+window holds earlier outputs, so a row loop corrects every frame, stream
+by stream: a softmax row repeats correct_current's operations bit for
+bit, a raw-sum row is a correct_current call.
 
 Softmax residuals come from lag bands: the dot products x_t . x_{t-j},
 j <= k, taken once over the stream, hold every window's Gram matrix G,
@@ -161,30 +162,22 @@ def run_stream(
     streams = raw if raw.ndim == 3 else raw[None]  # a stream is a stack of one
     length, k = streams.shape[1], config.window_k
     feedback = config.buffer_policy == STORE_CORRECTED
-    if feedback:
-        # the windows read the outputs, written over a copy of the inputs
-        bufs = corrected = streams.copy()
-    else:
-        bufs, corrected = streams, np.empty_like(streams)
-    # The row loop takes windows shorter than k + 1 (padded with zeros, their
-    # sums would round differently) and every store-corrected frame. A softmax
-    # row is correct_current of its window bit for bit (same two-row gemm, same
-    # row ops) without its per-call checks; correct_current forms raw-sum rows
-    # and raises a failing row's error.
-    looped = length if feedback else min(k, length)
+    # with feedback the windows read the outputs, written over a copy of the inputs
+    corrected = streams.copy() if feedback else np.empty_like(streams)
     mode, tau = config.mode, config.temperature
     if mode == MODE_SOFTMAX and tau is None and length:  # an empty T x 0 stream passes
         tau = default_temperature(streams.shape[2])
     frame, stop, failure = 0, length, None
     try:
         with np.errstate(all="ignore"):
-            if not feedback and len(streams) > 1:  # one warm-up call per frame
-                for frame in range(looped):
-                    corrected[:, frame] = correct_current(streams[:, : frame + 1], mode, tau)
-            else:
-                for buf, out in zip(bufs, corrected):
-                    for frame in range(looped):
-                        window = buf[max(frame - k, 0) : frame + 1]
+            if feedback:
+                # Each window holds earlier outputs: one row at a time, stream by stream.
+                # A softmax row is correct_current of its window bit for bit (same
+                # two-row gemm, same row ops) without its per-call checks;
+                # correct_current forms raw-sum rows and raises a failing row's error.
+                for out in corrected:
+                    for frame in range(length):
+                        window = out[max(frame - k, 0) : frame + 1]
                         if mode == MODE_SOFTMAX:
                             row = (window[-2:] @ window.T)[-1] / tau
                             peak, low = row.max(), row.min()
@@ -196,12 +189,17 @@ def run_stream(
                                 out[frame] = row[None] @ window
                                 continue
                         out[frame] = correct_current(window[None], mode, tau)[0]
-            if looped < length:
-                frame = k
-                for buf, out in zip(bufs, corrected):
-                    # windows[i] is the (k + 1) x d view of buffer rows i .. i + k
-                    windows = sliding_window_view(buf, k + 1, axis=0).swapaxes(1, 2)
-                    out[k:] = correct_current(windows, mode, tau)
+            else:
+                # Every window is known: the B warm-up windows of each length (zero rows
+                # padding them to k + 1 would change how their sums round), then each
+                # stream's full windows, as the (k + 1) x d views of its rows i .. i + k
+                for frame in range(min(k, length)):
+                    corrected[:, frame] = correct_current(streams[:, : frame + 1], mode, tau)
+                if k < length:
+                    frame = k
+                    for buf, out in zip(streams, corrected):
+                        windows = sliding_window_view(buf, k + 1, axis=0).swapaxes(1, 2)
+                        out[k:] = correct_current(windows, mode, tau)
     except NumericError as exc:
         # exc.frame indexes the call's windows: a row's call holds one, a warm-up
         # call one per stream, a full-window call those of frames k, k + 1, ...
@@ -213,7 +211,7 @@ def run_stream(
     if residuals or keep:
         # Every window up to the first failure is checked in full, kept frames past it
         # or not; raw-sum ones and those the banded pass cannot vouch for go direct.
-        buf, keep = bufs[0], {t for t in keep if t < stop}
+        buf, keep = (corrected if feedback else streams)[0], {t for t in keep if t < stop}
         if mode == MODE_SOFTMAX:
             scores = _banded_residuals(buf, raw, k, tau, stop, feedback)
         else:
@@ -221,13 +219,10 @@ def run_stream(
         direct = np.isnan(scores)
         direct[list(keep)] = True
         frames = np.flatnonzero(direct)
-        split = int(np.searchsorted(frames, k))
-        # each warm-up window has its own length, the full ones share k + 1
-        groups = [frames[i : i + 1] for i in range(split)]
-        if split < len(frames):
-            groups.append(frames[split:])
-        for group in groups:
-            size = min(int(group[0]), k) + 1
+        sizes = np.minimum(frames, k) + 1  # window lengths, ascending with the frames
+        # not np.unique, which imports numpy.ma (about 1.5 MB of peak RSS)
+        for size in sorted(set(sizes.tolist())):
+            group = frames[sizes == size]
             step = max(1, _CHUNK_ENTRIES // (size * max(size, raw.shape[1])))
             for i in range(0, len(group), step):
                 t = group[i : i + step]

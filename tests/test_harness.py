@@ -4,7 +4,9 @@ Runs are tiny (n=8, T=30, 3 trials) so the module stays fast, with one
 exception: the frozen full-scale regression in TestBenchmarkRegression.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -12,7 +14,9 @@ import platform
 import stat
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from dataclasses import MISSING, replace
 
 import numpy as np
@@ -415,9 +419,10 @@ class TestWriters:
         with open(paths["meta"], encoding="utf-8") as fh:
             meta = json.load(fh)
         assert set(meta) == {
-            "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
+            "command", "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
             *STAGE_KEYS, "frames_per_s",
         }
+        assert meta["command"] == "simulate"
         assert meta["timestamp_utc"] == bundle.timestamp
 
     def test_run_meta_records_stage_times_within_the_wall_time(self, tmp_path):
@@ -856,9 +861,10 @@ class TestCli:
         assert sorted(os.listdir(out)) == ["ablation.csv", "ablation.json", "run_meta.json"]
         meta = json.loads((out / "run_meta.json").read_text())
         assert set(meta) == {
-            "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
+            "command", "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
             *STAGE_KEYS, "frames_per_s",
         }
+        assert meta["command"] == "ablate-window"
         stages = [meta[key] for key in STAGE_KEYS]
         assert all(isinstance(value, float) and value >= 0.0 for value in stages)
         assert sum(stages) <= wall
@@ -1276,6 +1282,78 @@ def test_property_config_echo_round_trips(text):
     except ConfigInvalid:
         return
     _assert_echo_round_trips(config)
+
+
+# Magnitudes from the smallest subnormal to 1e300, and 0.0 where a key allows it.
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+_MAGNITUDES = st.one_of(st.just(0.0), _POSITIVE)
+
+
+@st.composite
+def contract_runs(draw) -> tuple[dict[str, str], list[str]]:
+    """A small config from every key's valid domain (output.dir left to set), and a command."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    length = draw(st.integers(min_value=1, max_value=12))
+    frames = st.lists(st.integers(min_value=0, max_value=length - 1), max_size=3)
+    values = {
+        "scenario.n": n,
+        "scenario.r": draw(st.integers(min_value=1, max_value=n - 1)),
+        "scenario.length": length,
+        "scenario.seed": draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        "scenario.speed": draw(_MAGNITUDES),
+        "scenario.waypoints": draw(st.integers(min_value=2, max_value=4)),
+        "scenario.state_drift": draw(_MAGNITUDES),
+        "noise.kind": draw(st.sampled_from(sorted(NOISE_KINDS))),
+        "noise.sigma": draw(_MAGNITUDES),
+        "noise.burst_prob": draw(st.floats(min_value=0.0, max_value=1.0)),
+        "noise.burst_scale": draw(_MAGNITUDES),
+        "methods": ",".join(
+            draw(st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, unique=True))
+        ),
+        "trials": draw(st.integers(min_value=1, max_value=3)),
+        "ssr.window_k": draw(st.integers(min_value=1, max_value=13)),
+        "ssr.mode": draw(st.sampled_from(sorted(AFFINITY_MODES))),
+        "ssr.buffer_policy": draw(st.sampled_from(sorted(BUFFER_POLICIES))),
+        "ema.alpha": draw(st.floats(min_value=0.0, max_value=1.0)),
+        "output.emit_heatmaps": draw(st.sampled_from(["true", "false"])),
+        "output.heatmap_frames": ",".join(map(str, draw(frames))),
+    }
+    if values["ssr.mode"] == "softmax" and draw(st.booleans()):
+        values["ssr.temperature"] = draw(_POSITIVE)
+    command = [draw(st.sampled_from(["simulate", "ablate-window", "affinity-dump"]))]
+    if command[0] == "ablate-window":
+        sizes = draw(st.lists(st.integers(min_value=1, max_value=13), min_size=1, max_size=3))
+        command += ["--sizes", ",".join(map(str, sizes))]
+    elif command[0] == "affinity-dump":
+        command += ["--frames", ",".join(map(str, draw(frames.filter(bool))))]
+    text = {key: repr(v) if isinstance(v, float) else str(v) for key, v in values.items()}
+    return text, command
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=contract_runs())
+def test_property_cli_keeps_the_exit_code_contract(run):
+    # any valid config, through any command, exits 0, 2, 3 or 4, with no
+    # traceback or warning on stderr and no temp file left behind
+    values, command = run
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            for key, value in {**values, "output.dir": os.path.join(tmp, "out")}.items():
+                fh.write(f"{key} = {value}\n")
+        with (
+            warnings.catch_warnings(record=True) as caught,
+            contextlib.redirect_stderr(stderr),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            warnings.simplefilter("always")
+            code = main([command[0], cfg, *command[1:]])
+        left = [name for _, _, names in os.walk(tmp) for name in names if name.startswith(".tmp-")]
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert left == []
 
 
 @pytest.mark.parametrize("mode", ["softmax", "raw-sum"])

@@ -311,10 +311,10 @@ def test_property_run_stream_matches_list_oracle(
 def test_property_stack_matches_per_stream_runs(
     seed, streams, window_k, extra, dim, mode, policy, temperature
 ):
-    # a store-raw stack of several streams takes its warm-up as one
-    # correct_current call per frame, a stream (a stack of one) takes the
-    # row loop: the bits must be the same, and a stack fails where some
-    # stream fails, at that stream's first failure
+    # a stack takes the path of a stream (a stack of one), with B windows in
+    # each store-raw warm-up call where a stream has one: the bits must be
+    # the same, and a stack fails where some stream fails, at that stream's
+    # first failure
     length = max(0, window_k + extra)
     if mode == MODE_RAW_SUM:
         temperature = None
@@ -598,10 +598,10 @@ def test_property_banded_residuals_are_the_direct_ones_within_1e_12(
 def test_property_row_loop_is_each_windows_correct_current(
     seed, window_k, extra, dim, exponent, mode, policy
 ):
-    # run_stream corrects the warm-up windows and every store-corrected
-    # frame in its own row loop; each row must be correct_current of its
-    # window bit for bit, and a failing row must raise correct_current's
-    # error with the row's frame
+    # run_stream corrects every store-corrected frame in its own row loop,
+    # and store-raw windows in correct_current calls over many windows; each
+    # row must be correct_current of its window bit for bit, and a failing
+    # row must raise correct_current's error with the row's frame
     length = max(0, window_k + extra)
     offset = 1.0 if mode == MODE_RAW_SUM else 0.0
     states = np.ldexp(random_states(np.random.default_rng(seed), length, dim) + offset, exponent)
@@ -630,7 +630,8 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
 def test_logits_whose_max_plus_min_overflows_are_finite(policy, calls):
     # every logit lies near 1.5e308: finite, although the row's max plus
-    # its min is not, so the row loop must accept every row itself rather
+    # its min is not. No row may fail: store-raw rows go to correct_current,
+    # and the store-corrected row loop must accept every row itself rather
     # than hand it to correct_current as a failure
     scale = math.sqrt(1.5e308)
     states = scale * np.array([[1.0], [1.0 - 2e-16], [0.9999], [1.0], [0.99995]])
@@ -639,12 +640,13 @@ def test_logits_whose_max_plus_min_overflows_are_finite(policy, calls):
     corrected, _, _ = run_stream(config, states, residuals=False)
     assert np.all(np.isfinite(corrected))
     assert np.array_equal(corrected, expected)
-    # store-raw corrects its three full windows in one call, nothing else
-    assert calls == ([(3, 3)] if policy == STORE_RAW else [])
+    # store-raw corrects each warm-up window, then its three full windows in
+    # one call; store-corrected forms every softmax row itself
+    assert calls == ([(1, 1), (1, 2), (3, 3)] if policy == STORE_RAW else [])
 
 
 class TestCorrectionFlow:
-    """A stream is a stack of one; only a store-raw stack of several batches its warm-up."""
+    """A stream is a stack of one; the buffer policy alone picks the correction path."""
 
     K, LENGTH = 3, 10
 
@@ -653,14 +655,23 @@ class TestCorrectionFlow:
             streams, self.LENGTH, 4
         )
 
-    def test_one_stream_stack_loops_its_warm_up(self, calls):
+    def test_one_stream_stack_batches_its_warm_up(self, calls):
         run_stream(SsrConfig(window_k=self.K), self.states(1), residuals=False)
-        assert calls == [(self.LENGTH - self.K, self.K + 1)]
+        warm_up = [(1, t + 1) for t in range(self.K)]
+        assert calls == warm_up + [(self.LENGTH - self.K, self.K + 1)]
 
     def test_stack_of_two_batches_its_warm_up(self, calls):
         run_stream(SsrConfig(window_k=self.K), self.states(2), residuals=False)
         warm_up = [(2, t + 1) for t in range(self.K)]
         assert calls == warm_up + [(self.LENGTH - self.K, self.K + 1)] * 2
+
+    def test_store_corrected_softmax_stack_takes_the_row_loop(self, calls):
+        config = SsrConfig(window_k=self.K, buffer_policy=STORE_CORRECTED)
+        stack = self.states(2)
+        corrected = run_stream(config, stack, residuals=False)[0]
+        assert calls == []
+        for ours, stream in zip(corrected, stack):
+            assert np.array_equal(ours, per_window_stream(stream, config))
 
     def test_raw_sum_rows_take_correct_current(self, calls):
         config = SsrConfig(window_k=self.K, mode=MODE_RAW_SUM, buffer_policy=STORE_CORRECTED)
@@ -668,6 +679,24 @@ class TestCorrectionFlow:
         corrected = run_stream(config, states, residuals=False)[0]
         assert calls == [(1, min(t, self.K) + 1) for t in range(self.LENGTH)]
         assert np.array_equal(corrected, per_window_stream(states, config))
+
+    def test_direct_path_takes_each_warm_up_length_then_the_full_windows(self, monkeypatch):
+        # every raw-sum window goes direct: one compute_affinity call per warm-up
+        # length, shortest first, then the full windows in chunks of 4
+        shapes = []
+
+        def spy(stack, *args):
+            shapes.append(stack.shape)
+            return compute_affinity(stack, *args)
+
+        monkeypatch.setattr(regularizer_mod, "compute_affinity", spy)
+        states = self.states(1)[0] + 1.0
+        with chunks_of(4, self.K, 4):
+            run_stream(SsrConfig(window_k=self.K, mode=MODE_RAW_SUM), states)
+        full = self.LENGTH - self.K
+        assert shapes == [(1, t + 1, 4) for t in range(self.K)] + [
+            (4, self.K + 1, 4), (full - 4, self.K + 1, 4)
+        ]
 
 
 def test_kept_frames_past_a_failure_still_check_every_window():
