@@ -81,7 +81,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     sizes = parse_int_list(args.sizes, "--sizes")
     if any(k < 1 for k in sizes):
         raise ConfigInvalid("--sizes: window sizes must be at least 1")
-    timings: dict[str, float] = {}
+    timings: dict[str, float | dict[int, float]] = {}
     rows = ablate_window(
         sizes, config.trajectory, config.noise, config.trials, config.ssr, timings
     )

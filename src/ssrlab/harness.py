@@ -185,8 +185,8 @@ def summary_payload(bundle: ResultBundle) -> dict:
     }
 
 
-def dump_run_meta(path: str, command: str, timestamp: str, timings: dict[str, float],
-                  write_s: float) -> None:
+def dump_run_meta(path: str, command: str, timestamp: str,
+                  timings: dict[str, float | dict[int, float]], write_s: float) -> None:
     """Volatile provenance outside the payloads: the writing command, timestamp, timings,
     write_s, peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -230,7 +230,7 @@ def write_experiment_outputs(bundle: ResultBundle) -> dict[str, str]:
 
 
 def write_ablation_outputs(
-    config: ExperimentConfig, rows: list[AblationRow], timings: dict[str, float]
+    config: ExperimentConfig, rows: list[AblationRow], timings: dict[str, float | dict[int, float]]
 ) -> dict[str, str]:
     """Write ablation.csv, ablation.json and run_meta.json (with ablate_window's timings)."""
     os.makedirs(config.output_dir, exist_ok=True)

@@ -10,7 +10,11 @@ from the true subspace, and the self-expression residual.
 Both runners, ablate_window and harness.run_experiment, make trial i's
 scenario with trial_scenario and take means and sample stds with
 mean_and_std. ablate_window corrects its trials as one (trials, T, d)
-stack, one run_stream call per window size, and scores its rows.
+stack, one run_stream call per window size. It reports improvement
+ratios alone, so it takes each trial's mean raw error once and, for each
+size, only the corrected errors; a trial goes through score_run only
+where one of score_run's checks might fail, so the ratios, and any
+error, are score_run's.
 
 improvement_ratio compares mean corrected error to mean raw error:
 1 - mean_corrected / mean_raw, with no floor, so it reads the same at
@@ -57,6 +61,12 @@ __all__ = [
 ]
 
 SCORE_COLUMNS = ("raw_error", "corrected_error", "subspace_residual", "se_residual")
+
+# Below this norm a state v keeps every partial sum of U^T v and of
+# v - U U^T v under about 2 ||v|| for an orthonormal U, as every Scenario
+# holds, so score_run's subspace residual is finite; entries near the
+# float64 maximum can overflow U^T v though v itself is finite.
+_SPAN_SAFE_NORM = np.finfo(np.float64).max / 8
 
 
 @dataclass(frozen=True)
@@ -207,26 +217,61 @@ def mean_and_std(values: np.ndarray) -> tuple[float, float]:
     return scaled_stat(values), std
 
 
+def _raw_bound(scenario: Scenario) -> tuple[float, float]:
+    """A trial's mean raw error, as score_run takes it, and the corrected errors' fast bound.
+
+    The bound is -inf when some raw error is not finite, so that every
+    size scores the trial through score_run and raises as it does.
+    Otherwise a corrected state v with ||v - clean|| below it has
+    ||v|| < _SPAN_SAFE_NORM.
+    """
+    clean, noisy, _ = scenario
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = vector_norms(noisy - clean)
+        finite = bool(np.isfinite(raw).all())
+        bound = _SPAN_SAFE_NORM - float(vector_norms(clean).max()) if finite else -math.inf
+    return scaled_stat(raw), bound
+
+
+def _sweep_ratio(scenario: Scenario, corrected: np.ndarray, mean_raw: float, bound: float) -> float:
+    """score_run(scenario, corrected)'s improvement ratio, from the corrected errors alone.
+
+    Only where every corrected error is below bound (so finite) does each
+    check in score_run provably pass; any other stream is scored by
+    score_run itself, which raises what it raises.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = vector_norms(corrected - scenario.clean)
+        worst = float(errors.max())
+    if not worst < bound:
+        return score_run(scenario, corrected)[1].improvement_ratio
+    return improvement_ratio(mean_raw, scaled_stat(errors))
+
+
 def ablate_window(
     sizes: list[int],
     trajectory: TrajectoryConfig,
     noise: NoiseModel,
     trials: int,
     ssr: SsrConfig | None = None,
-    timings: dict[str, float] | None = None,
+    timings: dict[str, float | dict[int, float]] | None = None,
 ) -> list[AblationRow]:
     """Sweep window_k over fresh trials of the same scenario family.
 
     Trial i runs on trial_scenario(trajectory, noise, i), identical
     across sizes, so rows differ only through window_k. The noisy states
     fill one read-only (trials, T, d) stack, each scenario holding its
-    row, and each size corrects it in one run_stream call, then scores
-    its rows trial by trial. The std is the sample standard deviation
+    row, and each size corrects it in one run_stream call. Each trial's
+    mean raw error is taken once, and each size scores a trial from its
+    corrected errors alone; only a trial on which one of score_run's
+    checks might fail goes through score_run, so the ratios, and any
+    error, are score_run's. The std is the sample standard deviation
     across trials (0 for a single trial). A numeric error names the
     window size, trial and frame: only when the stacked call raised is
     each trial corrected on its own, so the first failing trial raises.
-    timings, if given, receives generate_s, correct_s, score_s and
-    frames_per_s.
+    timings, if given, receives generate_s, correct_s, score_s,
+    frames_per_s and correct_s_by_k, the correction seconds of each
+    window size.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -245,7 +290,11 @@ def ablate_window(
         row.flags.writeable = False
         scenarios.append(scenario._replace(noisy=row))
     noisy.flags.writeable = False
-    seconds = {"generate_s": perf_counter() - start, "correct_s": 0.0, "score_s": 0.0}
+    seconds = {"generate_s": perf_counter() - start, "correct_s": 0.0}
+    start = perf_counter()
+    raw_bounds = [_raw_bound(scenario) for scenario in scenarios]
+    seconds["score_s"] = perf_counter() - start
+    correct_s_by_k: dict[int, float] = {}
     rows = []
     for k in sizes:
         config = replace(base, window_k=k)
@@ -262,14 +311,17 @@ def ablate_window(
                     corrected = run_stream(config, scenario.noisy, residuals=False)[0]
                 else:
                     corrected = stack[i]
-                ratios.append(score_run(scenario, corrected)[1].improvement_ratio)
+                ratios.append(_sweep_ratio(scenario, corrected, *raw_bounds[i]))
             except NumericError as exc:
                 raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
         seconds["correct_s"] += scoring - start
+        correct_s_by_k[k] = correct_s_by_k.get(k, 0.0) + scoring - start
         seconds["score_s"] += perf_counter() - scoring
         del stack, corrected  # before the next size's stack is allocated (peak RSS)
         rows.append(AblationRow(k, *mean_and_std(np.array(ratios))))
     if timings is not None:
         frames = len(sizes) * trials * trajectory.length
-        timings.update(seconds, frames_per_s=frames / sum(seconds.values()))
+        timings.update(
+            seconds, correct_s_by_k=correct_s_by_k, frames_per_s=frames / sum(seconds.values())
+        )
     return rows

@@ -17,11 +17,14 @@ once over the arrays.
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream, frame), so frame i's draws do not depend on the sequence
-length and extending a scenario never perturbs its prefix.
+length and extending a scenario never perturbs its prefix. Every frame's
+draws are taken first, each filling its row of one array; only the
+coefficient walk then steps frame by frame.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -254,7 +257,11 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
         [0, len(seg_arcs), seg, seg + 1],
         default=-1,
     )
-    geodesics = {s: geodesic(waypoints[s], waypoints[s + 1]) for s in np.unique(seg[inside])}
+    # Each segment's frame, transposed: a chunk evaluates as (m, r, n), long axis innermost.
+    frames = {}
+    for s in sorted(set(seg[inside].tolist())):
+        p, g, theta = geodesic(waypoints[s], waypoints[s + 1])
+        frames[s] = np.ascontiguousarray(p.T), np.ascontiguousarray(g.T), theta[:, None]
     piece = np.where(on_waypoint >= 0, 2 * on_waypoint, 2 * seg + 1)
     starts = np.flatnonzero(np.diff(piece, prepend=-1))
     bases = np.empty((config.length, config.n, config.r))
@@ -264,14 +271,16 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
             if on_waypoint[a] >= 0:
                 raw = waypoints[on_waypoint[a]][None]
             else:
-                p, g, theta = geodesics[seg[a]]
+                pt, gt, theta = frames[seg[a]]
                 angles = local[c:d, None, None] * theta
-                raw = p * np.cos(angles) + g * np.sin(angles)
+                raw = np.swapaxes(pt * np.cos(angles) + gt * np.sin(angles), 1, 2)
             if a == 0:
                 bases[c:d] = raw
                 continue
             if c == a:
-                v, _, wt = np.linalg.svd(raw[0].T @ bases[a - 1])
+                # the product rounds by its operands' memory order: take it
+                # from an (n, r) C-ordered basis, as for a single frame
+                v, _, wt = np.linalg.svd(np.ascontiguousarray(raw[0]).T @ bases[a - 1])
                 rot = v @ wt
             bases[c:d] = raw @ rot
     return bases
@@ -279,18 +288,22 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
 
 def _clean_states(config: TrajectoryConfig, bases: np.ndarray) -> np.ndarray:
     """Unit-norm states in each frame's subspace, with the optional coefficient walk."""
+    drawn = config.length if config.state_drift > 0.0 else 1
+    draws = np.empty((drawn, config.r))
+    for row, rng in zip(draws, _substreams(config.seed, _STREAM_CLEAN, range(drawn))):
+        rng.standard_normal(out=row)
     coefs = np.empty((config.length, config.r))
     coef = np.eye(config.r)[0]  # kept when the first draw is exactly zero
-    drawn = config.length if config.state_drift > 0.0 else 1
     with np.errstate(over="ignore"):
-        for t, rng in enumerate(_substreams(config.seed, _STREAM_CLEAN, range(drawn))):
-            draw = rng.standard_normal(config.r)
-            stepped = draw if t == 0 else coef + config.state_drift * draw
-            norm = np.linalg.norm(stepped)
-            if t > 0 and norm == np.inf:
+        steps = config.state_drift * draws
+        for t in range(drawn):
+            stepped = draws[0] if t == 0 else coef + steps[t]
+            # np.linalg.norm's own sum of squares for a 1-D vector, bit for bit
+            norm = math.sqrt(stepped.dot(stepped))
+            if t > 0 and norm == math.inf:
                 # the step or its squares overflow: rescale it exactly by a power of two
                 shift = -np.frexp(config.state_drift)[1]
-                stepped = np.ldexp(coef, shift) + np.ldexp(config.state_drift, shift) * draw
+                stepped = np.ldexp(coef, shift) + np.ldexp(config.state_drift, shift) * draws[t]
                 norm = np.linalg.norm(stepped)
             if not _SCALED_NORM_BELOW <= norm < np.inf:
                 # squares overflow or underflow: measure again so the norm scales with the step
@@ -307,8 +320,8 @@ def _noisy_states(config: TrajectoryConfig, noise: NoiseModel, clean: np.ndarray
     if noise.sigma == 0.0:
         return clean
     draws = np.empty_like(clean)
-    for t, rng in enumerate(_substreams(config.seed, _STREAM_NOISE, range(config.length))):
-        rng.standard_normal(config.n, out=draws[t])
+    for row, rng in zip(draws, _substreams(config.seed, _STREAM_NOISE, range(config.length))):
+        rng.standard_normal(out=row)
     scale = np.full(config.length, noise.sigma)
     if noise.kind == NOISE_DRIFT_WALK:
         np.cumsum(draws, axis=0, out=draws)
@@ -327,11 +340,14 @@ def _checked(clean: np.ndarray, noisy: np.ndarray, bases: np.ndarray) -> Scenari
         raise DimensionMismatch(
             f"clean {clean.shape}, noisy {noisy.shape} and bases {bases.shape} do not match"
         )
+    # a static subspace is one basis broadcast over the frames: check it once
+    distinct = bases[:1] if bases.strides[0] == 0 else bases
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.swapaxes(bases, 1, 2) @ bases - np.eye(bases.shape[2])
-        bad_bases = ~np.isfinite(bases).all(axis=(1, 2)) | (
+        defect = np.swapaxes(distinct, 1, 2) @ distinct - np.eye(bases.shape[2])
+        bad_bases = ~np.isfinite(distinct).all(axis=(1, 2)) | (
             np.linalg.norm(defect, axis=(1, 2)) > ORTHONORMALITY_TOL
         )
+        bad_bases = np.broadcast_to(bad_bases, bases.shape[:1])
         outside = span_membership_residual(clean, bases) >= MEMBERSHIP_TOL
         checks = {
             "truth basis is not finite with orthonormal columns": bad_bases,

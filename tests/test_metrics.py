@@ -4,12 +4,22 @@ The two-frame ratio example: raw errors (2, 2), corrected errors (1, 1),
 so the corrector removed exactly half the mean error.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssrlab.errors import DimensionMismatch, InvalidScore, LengthMismatch
+import ssrlab.metrics as metrics_mod
+from ssrlab.errors import (
+    DimensionMismatch,
+    InvalidScore,
+    LengthMismatch,
+    NumericError,
+    annotated,
+    frame_named,
+)
 from ssrlab.grassmann import span_membership_residual
 from ssrlab.metrics import (
     SCORE_COLUMNS,
@@ -307,3 +317,94 @@ def test_property_scaled_stat_scales_with_the_data(seed, size, exponent):
         plain = values.mean() if ddof is None else values.std(ddof=ddof)
         assert scaled_stat(values, ddof) == plain
         assert scaled_stat(scaled, ddof) == np.ldexp(plain, exponent)
+
+
+def sweep_against_score_run(scenarios, stack, sizes=(2, 3)):
+    """ablate_window's ratios and error on these trials next to score_run's, trial by trial.
+
+    The scenarios stand in for generate_scenario and the stack for every
+    size's corrected states, so both sides score the same arrays.
+    """
+    expected, want = [], None
+    try:
+        for k in sizes:
+            ratios = []
+            for i, (scenario, corrected) in enumerate(zip(scenarios, stack)):
+                try:
+                    ratios.append(score_run(scenario, corrected)[1].improvement_ratio)
+                except NumericError as exc:
+                    raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
+            expected.append(ratios)
+    except NumericError as exc:
+        want = exc
+    trials = iter(scenarios)
+    got = []
+    length, n = stack.shape[1:]
+    traj = TrajectoryConfig(n=n, r=1, length=length, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(trials))
+        mp.setattr(metrics_mod, "run_stream", lambda config, states, **kw: (stack, {}, None))
+        mp.setattr(
+            metrics_mod, "mean_and_std", lambda values: (got.append(values.tolist()), (0.0, 0.0))[1]
+        )
+        if want is None:
+            ablate_window(list(sizes), traj, NoiseModel(), trials=len(scenarios))
+            assert got == expected
+            return
+        with pytest.raises(type(want)) as excinfo:
+            ablate_window(list(sizes), traj, NoiseModel(), trials=len(scenarios))
+    assert str(excinfo.value) == str(want)
+    assert excinfo.value.frame == want.frame
+
+
+@st.composite
+def sweep_trials(draw):
+    """Scenarios and corrected states scaled by 2**e, some entries near the
+    float64 maximum or not finite, in any of the three arrays."""
+    trials = draw(st.integers(min_value=1, max_value=3))
+    exponent = draw(st.integers(min_value=-1000, max_value=1000))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    traj = TrajectoryConfig(n=5, r=2, length=6, seed=seed, speed=1.0, waypoint_count=3)
+    arrays = []
+    for i in range(trials):
+        clean, noisy, bases = generate_scenario(replace(traj, seed=seed + i), NoiseModel(sigma=0.3))
+        corrected = clean + 0.1 * rng.standard_normal(clean.shape)
+        arrays.append([np.ldexp(x, exponent) for x in (clean, noisy, corrected)] + [bases])
+    cell = st.tuples(
+        st.integers(0, trials - 1), st.integers(0, 2), st.integers(0, 5), st.integers(0, 4)
+    )
+    huge = st.builds(
+        lambda mantissa, down, sign: sign * np.ldexp(mantissa, 1023 - down),
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.integers(0, 6),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    bad = st.sampled_from([np.nan, np.inf, -np.inf])
+    for value_of in (huge, bad):
+        for trial, which, frame, col in draw(st.lists(cell, max_size=2)):
+            arrays[trial][which][frame, col] = draw(value_of)
+    scenarios = [Scenario(clean, noisy, bases) for clean, noisy, _, bases in arrays]
+    return scenarios, np.array([corrected for _, _, corrected, _ in arrays])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_trials())
+def test_property_sweep_scores_as_score_run(case):
+    # the sweep's ratios are score_run's, ==, or it raises score_run's
+    # error with the same message, window size, trial and frame
+    sweep_against_score_run(*case)
+
+
+def test_sweep_sends_an_overflowing_residual_to_score_run():
+    # clean and corrected near the float64 maximum along span(u): their
+    # distance is finite, but U^T v overflows, so the subspace residual is
+    # NaN and score_run raises, naming the frame, though a ratio exists
+    u = np.full(2, np.sqrt(0.5))
+    clean = np.outer([1.5e308, 1.0], u)
+    scenario = Scenario(clean, clean * 0.9, np.broadcast_to(u[:, None], (2, 2, 1)))
+    with np.errstate(over="ignore"):
+        corrected = clean * 1.2
+    with pytest.raises(InvalidScore, match="frame scores"):
+        score_run(scenario, corrected)
+    sweep_against_score_run([scenario], corrected[None])
