@@ -28,7 +28,7 @@ from .harness import (
     write_ablation_outputs,
     write_experiment_outputs,
 )
-from .metrics import ablate_window, trial_scenario
+from .metrics import ablate_window, trial_scenarios
 from .regularizer import run_stream
 
 __all__ = ["main"]
@@ -83,7 +83,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         raise ConfigInvalid("--sizes: window sizes must be at least 1")
     timings: dict[str, float | dict[int, float]] = {}
     rows = ablate_window(
-        sizes, config.trajectory, config.noise, config.trials, config.ssr, timings
+        sizes, config.trajectory, config.noise, config.trials, config.ssr, timings,
+        noise_needed=True,
     )
     paths = write_ablation_outputs(config, rows, timings)
     print(f"{'window_k':>9} {'mean_improve':>13} {'std_improve':>12}")
@@ -104,7 +105,7 @@ def _cmd_affinity_dump(args: argparse.Namespace) -> int:
         if not 0 <= frame < config.trajectory.length:
             raise ConfigInvalid(f"--frames: frame {frame} outside [0, {config.trajectory.length})")
     # trial 0 corrected as simulate corrects it, every window checked in full; nothing scored
-    noisy = trial_scenario(config.trajectory, config.noise, 0).noisy
+    noisy = next(trial_scenarios(config.trajectory, config.noise, 1)).noisy
     try:
         kept = run_stream(config.ssr, noisy, residuals=False, keep_affinities=frames)[1]
     except NumericError as exc:

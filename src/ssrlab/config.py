@@ -16,7 +16,8 @@ failure raises ConfigInvalid with the offending field path in the message.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, replace
+import hashlib
+from dataclasses import MISSING, dataclass, field, replace
 
 from .affinity import MODE_SOFTMAX, default_temperature
 from .errors import ConfigInvalid
@@ -40,7 +41,12 @@ KNOWN_METHODS = (METHOD_SSR, METHOD_EMA, METHOD_PASSTHROUGH)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment settings."""
+    """Fully resolved experiment settings.
+
+    source_sha256 is the sha256 of the config file bytes load_config
+    parsed (None for a config built in code); it is provenance, not a
+    setting, so it takes no part in comparisons and no part in the echo.
+    """
 
     trajectory: TrajectoryConfig
     noise: NoiseModel
@@ -51,6 +57,7 @@ class ExperimentConfig:
     trials: int = 1
     emit_heatmaps: bool = False
     heatmap_frames: tuple[int, ...] = ()
+    source_sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -191,13 +198,15 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and resolve a config file."""
+    """Parse and resolve a config file; source_sha256 is the sha256 of the bytes parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config file {path!r}: {exc}") from exc
-    return build_experiment_config(parse_config_text(text))
+    config = build_experiment_config(parse_config_text(text))
+    return replace(config, source_sha256=hashlib.sha256(data).hexdigest())
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

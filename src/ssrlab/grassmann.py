@@ -149,9 +149,17 @@ def span_membership_residual(vectors: np.ndarray, bases: np.ndarray) -> np.ndarr
     """Relative distance of T vectors (T, n) from T subspaces (T, n, r), each in [0, 1].
 
     Row t is ||v - U U^T v|| / ||v|| for v = vectors[t] and U = bases[t];
-    an exact zero vector gives 0.
+    an exact zero vector gives 0. Where the frame axis of bases has stride
+    0 (one basis broadcast over the frames, as synth makes a static
+    subspace), U U^T v is taken for every frame at once, as (V U) U^T:
+    that rounds differently from the per-frame products, within a bound
+    that scales with the data.
     """
-    coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
-    leftover = vectors - (bases @ coords)[:, :, 0]
+    if len(bases) > 0 and bases.strides[0] == 0:
+        basis = bases[0]
+        leftover = vectors - (vectors @ basis) @ basis.T
+    else:
+        coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
+        leftover = vectors - (bases @ coords)[:, :, 0]
     norms = vector_norms(vectors)
     return np.minimum(vector_norms(leftover) / np.where(norms > 0.0, norms, 1.0), 1.0)

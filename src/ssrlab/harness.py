@@ -1,7 +1,7 @@
 """Experiment runner and deterministic result writers.
 
 run_experiment is one loop over trials and, inside each, over methods.
-It takes each trial's scenario once as arrays from metrics.trial_scenario,
+It takes each trial's scenario once as arrays from metrics.trial_scenarios,
 as ablate_window does, passes its T x d noisy array through every
 configured method (the corrector is one run_stream call, which also
 yields the heatmaps and residuals; the baselines are one ema_fuse or
@@ -23,17 +23,26 @@ import os
 import platform
 import resource
 import secrets
+from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .config import METHOD_EMA, METHOD_SSR, ExperimentConfig, config_to_dict
+from .config import METHOD_EMA, METHOD_PASSTHROUGH, METHOD_SSR, ExperimentConfig, config_to_dict
 from .errors import NumericError, annotated, frame_named
-from .metrics import SCORE_COLUMNS, AblationRow, RunSummary, mean_and_std, score_run, trial_scenario
+from .metrics import (
+    SCORE_COLUMNS,
+    AblationRow,
+    RunSummary,
+    mean_and_std,
+    score_run,
+    trial_scenarios,
+)
 from .regularizer import ema_fuse, passthrough_step, run_stream
 
 __all__ = [
@@ -90,13 +99,19 @@ def _aggregate(summaries: tuple[RunSummary, ...]) -> tuple[dict[str, float], dic
 
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:
-    """Run all configured methods over all trials, in trial order, and score them."""
+    """Run all configured methods over all trials, in trial order, and score them.
+
+    Unless passthrough is the only method, a trial whose raw errors are all
+    exactly 0 raises InvalidScenario, naming noise.sigma, before it is corrected.
+    """
     seconds = dict.fromkeys(("generate_s", "correct_s", "score_s"), 0.0)
     runs: dict[str, list[tuple[np.ndarray, RunSummary]]] = {m: [] for m in config.methods}
     heatmaps: dict[int, np.ndarray] = {}
+    noise_needed = any(method != METHOD_PASSTHROUGH for method in config.methods)
+    scenarios = trial_scenarios(config.trajectory, config.noise, config.trials, noise_needed)
     for trial in range(config.trials):
         start = perf_counter()
-        scenario = trial_scenario(config.trajectory, config.noise, trial)
+        scenario = next(scenarios)
         seconds["generate_s"] += perf_counter() - start
         capture = config.heatmap_frames if config.emit_heatmaps and trial == 0 else ()
         for method, results in runs.items():
@@ -135,7 +150,8 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
     )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write_text(path: str, text: str, more: Iterable[str] = ()) -> None:
+    """Write text, then each string of more, to a temp name; then rename it onto path."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
     # Mode 0o666 lets the process umask decide the final permissions.
@@ -143,6 +159,7 @@ def _atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            fh.writelines(more)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -151,15 +168,35 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def dump_csv(bundle: ResultBundle, path: str) -> None:
-    """Per-frame scores, one row per (method, trial, frame), sorted."""
-    # 17 significant digits round-trip any float64.
-    row_format = "%d,%s,%d" + ",%.17g" * len(SCORE_COLUMNS)
-    lines = [CSV_HEADER]
+    """Per-frame scores, one row per (method, trial, frame), sorted.
+
+    Values are written as %.17g, which round-trips any float64. The rows
+    go to the temp file block by block, one (method, trial) at a time.
+    Each trial's raw-error column is formatted once and reused wherever a
+    column of that trial holds the same bits (every method's raw errors,
+    and passthrough's corrected ones); the bits are compared as integers,
+    since -0.0 == 0.0 but the two print differently.
+    """
+    _atomic_write_text(path, CSV_HEADER + "\n", _csv_blocks(bundle))
+
+
+def _csv_blocks(bundle: ResultBundle) -> Iterator[str]:
+    formatted_raw: dict[int, tuple[np.ndarray, list[str]]] = {}
+    frames: list[str] = []
     for method in sorted(bundle.methods):
         for trial, scores in enumerate(bundle.methods[method].scores):
-            for frame, row in enumerate(scores.tolist()):
-                lines.append(row_format % (frame, method, trial, *row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+            if trial not in formatted_raw:
+                raw = scores[:, 0]
+                formatted_raw[trial] = raw.view(np.int64), list(map("%.17g".__mod__, raw.tolist()))
+            raw_bits, raw_text = formatted_raw[trial]
+            columns = [
+                raw_text if np.array_equal(column.view(np.int64), raw_bits)
+                else list(map("%.17g".__mod__, column.tolist()))
+                for column in scores.T
+            ]
+            frames.extend(map(str, range(len(frames), len(scores))))
+            rows = zip(frames, repeat(method), repeat(str(trial)), *columns)
+            yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def summary_payload(bundle: ResultBundle) -> dict:
@@ -185,12 +222,14 @@ def summary_payload(bundle: ResultBundle) -> dict:
     }
 
 
-def dump_run_meta(path: str, command: str, timestamp: str,
+def dump_run_meta(path: str, command: str, config: ExperimentConfig, timestamp: str,
                   timings: dict[str, float | dict[int, float]], write_s: float) -> None:
-    """Volatile provenance outside the payloads: the writing command, timestamp, timings,
-    write_s, peak RSS so far (ru_maxrss is in KiB on Linux), Python and numpy versions."""
+    """Volatile provenance outside the payloads: the writing command, the sha256 of the
+    config file's bytes, timestamp, timings, write_s, peak RSS so far (ru_maxrss is in
+    KiB on Linux), Python and numpy versions."""
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    meta = {"command": command, "timestamp_utc": timestamp, "peak_rss_mb": rss_mb,
+    meta = {"command": command, "config_sha256": config.source_sha256,
+            "timestamp_utc": timestamp, "peak_rss_mb": rss_mb,
             "python_version": platform.python_version(), "numpy_version": np.__version__,
             **timings, "write_s": write_s}
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -224,7 +263,7 @@ def write_experiment_outputs(bundle: ResultBundle) -> dict[str, str]:
     )
     if bundle.heatmaps:
         dump_heatmaps(bundle.heatmaps, out_dir)
-    dump_run_meta(paths["meta"], "simulate", bundle.timestamp, bundle.timings,
+    dump_run_meta(paths["meta"], "simulate", bundle.config, bundle.timestamp, bundle.timings,
                   perf_counter() - start)
     return paths
 
@@ -253,7 +292,8 @@ def write_ablation_outputs(
         "rows": [asdict(row) for row in rows],
     }
     _atomic_write_text(paths["json"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    dump_run_meta(paths["meta"], "ablate-window", timestamp, timings, perf_counter() - start)
+    dump_run_meta(paths["meta"], "ablate-window", config, timestamp, timings,
+                  perf_counter() - start)
     return paths
 
 

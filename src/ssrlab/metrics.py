@@ -7,10 +7,11 @@ scores as one T x 4 array, columns SCORE_COLUMNS: the raw and corrected
 distances to the clean state, the corrected state's relative distance
 from the true subspace, and the self-expression residual.
 
-Both runners, ablate_window and harness.run_experiment, make trial i's
-scenario with trial_scenario and take means and sample stds with
-mean_and_std. ablate_window corrects its trials as one (trials, T, d)
-stack, one run_stream call per window size. It reports improvement
+Both runners, ablate_window and harness.run_experiment, take their
+trials' scenarios in order from trial_scenarios, which steps the
+coefficient walks of a block of trials together, and take means and
+sample stds with mean_and_std. ablate_window corrects its trials as one
+(trials, T, d) stack, one run_stream call per window size. It reports improvement
 ratios alone, so it takes each trial's mean raw error once and, for each
 size, only the corrected errors; a trial goes through score_run only
 where one of score_run's checks might fail, so the ratios, and any
@@ -27,6 +28,7 @@ float64, it raises InvalidScore.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -35,6 +37,7 @@ import numpy as np
 from .affinity import vector_norms
 from .errors import (
     DimensionMismatch,
+    InvalidScenario,
     InvalidScore,
     LengthMismatch,
     NumericError,
@@ -47,6 +50,7 @@ from .synth import (
     NoiseModel,
     Scenario,
     TrajectoryConfig,
+    coefficient_walks,
     derive_trial_seed,
     generate_scenario,
 )
@@ -67,6 +71,9 @@ SCORE_COLUMNS = ("raw_error", "corrected_error", "subspace_residual", "se_residu
 # holds, so score_run's subspace residual is finite; entries near the
 # float64 maximum can overflow U^T v though v itself is finite.
 _SPAN_SAFE_NORM = np.finfo(np.float64).max / 8
+# float64 entries of the coefficient walks stepped together (256 kB per
+# array): every trial of each benchmark workload fits in one block.
+_WALK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -198,17 +205,48 @@ def score_run(
     return scores, summary
 
 
-def trial_scenario(trajectory: TrajectoryConfig, noise: NoiseModel, trial: int) -> Scenario:
-    """Trial i's scenario, seeded by derive_trial_seed(seed, i).
+def trial_scenarios(
+    trajectory: TrajectoryConfig, noise: NoiseModel, trials: int, noise_needed: bool = False
+) -> Iterator[Scenario]:
+    """Trial i's scenario, seeded by derive_trial_seed(seed, i), for i = 0 .. trials - 1.
 
-    A numeric error is re-raised as "(scenario generation, trial=i): ...",
-    keeping its frame. Shared with ssrlab.harness, not in __all__.
+    The coefficient walks of up to _WALK_ENTRIES / (T r) trials are
+    stepped together, one coefficient_walks call per block, so memory does
+    not grow with trials. Each trial's seed is derived just before its
+    scenario is built. A numeric error is re-raised as "(scenario
+    generation, trial=i): ...", keeping its frame. With noise_needed, a
+    trial whose noisy states equal its clean ones bit for bit (every raw
+    error exactly 0, at sigma 0 or where sigma rounds away) raises
+    InvalidScenario naming noise.sigma, before any correction: no
+    corrected error would have a finite improvement ratio. Shared with
+    ssrlab.harness and ssrlab.cli, not in __all__.
+    """
+    block = max(1, _WALK_ENTRIES // (trajectory.length * trajectory.r))
+    for first in range(0, trials, block):
+        chunk = range(first, min(first + block, trials))
+        for trial, walk in zip(chunk, coefficient_walks(trajectory, chunk)):
+            yield _trial_scenario(trajectory, noise, trial, walk, noise_needed)
+
+
+def _trial_scenario(trajectory, noise, trial, walk, noise_needed) -> Scenario:
+    """One trial of trial_scenarios.
+
+    A call of its own, so that the generator holds no trial's scenario
+    while it builds the next (peak RSS). perfbench's tracer starts trial i
+    at its derive_trial_seed call.
     """
     seed = derive_trial_seed(trajectory.seed, trial)
     try:
-        return generate_scenario(replace(trajectory, seed=seed), noise)
+        scenario = generate_scenario(replace(trajectory, seed=seed), noise, walk)
+        if noise_needed and not (scenario.noisy != scenario.clean).any():
+            raise InvalidScenario(
+                f"noise.sigma = {noise.sigma:.3e} leaves every noisy state equal to its clean"
+                " state bit for bit, so every raw error is exactly 0 and only passthrough"
+                " can be scored"
+            )
     except NumericError as exc:
         raise annotated(exc, f"scenario generation, trial={trial}") from exc
+    return scenario
 
 
 def mean_and_std(values: np.ndarray) -> tuple[float, float]:
@@ -255,13 +293,14 @@ def ablate_window(
     trials: int,
     ssr: SsrConfig | None = None,
     timings: dict[str, float | dict[int, float]] | None = None,
+    noise_needed: bool = False,
 ) -> list[AblationRow]:
     """Sweep window_k over fresh trials of the same scenario family.
 
-    Trial i runs on trial_scenario(trajectory, noise, i), identical
-    across sizes, so rows differ only through window_k. The noisy states
-    fill one read-only (trials, T, d) stack, each scenario holding its
-    row, and each size corrects it in one run_stream call. Each trial's
+    Trial i runs on the i-th of trial_scenarios(trajectory, noise, trials),
+    identical across sizes, so rows differ only through window_k. The
+    noisy states fill one read-only (trials, T, d) stack, each scenario
+    holding its row, and each size corrects it in one run_stream call. Each trial's
     mean raw error is taken once, and each size scores a trial from its
     corrected errors alone; only a trial on which one of score_run's
     checks might fail goes through score_run, so the ratios, and any
@@ -271,7 +310,8 @@ def ablate_window(
     each trial corrected on its own, so the first failing trial raises.
     timings, if given, receives generate_s, correct_s, score_s,
     frames_per_s and correct_s_by_k, the correction seconds of each
-    window size.
+    window size. noise_needed is trial_scenarios': the command line sets
+    it, as every size corrects.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -284,8 +324,7 @@ def ablate_window(
     except ValueError as exc:  # more entries than numpy can index: no memory holds them
         raise MemoryError(str(exc)) from exc
     scenarios = []
-    for i, row in enumerate(noisy):
-        scenario = trial_scenario(trajectory, noise, i)
+    for row, scenario in zip(noisy, trial_scenarios(trajectory, noise, trials, noise_needed)):
         row[...] = scenario.noisy
         row.flags.writeable = False
         scenarios.append(scenario._replace(noisy=row))

@@ -32,7 +32,8 @@ checks every row of the windows it takes and raises each numeric error,
 so with residuals or kept affinities every affinity is checked in full.
 
 The two baselines take and return T x d streams as well: ema_fuse runs
-the exponential recurrence over the rows, passthrough_step is the identity.
+the exponential recurrence over blocks of rows, passthrough_step is the
+identity.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ _GRAM_RANGE = (2.0**-900, 2.0**900)
 # Softmax windows whose largest logit, |x|^2 / tau, exceeds this go to the
 # direct path; below it no row's weights underflow, and no logit overflows.
 _LOGIT_SPAN = 2048.0
+# Rows of the EMA taken by one lower-triangular product.
+_EMA_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -353,7 +356,14 @@ def ema_fuse(states: np.ndarray, alpha: float) -> np.ndarray:
     """EMA baseline over a T x d stream: row t is alpha x_t + (1 - alpha) y_{t-1}.
 
     Row 0 passes through. At alpha=1 the output equals the stream; at
-    alpha=0 every row equals row 0.
+    alpha=0 every row equals row 0. After row 0 the rows go in blocks of
+    _EMA_BLOCK: with a = alpha and b = 1 - alpha, block rows s .. s + m - 1
+    are one lower-triangular product P X, P_ij = a b^(i - j), plus b^(i + 1)
+    times row s - 1. That rounds differently from the recurrence, within a
+    bound that scales with the data; alpha 0 and 1 give P = 0 and P = I, so
+    they stay exact. A non-finite entry spreads NaN to earlier rows of its
+    block (0 * inf), so wherever the output is not finite, as non-finite
+    input always leaves it, the rows come from the recurrence itself.
     """
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
@@ -361,11 +371,22 @@ def ema_fuse(states: np.ndarray, alpha: float) -> np.ndarray:
     if states.ndim != 2:
         raise DimensionMismatch(f"states must form a T x d array, got shape {states.shape}")
     fused = np.empty_like(states)
-    weighted = alpha * states
-    decay = 1.0 - alpha
     fused[:1] = states[:1]
-    for t in range(1, len(states)):
-        fused[t] = weighted[t] + decay * fused[t - 1]
+    decay = 1.0 - alpha
+    with np.errstate(all="ignore"):
+        lag = np.subtract.outer(np.arange(_EMA_BLOCK), np.arange(_EMA_BLOCK))
+        blend = np.where(lag >= 0, alpha * decay ** np.maximum(lag, 0), 0.0)
+        carry = decay ** np.arange(1, _EMA_BLOCK + 1)
+        for start in range(1, len(states), _EMA_BLOCK):
+            stop = min(start + _EMA_BLOCK, len(states))
+            block = fused[start:stop]
+            np.matmul(blend[: stop - start, : stop - start], states[start:stop], out=block)
+            block += carry[: stop - start, None] * fused[start - 1]
+        if np.isfinite(fused).all():
+            return fused
+        weighted = alpha * states
+        for t in range(1, len(states)):
+            fused[t] = weighted[t] + decay * fused[t - 1]
     return fused
 
 

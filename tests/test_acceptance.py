@@ -366,9 +366,12 @@ def test_degenerate_row_failure_is_structured(tmp_path, monkeypatch, capsys):
     # row sum; raw-sum mode must fail with exit code 3 and a message
     # naming the method, the trial, and the frame. Random noise cannot
     # reach an exactly-zero sum, so the scenario is injected.
+    # (against a constant clean state: a trial whose noisy states are its
+    # clean ones fails before any correction)
     states = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    crafted = Scenario(states, states, np.broadcast_to(np.eye(3, 1), (2, 3, 1)))
-    monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: crafted)
+    clean = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    crafted = Scenario(clean, states, np.broadcast_to(np.eye(3, 1), (2, 3, 1)))
+    monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted)
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(
         "\n".join(

@@ -405,3 +405,31 @@ def test_property_geodesic_interpolates_the_metric(seed: int, s: float):
     total = projection_distance(a, b)
     assert projection_distance(a, point) <= total + 1e-9
     assert projection_distance(point, b) <= total + 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=2, max_value=70),
+    length=st.integers(min_value=1, max_value=40),
+    scale=st.integers(min_value=-1000, max_value=1000),
+    inside=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_property_one_basis_residual_is_the_per_frame_residual(seed, n, length, scale, inside):
+    # a stride-0 stack of one basis takes (V U) U^T for every frame at once;
+    # each value may round differently from the per-frame products, by a few
+    # units of the last bit of a value in [0, 1] (plus what underflow loses
+    # next to the vector's norm)
+    rng = np.random.default_rng(seed)
+    basis = orthonormalize(rng.standard_normal((n, rng.integers(1, n))))
+    vectors = basis @ rng.standard_normal((basis.shape[1], length))
+    vectors = vectors.T + (1.0 - inside) * rng.standard_normal((length, n))
+    vectors = np.ldexp(vectors, scale)
+    vectors[rng.random(length) < 0.1] = 0.0
+    static = np.broadcast_to(basis, (length, *basis.shape))
+    got = span_membership_residual(vectors, static)
+    want = span_membership_residual(vectors, np.ascontiguousarray(static))
+    norms = np.linalg.norm(np.ldexp(vectors, -scale), axis=1) * 2.0**scale
+    floor = np.divide(n * 2.0**-1070, norms, out=np.zeros(length), where=norms > 0.0)
+    assert np.all(np.abs(got - want) <= 8 * n * 2.0**-53 + floor)
+    assert np.all((got >= 0.0) & (got <= 1.0))

@@ -5,6 +5,7 @@ exception: the frozen full-scale regression in TestBenchmarkRegression.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -21,7 +22,7 @@ from dataclasses import MISSING, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ssrlab
@@ -59,7 +60,7 @@ from ssrlab.harness import (
     summary_payload,
     write_experiment_outputs,
 )
-from ssrlab.metrics import ablate_window, score_run
+from ssrlab.metrics import SCORE_COLUMNS, ablate_window, score_run
 from ssrlab.regularizer import BUFFER_POLICIES, SsrConfig, ema_fuse, run_stream
 from ssrlab.synth import (
     NOISE_KINDS,
@@ -117,6 +118,12 @@ def near_cancelling_scenario() -> Scenario:
         [-0.3, -0.7, math.sqrt(0.42 + 1e-10)],
     ]
     return crafted_scenario([[1.0, 0.0, 0.0]] * 3, noisy=noisy)
+
+
+def vanishing_noise_scenario() -> Scenario:
+    """Three states, one 5e-324 off its clean state: one raw error 5e-324, whose mean is 0."""
+    clean = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    return crafted_scenario(clean, noisy=[*clean[:2], [1.0, 0.0, 5e-324]])
 
 
 def make_config(tmp_path, **overrides):
@@ -281,9 +288,9 @@ class TestRunExperiment:
             assert all(v == 0.0 for v in result.aggregate_std.values())
 
     def test_numeric_failure_names_method_trial_frame(self, tmp_path, monkeypatch):
-        crafted = crafted_scenario([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        crafted = crafted_scenario([[1.0, 0.0, 0.0]] * 2, noisy=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         monkeypatch.setattr(
-            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted
         )
         config = make_config(
             tmp_path,
@@ -419,10 +426,11 @@ class TestWriters:
         with open(paths["meta"], encoding="utf-8") as fh:
             meta = json.load(fh)
         assert set(meta) == {
-            "command", "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
-            *STAGE_KEYS, "frames_per_s",
+            "command", "config_sha256", "timestamp_utc", "peak_rss_mb", "python_version",
+            "numpy_version", *STAGE_KEYS, "frames_per_s",
         }
         assert meta["command"] == "simulate"
+        assert meta["config_sha256"] is None  # built in code, from no file
         assert meta["timestamp_utc"] == bundle.timestamp
 
     def test_run_meta_records_stage_times_within_the_wall_time(self, tmp_path):
@@ -503,11 +511,30 @@ class TestWriters:
         dump_csv(bundle, str(path))
         assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
+    def test_csv_failing_mid_stream_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        # rows reach the temp file block by block; a failure after the first
+        # block leaves the old results.csv whole and no temp file behind
+        bundle = run_experiment(make_config(tmp_path, trials=2))
+        path = tmp_path / "results.csv"
+        path.write_text("from an earlier run\n")
+        real_blocks = harness_mod._csv_blocks
+
+        def failing(bundle):
+            blocks = real_blocks(bundle)
+            yield next(blocks)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness_mod, "_csv_blocks", failing)
+        with pytest.raises(OSError, match="disk full"):
+            dump_csv(bundle, str(path))
+        assert path.read_text() == "from an earlier run\n"
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+
     def test_single_passthrough_frame_row(self, tmp_path, monkeypatch):
         # noisy sits exactly one unit from clean, so both error columns read 1
         crafted = crafted_scenario([[1.0, 0.0, 0.0]], noisy=[[1.0, 1.0, 0.0]])
         monkeypatch.setattr(
-            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted
         )
         config = make_config(
             tmp_path,
@@ -535,7 +562,7 @@ class TestWriters:
             bases=[[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]],
         )
         monkeypatch.setattr(
-            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted
         )
         config = make_config(
             tmp_path,
@@ -677,9 +704,9 @@ class TestCli:
         assert {ConfigInvalid, NumericError, DegenerateRow} <= set(ERROR_CLASSES)
 
     def test_numeric_error_exits_three(self, tmp_path, monkeypatch, capsys):
-        crafted = crafted_scenario([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        crafted = crafted_scenario([[1.0, 0.0, 0.0]] * 2, noisy=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         monkeypatch.setattr(
-            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted
         )
         cfg = write_cfg_file(
             tmp_path,
@@ -700,7 +727,7 @@ class TestCli:
         # the relative guard rejects the third row where an absolute 1e-12 floor did not
         crafted = near_cancelling_scenario()
         monkeypatch.setattr(
-            metrics_mod, "generate_scenario", lambda cfg, noise: crafted
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted
         )
         cfg = write_cfg_file(
             tmp_path,
@@ -720,7 +747,7 @@ class TestCli:
 
     def test_ablation_numeric_error_names_window_trial_frame(self, tmp_path, monkeypatch, capsys):
         crafted = near_cancelling_scenario()
-        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: crafted)
+        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted)
         cfg = write_cfg_file(
             tmp_path,
             trials=1,
@@ -746,7 +773,9 @@ class TestCli:
             run_stream(config, trials[0].noisy, residuals=False)
         assert excinfo.value.frame == 3
         scenarios = iter(trials)
-        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(scenarios))
+        monkeypatch.setattr(
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: next(scenarios)
+        )
         cfg = write_cfg_file(
             tmp_path,
             trials=2,
@@ -760,11 +789,14 @@ class TestCli:
     def test_ablation_score_error_wins_over_a_later_trials_correction(
         self, tmp_path, monkeypatch, capsys
     ):
-        # trial 0 corrects cleanly but, noiseless, has no finite improvement
-        # ratio; trial 1's correction fails at frame 2, in the stack's warm-up
-        noiseless = crafted_scenario([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        # trial 0 corrects cleanly but its one raw error of 5e-324 averages
+        # to 0, so it has no finite improvement ratio; trial 1's correction
+        # fails at frame 2, in the stack's warm-up
+        noiseless = vanishing_noise_scenario()
         scenarios = iter([noiseless, near_cancelling_scenario()])
-        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(scenarios))
+        monkeypatch.setattr(
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: next(scenarios)
+        )
         cfg = write_cfg_file(
             tmp_path,
             trials=2,
@@ -778,14 +810,17 @@ class TestCli:
     def test_ablation_scores_the_stack_without_correcting_again(
         self, tmp_path, monkeypatch, capsys
     ):
-        # the stack corrects both trials cleanly; trial 1, noiseless, has no
-        # finite improvement ratio, which its row of the stack already shows
+        # the stack corrects both trials cleanly; trial 1, whose raw errors
+        # average to 0, has no finite improvement ratio, which its row of the
+        # stack already shows
         noisy = crafted_scenario(
             [[1.0, 0.0, 0.0]] * 3, noisy=[[1.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.0]]
         )
-        noiseless = crafted_scenario([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        noiseless = vanishing_noise_scenario()
         scenarios = iter([noisy, noiseless])
-        monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(scenarios))
+        monkeypatch.setattr(
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: next(scenarios)
+        )
         shapes = []
 
         def counted(config, states, **kwargs):
@@ -849,6 +884,23 @@ class TestCli:
         header = csv_path.read_text().splitlines()[0]
         assert header == "window_k,mean_improvement_ratio,std_improvement_ratio"
 
+    def test_run_meta_records_the_config_files_sha256(self, tmp_path, capsys):
+        # the sha256 of the bytes load_config parsed, CRLF line ends and all;
+        # provenance stays out of the payloads
+        cfg = write_cfg_file(tmp_path, trials=1)
+        with open(cfg, "rb") as fh:
+            crlf = fh.read().replace(b"\n", b"\r\n")
+        with open(cfg, "wb") as fh:
+            fh.write(crlf)
+        digest = hashlib.sha256(crlf).hexdigest()
+        out = tmp_path / "out"
+        for argv in (["simulate", cfg], ["ablate-window", cfg, "--sizes", "2"]):
+            assert main(argv) == 0
+            assert json.loads((out / "run_meta.json").read_text())["config_sha256"] == digest
+        for name in ("results.csv", "summary.json", "ablation.csv", "ablation.json"):
+            payload = (out / name).read_text()
+            assert digest not in payload and "config_sha256" not in payload, name
+
     def test_ablate_window_writes_run_meta(self, tmp_path, capsys):
         cfg = write_cfg_file(tmp_path, trials=2)
         out = tmp_path / "out"
@@ -861,8 +913,8 @@ class TestCli:
         assert sorted(os.listdir(out)) == ["ablation.csv", "ablation.json", "run_meta.json"]
         meta = json.loads((out / "run_meta.json").read_text())
         assert set(meta) == {
-            "command", "timestamp_utc", "peak_rss_mb", "python_version", "numpy_version",
-            *STAGE_KEYS, "frames_per_s", "correct_s_by_k",
+            "command", "config_sha256", "timestamp_utc", "peak_rss_mb", "python_version",
+            "numpy_version", *STAGE_KEYS, "frames_per_s", "correct_s_by_k",
         }
         assert meta["command"] == "ablate-window"
         stages = [meta[key] for key in STAGE_KEYS]
@@ -921,7 +973,7 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(
-            metrics_mod, "generate_scenario", lambda cfg, noise: near_cancelling_scenario()
+            metrics_mod, "generate_scenario", lambda cfg, noise, walk: near_cancelling_scenario()
         )
         cfg = write_cfg_file(
             tmp_path,
@@ -997,21 +1049,53 @@ class TestCli:
 
     def test_vanishing_raw_error_exits_three(self, tmp_path, capsys):
         # at sigma 1e-320 the noisy states are the clean ones bit for bit:
-        # the raw error is exactly 0 under a positive corrected error, so
-        # no finite improvement ratio exists, in either command
+        # every raw error is exactly 0, so no corrected error would have a
+        # finite improvement ratio; either command fails before correcting,
+        # naming noise.sigma
         overrides = {
             "methods": "ssr",
             "noise.sigma": "1e-320",
             "scenario.length": "20",
             "scenario.seed": "1",
         }
+        want = "numeric error: (scenario generation, trial=0): noise.sigma = 1.000e-320 leaves"
         done = self._simulate_subprocess(tmp_path, **overrides)
         assert done.returncode == 3, done.stderr
-        assert "numeric error: (method=ssr, trial=0): no finite improvement ratio" in done.stderr
+        assert want in done.stderr
         assert "Traceback" not in done.stderr
         cfg = write_cfg_file(tmp_path, trials=1, **overrides)
         assert main(["ablate-window", cfg, "--sizes", "2"]) == 3
-        assert "(window_k=2, trial=0): no finite improvement ratio" in capsys.readouterr().err
+        assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["ssr", "ema"])
+    @pytest.mark.parametrize("sigma", ["0.0", "1e-300"])
+    def test_noise_that_rounds_away_fails_before_correcting(
+        self, tmp_path, monkeypatch, capsys, sigma, method
+    ):
+        # sigma 0, or a sigma whose noise rounds away: every raw error is
+        # exactly 0; both commands exit 3 naming noise.sigma, and nothing
+        # is corrected (ablate-window corrects with ssr, whatever methods lists)
+        def corrected(*args, **kwargs):
+            raise AssertionError("a noiseless trial was corrected")
+
+        for module in (harness_mod, metrics_mod):
+            monkeypatch.setattr(module, "run_stream", corrected, raising=False)
+        monkeypatch.setattr(harness_mod, "ema_fuse", corrected)
+        cfg = write_cfg_file(tmp_path, methods=f"{method},passthrough", **{"noise.sigma": sigma})
+        for argv in (["simulate", cfg], ["ablate-window", cfg, "--sizes", "2"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numeric error: (scenario generation, trial=0): noise.sigma = ")
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sigma", ["0.0", "1e-300"])
+    def test_passthrough_alone_scores_a_noiseless_run(self, tmp_path, sigma):
+        cfg = write_cfg_file(tmp_path, methods="passthrough", **{"noise.sigma": sigma})
+        assert main(["simulate", cfg]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        mean = summary["methods"]["passthrough"]["aggregate_mean"]
+        assert mean["mean_raw_error"] == 0.0 and mean["improvement_ratio"] == 0.0
 
     def test_huge_finite_scores_run_without_warnings(self, tmp_path):
         # scripts/example.cfg at noise 1e160: the distances' squares
@@ -1449,3 +1533,60 @@ def test_fit_column_keeps_fixed_point_where_it_fits(value):
             assert text == fixed
         else:
             assert "e" in text and float(text) == pytest.approx(value, rel=1e-2)
+
+
+def row_by_row_csv(bundle) -> str:
+    """results.csv as one %-format per row, the writer's reference."""
+    row_format = "%d,%s,%d" + ",%.17g" * len(SCORE_COLUMNS)
+    lines = [CSV_HEADER]
+    for method in sorted(bundle.methods):
+        for trial, scores in enumerate(bundle.methods[method].scores):
+            for frame, row in enumerate(scores.tolist()):
+                lines.append(row_format % (frame, method, trial, *row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def score_bundles(draw):
+    # every method of a trial shares its raw-error column, as score_run
+    # gives it; other columns copy it, copy it with zeros of the other sign
+    # (equal by ==, not by bits), or are drawn afresh
+    length = draw(st.integers(min_value=1, max_value=6))
+    trials = draw(st.integers(min_value=1, max_value=3))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.7976931348623157e308]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    columns = st.lists(values, min_size=length, max_size=length)
+    raws = [np.array(draw(columns)) for _ in range(trials)]
+    methods = {}
+    for method in draw(st.sets(st.sampled_from(["ssr", "ema", "passthrough"]), min_size=1)):
+        per_trial = []
+        for raw in raws:
+            scores = np.empty((length, len(SCORE_COLUMNS)))
+            scores[:, 0] = raw
+            for j in range(1, len(SCORE_COLUMNS)):
+                how = draw(st.sampled_from(["raw", "flipped zeros", "fresh"]))
+                if how == "raw":
+                    scores[:, j] = raw
+                elif how == "flipped zeros":
+                    flipped = np.copysign(0.0, -np.copysign(1.0, raw))
+                    scores[:, j] = np.where(raw == 0.0, flipped, raw)
+                else:
+                    scores[:, j] = draw(columns)
+            per_trial.append(scores)
+        methods[method] = harness_mod.MethodResult(tuple(per_trial), (), {}, {})
+    return methods
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(methods=score_bundles())
+def test_property_csv_writer_is_the_row_by_row_writer(tmp_path, methods):
+    bundle = harness_mod.ResultBundle(
+        config=make_config(tmp_path), methods=methods, heatmaps={}, timestamp=""
+    )
+    path = tmp_path / "results.csv"
+    dump_csv(bundle, str(path))
+    assert path.read_bytes() == row_by_row_csv(bundle).encode()

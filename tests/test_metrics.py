@@ -342,7 +342,7 @@ def sweep_against_score_run(scenarios, stack, sizes=(2, 3)):
     length, n = stack.shape[1:]
     traj = TrajectoryConfig(n=n, r=1, length=length, seed=0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics_mod, "generate_scenario", lambda cfg, noise: next(trials))
+        mp.setattr(metrics_mod, "generate_scenario", lambda cfg, noise, walk: next(trials))
         mp.setattr(metrics_mod, "run_stream", lambda config, states, **kw: (stack, {}, None))
         mp.setattr(
             metrics_mod, "mean_and_std", lambda values: (got.append(values.tolist()), (0.0, 0.0))[1]

@@ -750,11 +750,61 @@ class TestEmaFuse:
             ema_fuse(np.ones((2, 3, 4)), 0.5)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.123456789, 0.3, 0.5, 1.0])
-@pytest.mark.parametrize("length", [1, 2, 256, 1024])
+# the blocked EMA repeats the loop's rounding only where P is 0 or I, or
+# where a block holds one row; test_property_blocked_ema_is_the_loop_within_a_data_bound
+# holds every other case
+@pytest.mark.parametrize(
+    "length, alpha",
+    [(length, alpha) for length in (1, 2) for alpha in (0.0, 0.123456789, 0.3, 0.5, 1.0)]
+    + [(length, alpha) for length in (256, 1024) for alpha in (0.0, 1.0)],
+)
 def test_ema_fuse_is_the_plain_loop_bit_for_bit(alpha, length):
     stream = np.random.default_rng(length).standard_normal((length, 5))
     assert np.array_equal(ema_fuse(stream, alpha), ema_oracle(stream, alpha))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=1, max_value=200),
+    alpha=st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    scale=st.integers(min_value=-1000, max_value=1000),
+)
+def test_property_blocked_ema_is_the_loop_within_a_data_bound(seed, length, alpha, scale):
+    # P X plus the carried row rounds differently from the recurrence; both
+    # carry each rounding into later rows, damped by (1 - alpha) per row, so
+    # the bound grows with the rows and scales with the largest entry
+    stream = np.ldexp(np.random.default_rng(seed).standard_normal((length, 3)), scale)
+    fused = ema_fuse(stream, alpha)
+    loop = ema_oracle(stream, alpha)
+    largest = np.maximum.accumulate(np.abs(stream), axis=0)
+    bound = 4.0 * (length + 32) * 2.0**-53 * largest + 64 * 2.0**-1074
+    assert np.all(np.abs(fused - loop) <= bound)
+    if alpha in (0.0, 1.0):
+        assert np.array_equal(fused, loop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=2, max_value=100),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+    bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+    where=st.integers(min_value=0, max_value=10**6),
+)
+def test_property_blocked_ema_gives_the_loops_output_on_non_finite_rows(
+    seed, length, alpha, bad, where
+):
+    # a non-finite entry would spread through 0 * inf to earlier rows of its
+    # block: the loop runs instead
+    stream = np.random.default_rng(seed).standard_normal((length, 3))
+    stream.flat[where % stream.size] = bad
+    with np.errstate(all="ignore"):
+        loop = ema_oracle(stream, alpha)
+    assert np.array_equal(ema_fuse(stream, alpha), loop, equal_nan=True)
 
 
 class TestPassthrough:

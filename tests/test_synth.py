@@ -128,7 +128,7 @@ class TestStaticScenario:
                 "_substreams",
                 lambda seed, stream, frames: (replay(draws[t]) for t in frames),
             )
-            return synth_mod._clean_states(config, bases)
+            return synth_mod._clean_states(bases, synth_mod._walks(config, [config.seed])[0])
 
         reference = clean_at(0)
         assert np.array_equal(reference[0], np.eye(6, 3) @ (first / np.linalg.norm(first)))
@@ -458,6 +458,23 @@ def scenario_cases(draw):
 @given(case=scenario_cases())
 # at n = 16 a basis product rounds by its operands' memory order
 @example(case=(TrajectoryConfig(n=16, r=2, length=2, seed=0, speed=1.0), NoiseModel()))
+# the benchmark workloads' shapes: example's static 4-plane in R^64 with a
+# coefficient walk, and moving_feedback's moving 8-plane in R^128 under drift noise
+@example(
+    case=(
+        TrajectoryConfig(n=64, r=4, length=256, seed=derive_trial_seed(1234, 0), state_drift=0.05),
+        NoiseModel(sigma=0.1),
+    )
+)
+@example(
+    case=(
+        TrajectoryConfig(
+            n=128, r=8, length=1024, seed=derive_trial_seed(1234, 0), speed=1.0,
+            waypoint_count=4, state_drift=0.05,
+        ),
+        NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.01),
+    )
+)
 def test_property_generate_scenario_matches_per_frame_oracle(case):
     # static and moving paths (speed past 1 overshoots onto the last
     # waypoint), every noise kind, sigma 0 and not, drift 0 and not
@@ -482,3 +499,102 @@ def test_property_aligned_bases_carry_no_rotation_between_frames(case):
     bases = generate_scenario(config, NoiseModel()).bases
     u, _, vt = np.linalg.svd(np.swapaxes(bases[1:], 1, 2) @ bases[:-1])
     assert np.abs(u @ vt - np.eye(config.r)).max(initial=0.0) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stream=st.integers(min_value=0, max_value=3),
+    visits=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from(["uint32", "uint64", "double", "normal"]),
+            st.integers(min_value=0, max_value=9),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_property_reseek_is_a_fresh_advance(seed, stream, visits):
+    # each substream starts as a fresh Philox advanced by frame * 2**32,
+    # whatever the last one left in its buffer (a spare 32-bit half, a
+    # partly used block of four outputs)
+    def take(rng, kind, count):
+        if kind == "uint32":
+            return rng.integers(0, 2**32, size=count, dtype=np.uint32)
+        if kind == "uint64":
+            return rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        return rng.random(count) if kind == "double" else rng.standard_normal(count)
+
+    frames = [frame for frame, _, _ in visits]
+    for rng, (frame, kind, count) in zip(synth_mod._substreams(seed, stream, frames), visits):
+        got = take(rng, kind, count), rng.standard_normal(3)
+        fresh = frame_rng(seed, stream, frame)
+        want = take(fresh, kind, count), fresh.standard_normal(3)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def walk_blocks(draw):
+    r = draw(st.integers(min_value=1, max_value=6))
+    config = TrajectoryConfig(
+        n=r + 1,
+        r=r,
+        length=draw(st.integers(min_value=1, max_value=12)),
+        seed=0,
+        state_drift=draw(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-3, max_value=0.5),
+                st.floats(min_value=0.5, max_value=1e308),
+            )
+        ),
+    )
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5))
+    # each scenario's first draw at its own scale: squares that underflow,
+    # overflow, or neither
+    scale = st.integers(min_value=-1074, max_value=1000)
+    scales = draw(st.lists(scale, min_size=len(seeds), max_size=len(seeds)))
+    return config, seeds, scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=walk_blocks())
+def test_property_walks_stepped_together_are_each_walk_alone(case):
+    # rows that take the overflow rescale or the vector_norms fallback sit
+    # next to rows that do not; each row is its one-scenario walk bit for bit
+    config, seeds, scales = case
+    first_scale = dict(zip(seeds, scales))
+
+    def substreams(seed, stream, frames):
+        for frame in frames:
+            rng = frame_rng(seed, stream, frame)
+
+            def standard_normal(size=None, out=None, rng=rng, frame=frame):
+                out[...] = rng.standard_normal(out.shape)
+                if frame == 0:
+                    out[...] = np.ldexp(out, first_scale[seed])
+                return out
+
+            yield SimpleNamespace(standard_normal=standard_normal)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(synth_mod, "_substreams", substreams)
+        together = synth_mod._walks(config, seeds)
+        for seed, walk in zip(seeds, together):
+            assert np.array_equal(walk, synth_mod._walks(config, [seed])[0])
+
+
+def test_coefficient_walks_are_the_walks_of_the_trials_scenarios():
+    config = replace(MOVING, state_drift=0.05)
+    noise = NoiseModel(sigma=0.1)
+    walks = synth_mod.coefficient_walks(config, range(2, 5))
+    assert walks.shape == (3, config.length, config.r)
+    for trial, walk in zip(range(2, 5), walks):
+        trial_config = replace(config, seed=derive_trial_seed(config.seed, trial))
+        alone = generate_scenario(trial_config, noise)
+        given_walk = generate_scenario(trial_config, noise, walk)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, given_walk))
+    # a frozen walk is one row, held over every frame
+    assert synth_mod.coefficient_walks(STATIC, range(2)).shape == (2, 1, STATIC.r)
