@@ -211,9 +211,9 @@ def vector_norms(vectors: np.ndarray) -> np.ndarray:
 
     with np.errstate(over="ignore"):
         norms = np.asarray(plain(vectors))
-    redo = ~((norms >= _SCALED_NORM_BELOW) & (norms < np.inf))
-    if redo.any():
-        rows = vectors[redo]
-        shift = np.frexp(np.abs(rows).max(axis=-1))[1]
-        norms[redo] = np.ldexp(plain(np.ldexp(rows, -shift[:, None])), shift)
+        redo = ~((norms >= _SCALED_NORM_BELOW) & (norms < np.inf))
+        if redo.any():
+            rows = vectors[redo]
+            shift = np.frexp(np.abs(rows).max(axis=-1))[1]
+            norms[redo] = np.ldexp(plain(np.ldexp(rows, -shift[:, None])), shift)
     return norms

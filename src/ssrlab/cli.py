@@ -83,8 +83,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         raise ConfigInvalid("--sizes: window sizes must be at least 1")
     timings: dict[str, float | dict[int, float]] = {}
     rows = ablate_window(
-        sizes, config.trajectory, config.noise, config.trials, config.ssr, timings,
-        noise_needed=True,
+        sizes, config.trajectory, config.noise, config.trials, config.ssr, timings
     )
     paths = write_ablation_outputs(config, rows, timings)
     print(f"{'window_k':>9} {'mean_improve':>13} {'std_improve':>12}")

@@ -153,13 +153,31 @@ def span_membership_residual(vectors: np.ndarray, bases: np.ndarray) -> np.ndarr
     0 (one basis broadcast over the frames, as synth makes a static
     subspace), U U^T v is taken for every frame at once, as (V U) U^T:
     that rounds differently from the per-frame products, within a bound
-    that scales with the data.
+    that scales with the data. A finite vector whose norm or leftover
+    v - U U^T v is not finite is measured once more, after exact scaling
+    by the power of two just above its largest |entry|, as in
+    affinity.vector_norms: a row is NaN only where its vector or basis is
+    not finite, and no overflow warns.
     """
     if len(bases) > 0 and bases.strides[0] == 0:
-        basis = bases[0]
-        leftover = vectors - (vectors @ basis) @ basis.T
+        bases = bases[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        leftover, norms = _span_norms(vectors, bases)
+        redo = ~(np.isfinite(leftover) & np.isfinite(norms))
+        if redo.any():
+            redo &= np.isfinite(vectors).all(axis=1)  # a non-finite vector stays NaN
+            rows = vectors[redo]
+            rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+            some = bases if bases.ndim == 2 else bases[redo]
+            leftover[redo], norms[redo] = _span_norms(rows, some)
+    return np.minimum(leftover / np.where(norms > 0.0, norms, 1.0), 1.0)
+
+
+def _span_norms(vectors: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The norms of v - U U^T v and of v, row by row, for one (n, r) basis or a (T, n, r) stack."""
+    if bases.ndim == 2:
+        leftover = vectors - (vectors @ bases) @ bases.T
     else:
         coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
         leftover = vectors - (bases @ coords)[:, :, 0]
-    norms = vector_norms(vectors)
-    return np.minimum(vector_norms(leftover) / np.where(norms > 0.0, norms, 1.0), 1.0)
+    return vector_norms(leftover), vector_norms(vectors)

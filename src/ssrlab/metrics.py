@@ -11,11 +11,11 @@ Both runners, ablate_window and harness.run_experiment, take their
 trials' scenarios in order from trial_scenarios, which steps the
 coefficient walks of a block of trials together, and take means and
 sample stds with mean_and_std. ablate_window corrects its trials as one
-(trials, T, d) stack, one run_stream call per window size. It reports improvement
-ratios alone, so it takes each trial's mean raw error once and, for each
-size, only the corrected errors; a trial goes through score_run only
-where one of score_run's checks might fail, so the ratios, and any
-error, are score_run's.
+(trials, T, d) stack, one run_stream call per window size. It reports
+improvement ratios alone, from each trial's mean raw error, taken once,
+and each size's corrected errors: where every raw and corrected error
+is finite, score_run's checks pass, and anywhere else score_run itself
+scores the trial. So the ratios, and any error, are score_run's.
 
 improvement_ratio compares mean corrected error to mean raw error:
 1 - mean_corrected / mean_raw, with no floor, so it reads the same at
@@ -66,11 +66,6 @@ __all__ = [
 
 SCORE_COLUMNS = ("raw_error", "corrected_error", "subspace_residual", "se_residual")
 
-# Below this norm a state v keeps every partial sum of U^T v and of
-# v - U U^T v under about 2 ||v|| for an orthonormal U, as every Scenario
-# holds, so score_run's subspace residual is finite; entries near the
-# float64 maximum can overflow U^T v though v itself is finite.
-_SPAN_SAFE_NORM = np.finfo(np.float64).max / 8
 # float64 entries of the coefficient walks stepped together (256 kB per
 # array): every trial of each benchmark workload fits in one block.
 _WALK_ENTRIES = 2**15
@@ -161,7 +156,9 @@ def score_run(
         LengthMismatch: the run is empty or input lengths differ.
         DimensionMismatch: corrected is not shaped like the clean states.
         InvalidScore: some score is not finite and nonnegative; its frame
-            attribute is the first such frame.
+            attribute is the first such frame. The subspace residual
+            scales with the data, so where the raw and corrected errors
+            are finite every score is.
     """
     corrected = np.asarray(corrected, dtype=np.float64)
     clean, noisy, bases = scenario
@@ -255,35 +252,18 @@ def mean_and_std(values: np.ndarray) -> tuple[float, float]:
     return scaled_stat(values), std
 
 
-def _raw_bound(scenario: Scenario) -> tuple[float, float]:
-    """A trial's mean raw error, as score_run takes it, and the corrected errors' fast bound.
-
-    The bound is -inf when some raw error is not finite, so that every
-    size scores the trial through score_run and raises as it does.
-    Otherwise a corrected state v with ||v - clean|| below it has
-    ||v|| < _SPAN_SAFE_NORM.
-    """
-    clean, noisy, _ = scenario
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = vector_norms(noisy - clean)
-        finite = bool(np.isfinite(raw).all())
-        bound = _SPAN_SAFE_NORM - float(vector_norms(clean).max()) if finite else -math.inf
-    return scaled_stat(raw), bound
-
-
-def _sweep_ratio(scenario: Scenario, corrected: np.ndarray, mean_raw: float, bound: float) -> float:
+def _sweep_ratio(scenario: Scenario, corrected: np.ndarray, mean_raw: float) -> float:
     """score_run(scenario, corrected)'s improvement ratio, from the corrected errors alone.
 
-    Only where every corrected error is below bound (so finite) does each
-    check in score_run provably pass; any other stream is scored by
-    score_run itself, which raises what it raises.
+    Where mean_raw and every corrected error are finite, every check in
+    score_run passes (a Scenario's bases are orthonormal); anywhere else
+    score_run itself scores the trial.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         errors = vector_norms(corrected - scenario.clean)
-        worst = float(errors.max())
-    if not worst < bound:
-        return score_run(scenario, corrected)[1].improvement_ratio
-    return improvement_ratio(mean_raw, scaled_stat(errors))
+    if math.isfinite(mean_raw) and np.isfinite(errors).all():
+        return improvement_ratio(mean_raw, scaled_stat(errors))
+    return score_run(scenario, corrected)[1].improvement_ratio
 
 
 def ablate_window(
@@ -293,25 +273,24 @@ def ablate_window(
     trials: int,
     ssr: SsrConfig | None = None,
     timings: dict[str, float | dict[int, float]] | None = None,
-    noise_needed: bool = False,
 ) -> list[AblationRow]:
     """Sweep window_k over fresh trials of the same scenario family.
 
-    Trial i runs on the i-th of trial_scenarios(trajectory, noise, trials),
-    identical across sizes, so rows differ only through window_k. The
-    noisy states fill one read-only (trials, T, d) stack, each scenario
-    holding its row, and each size corrects it in one run_stream call. Each trial's
-    mean raw error is taken once, and each size scores a trial from its
-    corrected errors alone; only a trial on which one of score_run's
-    checks might fail goes through score_run, so the ratios, and any
-    error, are score_run's. The std is the sample standard deviation
+    Trial i runs on the i-th of trial_scenarios(trajectory, noise, trials,
+    noise_needed=True), as every size corrects it, identical across sizes,
+    so rows differ only through window_k. The noisy states fill one
+    read-only (trials, T, d) stack, each scenario holding its row, and
+    each size corrects it in one run_stream call. Each trial's mean raw
+    error is taken once, and each size only the corrected errors: where
+    every raw and corrected error is finite, score_run's checks pass, and
+    anywhere else score_run itself scores the trial. So the ratios, and
+    any error, are score_run's. The std is the sample standard deviation
     across trials (0 for a single trial). A numeric error names the
     window size, trial and frame: only when the stacked call raised is
     each trial corrected on its own, so the first failing trial raises.
     timings, if given, receives generate_s, correct_s, score_s,
     frames_per_s and correct_s_by_k, the correction seconds of each
-    window size. noise_needed is trial_scenarios': the command line sets
-    it, as every size corrects.
+    window size.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -324,14 +303,15 @@ def ablate_window(
     except ValueError as exc:  # more entries than numpy can index: no memory holds them
         raise MemoryError(str(exc)) from exc
     scenarios = []
-    for row, scenario in zip(noisy, trial_scenarios(trajectory, noise, trials, noise_needed)):
+    for row, scenario in zip(noisy, trial_scenarios(trajectory, noise, trials, noise_needed=True)):
         row[...] = scenario.noisy
         row.flags.writeable = False
         scenarios.append(scenario._replace(noisy=row))
     noisy.flags.writeable = False
     seconds = {"generate_s": perf_counter() - start, "correct_s": 0.0}
     start = perf_counter()
-    raw_bounds = [_raw_bound(scenario) for scenario in scenarios]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_raws = [scaled_stat(vector_norms(sc.noisy - sc.clean)) for sc in scenarios]
     seconds["score_s"] = perf_counter() - start
     correct_s_by_k: dict[int, float] = {}
     rows = []
@@ -350,7 +330,7 @@ def ablate_window(
                     corrected = run_stream(config, scenario.noisy, residuals=False)[0]
                 else:
                     corrected = stack[i]
-                ratios.append(_sweep_ratio(scenario, corrected, *raw_bounds[i]))
+                ratios.append(_sweep_ratio(scenario, corrected, mean_raws[i]))
             except NumericError as exc:
                 raise annotated(exc, frame_named(f"window_k={k}, trial={i}", exc)) from exc
         seconds["correct_s"] += scoring - start

@@ -21,6 +21,7 @@ from ssrlab.affinity import (
     correct_current,
     default_temperature,
     self_expressive_residual,
+    vector_norms,
 )
 from ssrlab.errors import DegenerateRow, DimensionMismatch, NonFiniteAffinity
 
@@ -332,6 +333,15 @@ def test_overflowing_dot_products_raise_numeric_error(mode):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteAffinity):
             compute_affinity(rows, mode=mode)
+
+
+def test_norm_beyond_float64_is_inf_without_warning():
+    # the rescaled pass brings the norm back up by its power of two, and
+    # past the float64 maximum that is inf, as documented, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = vector_norms(np.array([[1.5e308, 1.5e308], [3.0, 4.0]]))
+    assert norms.tolist() == [np.inf, 5.0]
 
 
 def test_overflowing_logits_raise_numeric_error():

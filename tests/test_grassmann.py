@@ -5,10 +5,12 @@ hand geometry for axis-aligned planes, and a plain modified Gram-Schmidt
 as a second opinion on orthonormalization.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssrlab.errors import (
@@ -309,6 +311,31 @@ class TestSpanMembership:
         v = rng.standard_normal(7)
         assert residual(scale * v, point) == pytest.approx(residual(v, point), rel=1e-12)
 
+    def test_norm_beyond_float64_is_measured_after_scaling(self):
+        # ||v|| overflows, v - U U^T v does not: unscaled, the row read 0.0
+        v = np.array([1.5e308, 1.5e308])
+        u = axis_span(2, [0])
+        assert residual(v, u) == residual(np.ldexp(v, -1024), u)
+        assert residual(v, u) == pytest.approx(2**-0.5, rel=1e-15)
+
+    def test_overflowing_projection_is_measured_after_scaling(self):
+        # v in span(u) is finite, but ||v|| and U^T v overflow: unscaled,
+        # inf - inf made the row NaN
+        u = np.full((2, 1), np.sqrt(0.5))
+        v = np.full(2, 1.3e308)
+        assert residual(v, u) == residual(np.ldexp(v, -1024), u)
+        assert 0.0 <= residual(v, u) < 1e-15
+
+    def test_non_finite_vector_or_basis_gives_nan_without_warning(self):
+        u = axis_span(2, [0])
+        vectors = np.array([[np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308]])
+        bases = np.stack([u, u, np.full((2, 1), np.nan)])
+        for stack in (bases, np.broadcast_to(np.full((2, 1), np.nan), (3, 2, 1))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(span_membership_residual(vectors, stack)).all()
+                assert np.isnan(span_membership_residual(vectors[:2], stack[:2])).all()
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -433,3 +460,30 @@ def test_property_one_basis_residual_is_the_per_frame_residual(seed, n, length, 
     floor = np.divide(n * 2.0**-1070, norms, out=np.zeros(length), where=norms > 0.0)
     assert np.all(np.abs(got - want) <= 8 * n * 2.0**-53 + floor)
     assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=2, max_value=12),
+    length=st.integers(min_value=1, max_value=8),
+    exponent=st.integers(min_value=0, max_value=1023),
+    static=st.booleans(),
+)
+def test_property_residual_is_the_same_at_any_scale(seed, n, length, exponent, static):
+    # scaling v by 2**e leaves its residual as it is, bit for bit, also
+    # where ||v||, U^T v or v - U U^T v overflow and the row is measured
+    # again, against one basis broadcast over the frames or a moving one
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n))
+    if static:
+        bases = np.broadcast_to(random_point(rng, n, r), (length, n, r))
+    else:
+        bases = np.stack([random_point(rng, n, r) for _ in range(length)])
+    vectors = rng.uniform(0.5, 2.0, (length, n)) * rng.choice([-1.0, 1.0], (length, n))
+    scaled = np.ldexp(vectors, exponent)
+    assume(np.isfinite(scaled).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = span_membership_residual(scaled, bases)
+    assert np.array_equal(got, span_membership_residual(vectors, bases))

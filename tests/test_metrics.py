@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import ssrlab.metrics as metrics_mod
 from ssrlab.errors import (
     DimensionMismatch,
+    InvalidScenario,
     InvalidScore,
     LengthMismatch,
     NumericError,
@@ -204,14 +205,12 @@ class TestAblateWindow:
         rows = ablate_window([2], self.TRAJ, self.NOISE, trials=1)
         assert rows[0].std_improvement_ratio == 0.0
 
-    def test_noiseless_static_scores_exactly_zero_at_k1(self):
-        # window of at most 2 identical states: the corrected state is
-        # bitwise the input, so corrected error equals raw error equals
-        # 0 and the equal-means rule pins the ratio at 0
+    def test_noiseless_sweep_raises_naming_sigma(self):
+        # every size corrects, so a trial whose noisy states are its clean
+        # ones bit for bit has no finite ratio and fails before correction
         traj = TrajectoryConfig(n=8, r=2, length=30, seed=5)
-        rows = ablate_window([1], traj, NoiseModel(sigma=0.0), trials=2)
-        assert rows[0].mean_improvement_ratio == 0.0
-        assert rows[0].std_improvement_ratio == 0.0
+        with pytest.raises(InvalidScenario, match="noise.sigma"):
+            ablate_window([1], traj, NoiseModel(sigma=0.0), trials=2)
 
     def test_respects_custom_ssr_config(self):
         soft = ablate_window([4], self.TRAJ, self.NOISE, trials=2)
@@ -388,23 +387,35 @@ def sweep_trials(draw):
     return scenarios, np.array([corrected for _, _, corrected, _ in arrays])
 
 
+def overflowing_residuals():
+    """Two one-trial sweeps whose corrected states have finite errors but
+    overflow the subspace residual's plain pass: a norm beyond float64
+    against span(e1), and U^T v beyond it inside span(u)."""
+    clean = np.array([[1.5e308, 0.0], [1.0, 0.0]])
+    corrected = np.array([[1.5e308, 1.5e308], [1.0, 0.5]])
+    e1 = Scenario(clean, clean * 0.9, np.broadcast_to(np.eye(2, 1), (2, 2, 1)))
+    u = np.full(2, np.sqrt(0.5))
+    clean = np.outer([1.5e308, 1.0], u)
+    inside = Scenario(clean, clean * 0.9, np.broadcast_to(u[:, None], (2, 2, 1)))
+    return [([e1], corrected[None]), ([inside], clean[None] * 1.2)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=sweep_trials())
+@example(case=overflowing_residuals()[0])
+@example(case=overflowing_residuals()[1])
 def test_property_sweep_scores_as_score_run(case):
     # the sweep's ratios are score_run's, ==, or it raises score_run's
     # error with the same message, window size, trial and frame
     sweep_against_score_run(*case)
 
 
-def test_sweep_sends_an_overflowing_residual_to_score_run():
-    # clean and corrected near the float64 maximum along span(u): their
-    # distance is finite, but U^T v overflows, so the subspace residual is
-    # NaN and score_run raises, naming the frame, though a ratio exists
-    u = np.full(2, np.sqrt(0.5))
-    clean = np.outer([1.5e308, 1.0], u)
-    scenario = Scenario(clean, clean * 0.9, np.broadcast_to(u[:, None], (2, 2, 1)))
-    with np.errstate(over="ignore"):
-        corrected = clean * 1.2
-    with pytest.raises(InvalidScore, match="frame scores"):
-        score_run(scenario, corrected)
-    sweep_against_score_run([scenario], corrected[None])
+def test_sweep_and_score_run_score_an_overflowing_residual():
+    # finite errors, but ||v|| or U^T v beyond float64: the residual is
+    # measured after scaling, so score_run scores each frame and the
+    # sweep's ratio from the errors alone is score_run's
+    for (scenarios, stack), first in zip(overflowing_residuals(), (2**-0.5, 0.0)):
+        scores = score_run(scenarios[0], stack[0])[0]
+        assert np.all((scores[:, SUBSPACE] >= 0.0) & (scores[:, SUBSPACE] <= 1.0))
+        assert scores[0, SUBSPACE] == pytest.approx(first, abs=1e-15)
+        sweep_against_score_run(scenarios, stack)
