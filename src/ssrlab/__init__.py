@@ -4,7 +4,8 @@ Each incoming state is corrected in closed form from a sliding window of
 its recent predecessors: the window's row-normalized self-affinity gives
 the weights, and the corrected state is the weighted combination of the
 window. The package also ships the synthetic subspace-trajectory
-generator (generate_scenario returns a Scenario of read-only arrays),
+generator (generate_scenario returns a Scenario: read-only state arrays
+and the truth path as geodesic pieces),
 baselines, metrics, and the experiment harness used to evaluate the
 corrector.
 

@@ -9,11 +9,18 @@ as orthonormalize returns it; every function here takes such arrays
 which equals sqrt(sum_i sin^2 theta_i) over the principal angles theta_i,
 so the metric and the angle decomposition cross-check each other.
 
+A path of subspaces, one per frame, is a sequence of GeodesicPieces:
+runs of frames on one point or on one geodesic, each held by its factors
+rather than by a basis per frame.
+
 Tolerances are module constants; tests may monkeypatch them, production
 code must not.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,7 @@ __all__ = [
     "projection_distance",
     "principal_angles",
     "geodesic",
+    "GeodesicPiece",
     "span_membership_residual",
 ]
 
@@ -44,6 +52,27 @@ ANGLE_DEGENERACY_MARGIN = 1e-8
 
 # Below this, sin(theta) is treated as zero in the geodesic construction.
 _SIN_FLOOR = 1e-12
+# Frames of one geodesic piece evaluated per array pass; bounds the temporaries.
+_PIECE_CHUNK = 64
+
+
+class GeodesicPiece(NamedTuple):
+    """Frames start .. stop - 1 of a path of r-planes in R^n, on one point or one geodesic.
+
+    On a point, basis is every frame's orthonormal (n, r) basis, and
+    cos_sin and rotation are None. On a geodesic with the frame
+    (p, g, theta) that geodesic returns, basis is [p g], n x 2r, and
+    cos_sin[t - start] holds cos(s_t theta) and sin(s_t theta) as its two
+    rows, for frame t at position s_t: frame t's basis is
+    (p C_t + g S_t) @ rotation, with C_t and S_t the diagonal matrices of
+    those rows and rotation an r x r orthogonal matrix.
+    """
+
+    start: int
+    stop: int
+    basis: np.ndarray
+    cos_sin: np.ndarray | None = None
+    rotation: np.ndarray | None = None
 
 
 def orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -145,39 +174,50 @@ def geodesic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return p, g, theta
 
 
-def span_membership_residual(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Relative distance of T vectors (T, n) from T subspaces (T, n, r), each in [0, 1].
+def span_membership_residual(vectors: np.ndarray, bases: Sequence[GeodesicPiece]) -> np.ndarray:
+    """Relative distance of T vectors (T, n) from a path of T subspaces, each in [0, 1].
 
-    Row t is ||v - U U^T v|| / ||v|| for v = vectors[t] and U = bases[t];
-    an exact zero vector gives 0. Where the frame axis of bases has stride
-    0 (one basis broadcast over the frames, as synth makes a static
-    subspace), U U^T v is taken for every frame at once, as (V U) U^T:
-    that rounds differently from the per-frame products, within a bound
-    that scales with the data. A finite vector whose norm or leftover
-    v - U U^T v is not finite is measured once more, after exact scaling
-    by the power of two just above its largest |entry|, as in
-    affinity.vector_norms: a row is NaN only where its vector or basis is
-    not finite, and no overflow warns.
+    bases is a path: GeodesicPieces covering frames 0 .. T - 1 in order.
+    Row t is ||v - U U^T v|| / ||v|| for v = vectors[t] and U frame t's
+    basis; an exact zero vector gives 0. On a point piece U U^T v is taken
+    for all its frames at once, as (V U) U^T. On a geodesic piece the
+    rotation drops out: U U^T v = p (cos * y) + g (sin * y) with
+    y = cos * p^T v + sin * g^T v, taken _PIECE_CHUNK frames at a time as
+    products with [p g]. Both round differently from per-frame products
+    with formed bases, within a bound that scales with the data. A finite
+    vector whose norm or leftover v - U U^T v is not finite is measured
+    once more, after exact scaling by the power of two just above its
+    largest |entry|, as in affinity.vector_norms: a row is NaN only where
+    its vector or basis is not finite, and no overflow warns.
     """
-    if len(bases) > 0 and bases.strides[0] == 0:
-        bases = bases[0]
     with np.errstate(over="ignore", invalid="ignore"):
         leftover, norms = _span_norms(vectors, bases)
         redo = ~(np.isfinite(leftover) & np.isfinite(norms))
         if redo.any():
             redo &= np.isfinite(vectors).all(axis=1)  # a non-finite vector stays NaN
             rows = vectors[redo]
-            rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
-            some = bases if bases.ndim == 2 else bases[redo]
-            leftover[redo], norms[redo] = _span_norms(rows, some)
+            scaled = np.array(vectors)
+            scaled[redo] = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+            again, scaled_norms = _span_norms(scaled, bases)
+            leftover[redo], norms[redo] = again[redo], scaled_norms[redo]
     return np.minimum(leftover / np.where(norms > 0.0, norms, 1.0), 1.0)
 
 
-def _span_norms(vectors: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The norms of v - U U^T v and of v, row by row, for one (n, r) basis or a (T, n, r) stack."""
-    if bases.ndim == 2:
-        leftover = vectors - (vectors @ bases) @ bases.T
-    else:
-        coords = np.swapaxes(bases, 1, 2) @ vectors[:, :, None]
-        leftover = vectors - (bases @ coords)[:, :, 0]
-    return vector_norms(leftover), vector_norms(vectors)
+def _span_norms(
+    vectors: np.ndarray, bases: Sequence[GeodesicPiece]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The norms of v - U U^T v and of v, row by row, along a path of pieces."""
+    leftover = np.empty(len(vectors))
+    for piece in bases:
+        a, b, basis = piece.start, piece.stop, piece.basis
+        if piece.cos_sin is None:
+            v = vectors[a:b]
+            leftover[a:b] = vector_norms(v - (v @ basis) @ basis.T)
+            continue
+        for c in range(a, b, _PIECE_CHUNK):
+            d = min(c + _PIECE_CHUNK, b)
+            v, cos_sin = vectors[c:d], piece.cos_sin[c - a : d - a]
+            coords = (v @ basis).reshape(cos_sin.shape) * cos_sin
+            y = coords[:, 0] + coords[:, 1]
+            leftover[c:d] = vector_norms(v - (cos_sin * y[:, None]).reshape(d - c, -1) @ basis.T)
+    return leftover, vector_norms(vectors)

@@ -226,10 +226,11 @@ def dump_run_meta(path: str, command: str, config: ExperimentConfig, timestamp: 
                   timings: dict[str, float | dict[int, float]], write_s: float) -> None:
     """Volatile provenance outside the payloads: the writing command, the sha256 of the
     config file's bytes, timestamp, timings, write_s, peak RSS so far (ru_maxrss is in
-    KiB on Linux), Python and numpy versions."""
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    KiB on Linux), minor page faults so far, Python and numpy versions."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     meta = {"command": command, "config_sha256": config.source_sha256,
-            "timestamp_utc": timestamp, "peak_rss_mb": rss_mb,
+            "timestamp_utc": timestamp, "peak_rss_mb": usage.ru_maxrss / 1024,
+            "minor_faults": usage.ru_minflt,
             "python_version": platform.python_version(), "numpy_version": np.__version__,
             **timings, "write_s": write_s}
     _atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")

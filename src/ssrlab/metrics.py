@@ -1,11 +1,13 @@
 """Scoring of corrected streams against ground truth.
 
 score_run scores a whole stream against its synth.Scenario (the clean
-and noisy states and the truth bases as read-only arrays, shared by
-every method scored on it) in one array pass and returns the per-frame
-scores as one T x 4 array, columns SCORE_COLUMNS: the raw and corrected
-distances to the clean state, the corrected state's relative distance
-from the true subspace, and the self-expression residual.
+and noisy states as read-only arrays and the truth path as geodesic
+pieces, shared by every method scored on it) in one array pass and
+returns the per-frame scores as one T x 4 array, columns SCORE_COLUMNS:
+the raw and corrected distances to the clean state, the corrected
+state's relative distance from the true subspace (a few products per
+piece, see grassmann.span_membership_residual), and the
+self-expression residual.
 
 Both runners, ablate_window and harness.run_experiment, take their
 trials' scenarios in order from trial_scenarios, which steps the
@@ -256,8 +258,8 @@ def _sweep_ratio(scenario: Scenario, corrected: np.ndarray, mean_raw: float) -> 
     """score_run(scenario, corrected)'s improvement ratio, from the corrected errors alone.
 
     Where mean_raw and every corrected error are finite, every check in
-    score_run passes (a Scenario's bases are orthonormal); anywhere else
-    score_run itself scores the trial.
+    score_run passes (a Scenario's pieces are checked orthonormal);
+    anywhere else score_run itself scores the trial.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         errors = vector_norms(corrected - scenario.clean)

@@ -9,11 +9,13 @@ bounded by arc length). Clean states are unit vectors inside the current
 subspace whose coefficients optionally follow a slow seeded random walk
 (state_drift per frame; 0 freezes them).
 
-generate_scenario builds the Scenario arrays whole: each geodesic
-segment's frame (grassmann.geodesic) is computed once and evaluated at
-all of its frames, each run of frames on one segment or waypoint is
-aligned by a single rotation (see _truth_bases), and every check runs
-once over the arrays.
+generate_scenario holds the truth path as pieces, not as a basis per
+frame: each run of frames on one waypoint or inside one segment is one
+grassmann.GeodesicPiece, aligned by a single rotation (see _truth_path),
+with the segment's geodesic frame (grassmann.geodesic) computed once. The
+clean states and the checks take a few products per piece, or per chunk
+of _PIECE_CHUNK frames of one, and orthonormality is checked once per
+piece (see _checked).
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream, frame), so frame i's draws do not depend on the sequence
@@ -40,8 +42,10 @@ import numpy as np
 from .affinity import _SCALED_NORM_BELOW, vector_norms
 from .errors import DegenerateGeodesic, DimensionMismatch, InvalidScenario, RankDeficient
 from .grassmann import (
+    _PIECE_CHUNK,
     ANGLE_DEGENERACY_MARGIN,
     ORTHONORMALITY_TOL,
+    GeodesicPiece,
     geodesic,
     orthonormalize,
     principal_angles,
@@ -78,8 +82,6 @@ _STREAM_NOISE = 2
 _STREAM_BURST = 3
 # Counter stride between frames, in 64-bit outputs.
 _FRAME_STRIDE = 1 << 32
-# Frames of one piece evaluated per array pass; bounds the temporaries.
-_PIECE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,9 @@ class TrajectoryConfig:
             raise ValueError(f"need n > r, got n={self.n}, r={self.r}")
         if self.length < 1:
             raise ValueError("length must be at least 1")
-        # The T x n x r float64 truth bases are the largest generated array.
-        if self.length * self.n * self.r * 8 > np.iinfo(np.intp).max:
-            raise ValueError("length x n x r bases exceed the largest array numpy can index")
+        # The T x n float64 states are the largest generated arrays.
+        if self.length * self.n * 8 > np.iinfo(np.intp).max:
+            raise ValueError("length x n states exceed the largest array numpy can index")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must fit in uint64")
         if not (np.isfinite(self.speed) and self.speed >= 0.0):
@@ -152,18 +154,21 @@ class NoiseModel:
 
 
 class Scenario(NamedTuple):
-    """A generated scenario as read-only arrays, one row per frame.
+    """A generated scenario: read-only arrays, one row per frame, and its truth path.
 
     Attributes:
         clean: T x n clean states, each inside its truth subspace.
         noisy: T x n observed states; the clean array itself when sigma is 0.
-        bases: T x n x r orthonormal truth bases; a broadcast view of one
-            basis when the subspace is static.
+        bases: the T frames' orthonormal truth bases as a tuple of
+            grassmann.GeodesicPiece, their arrays read-only: one point
+            piece when the subspace is static, else the runs of frames on
+            one waypoint or inside one segment. No T x n x r array is
+            formed; span_membership_residual reads the pieces.
     """
 
     clean: np.ndarray
     noisy: np.ndarray
-    bases: np.ndarray
+    bases: tuple[GeodesicPiece, ...]
 
 
 def _substreams(seed: int, stream: int, frames: Iterable[int]) -> Iterator[np.random.Generator]:
@@ -227,8 +232,8 @@ def sample_waypoints(config: TrajectoryConfig) -> list[np.ndarray]:
     )
 
 
-def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
-    """T x n x r truth bases along the waypoint path, each aligned onto its predecessor.
+def _truth_path(config: TrajectoryConfig) -> tuple[GeodesicPiece, ...]:
+    """The truth subspaces along the waypoint path as pieces, each rotated onto its predecessor.
 
     Geodesic bases carry an arbitrary r x r rotation that jumps between
     segments. Rotating each basis onto its predecessor (orthogonal
@@ -238,11 +243,15 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
     position is monotone. Inside a segment B(s)^T B(s') is
     diag(cos((s - s') theta)), positive definite as theta < pi/2, so its
     Procrustes rotation (polar factor) is I: the rotation of a piece's
-    first frame is the per-frame rotation of every frame in it.
+    first frame, from the SVD of B_first^T B_last of the previous piece,
+    is the per-frame rotation of every frame in it. A waypoint piece holds
+    its rotated waypoint; a segment piece the segment's geodesic frame,
+    the cos and sin of its frames' angles, and its rotation. Of a segment
+    piece, only the first and last frame's bases are formed.
     """
     waypoints = sample_waypoints(config)
     if config.speed == 0.0 or config.length == 1:
-        return np.broadcast_to(waypoints[0], (config.length, config.n, config.r))
+        return (GeodesicPiece(0, config.length, waypoints[0]),)
     max_dist = max(
         projection_distance(a, b)
         for i, a in enumerate(waypoints)
@@ -274,33 +283,29 @@ def _truth_bases(config: TrajectoryConfig) -> np.ndarray:
         [0, len(seg_arcs), seg, seg + 1],
         default=-1,
     )
-    # Each segment's frame, transposed: a chunk evaluates as (m, r, n), long axis innermost.
-    frames = {}
-    for s in sorted(set(seg[inside].tolist())):
-        p, g, theta = geodesic(waypoints[s], waypoints[s + 1])
-        frames[s] = np.ascontiguousarray(p.T), np.ascontiguousarray(g.T), theta[:, None]
     piece = np.where(on_waypoint >= 0, 2 * on_waypoint, 2 * seg + 1)
-    starts = np.flatnonzero(np.diff(piece, prepend=-1))
-    bases = np.empty((config.length, config.n, config.r))
+    starts = np.flatnonzero(np.diff(piece, prepend=-1)).tolist()
+    # frame 0 sits on the first waypoint, so every segment piece has a predecessor
+    path: list[GeodesicPiece] = []
     for a, b in zip(starts, [*starts[1:], config.length]):
-        for c in range(a, b, _PIECE_CHUNK):
-            d = min(c + _PIECE_CHUNK, b)
-            if on_waypoint[a] >= 0:
-                raw = waypoints[on_waypoint[a]][None]
-            else:
-                pt, gt, theta = frames[seg[a]]
-                angles = local[c:d, None, None] * theta
-                raw = np.swapaxes(pt * np.cos(angles) + gt * np.sin(angles), 1, 2)
-            if a == 0:
-                bases[c:d] = raw
-                continue
-            if c == a:
-                # the product rounds by its operands' memory order: take it
-                # from an (n, r) C-ordered basis, as for a single frame
-                v, _, wt = np.linalg.svd(np.ascontiguousarray(raw[0]).T @ bases[a - 1])
-                rot = v @ wt
-            bases[c:d] = raw @ rot
-    return bases
+        if on_waypoint[a] >= 0:
+            first = waypoints[on_waypoint[a]]
+        else:
+            p, g, theta = geodesic(waypoints[seg[a]], waypoints[seg[a] + 1])
+            angles = local[a:b, None] * theta
+            cos_sin = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            first = p * cos_sin[0, 0] + g * cos_sin[0, 1]
+        rotation = None
+        if path:
+            v, _, wt = np.linalg.svd(first.T @ last)
+            rotation = v @ wt
+        if on_waypoint[a] >= 0:
+            last = first if rotation is None else first @ rotation
+            path.append(GeodesicPiece(a, b, last))
+        else:
+            last = (p * cos_sin[-1, 0] + g * cos_sin[-1, 1]) @ rotation
+            path.append(GeodesicPiece(a, b, np.concatenate([p, g], axis=1), cos_sin, rotation))
+    return tuple(path)
 
 
 def _walks(config: TrajectoryConfig, seeds: Sequence[int]) -> np.ndarray:
@@ -356,12 +361,31 @@ def coefficient_walks(config: TrajectoryConfig, trials: Sequence[int]) -> np.nda
     return _walks(config, [derive_trial_seed(config.seed, trial) for trial in trials])
 
 
-def _clean_states(bases: np.ndarray, walk: np.ndarray) -> np.ndarray:
-    """Unit-norm states in each frame's subspace: the walk's rows, the last one held to the end."""
-    coefs = np.empty((len(bases), walk.shape[1]))
+def _clean_states(bases: Sequence[GeodesicPiece], walk: np.ndarray) -> np.ndarray:
+    """Unit-norm states in each frame's subspace: the walk's rows, the last one held to the end.
+
+    A point piece's frames are one batched (n, r) @ (r, 1) product of its
+    basis. A geodesic piece's frame t is p (cos_t * z_t) + g (sin_t * z_t)
+    with z_t = rotation @ c_t, taken _PIECE_CHUNK frames at a time as one
+    product with [p g].
+    """
+    length = bases[-1].stop
+    coefs = np.empty((length, walk.shape[1]))
     coefs[: len(walk)] = walk
     coefs[len(walk) :] = walk[-1]
-    return (bases @ coefs[:, :, None])[:, :, 0]
+    clean = np.empty((length, bases[0].basis.shape[0]))
+    for piece in bases:
+        a, b, basis = piece.start, piece.stop, piece.basis
+        if piece.cos_sin is None:
+            stack = np.broadcast_to(basis, (b - a, *basis.shape))
+            np.matmul(stack, coefs[a:b, :, None], out=clean[a:b, :, None])
+            continue
+        for c in range(a, b, _PIECE_CHUNK):
+            d = min(c + _PIECE_CHUNK, b)
+            cos_sin = piece.cos_sin[c - a : d - a]
+            z = coefs[c:d] @ piece.rotation.T
+            clean[c:d] = (cos_sin * z[:, None]).reshape(d - c, -1) @ basis.T
+    return clean
 
 
 def _noisy_states(config: TrajectoryConfig, noise: NoiseModel, clean: np.ndarray) -> np.ndarray:
@@ -383,20 +407,61 @@ def _noisy_states(config: TrajectoryConfig, noise: NoiseModel, clean: np.ndarray
         return clean + scale[:, None] * draws
 
 
-def _checked(clean: np.ndarray, noisy: np.ndarray, bases: np.ndarray) -> Scenario:
-    """The arrays as a read-only Scenario, after every check the generator promises."""
-    if noisy.shape != clean.shape or bases.shape[:2] != clean.shape:
+def _piece_defect(piece: GeodesicPiece) -> float:
+    """A bound on ||U_t^T U_t - I||_F over the piece's frames, as _checked derives it.
+
+    NaN or inf where a factor is not finite.
+    """
+    basis, r = piece.basis, piece.basis.shape[1]
+    if piece.cos_sin is None:
+        return float(np.linalg.norm(basis.T @ basis - np.eye(r)))
+    r //= 2
+    cos, sin = piece.cos_sin[:, 0], piece.cos_sin[:, 1]
+    weights = np.concatenate([np.ones(r), np.abs(sin).max(axis=0)])
+    d_frame = np.linalg.norm((basis.T @ basis - np.eye(2 * r)) * np.outer(weights, weights))
+    d_turn = np.sqrt(((cos**2 + sin**2 - 1.0) ** 2).sum(axis=1)).max()
+    d_rotation = np.linalg.norm(piece.rotation.T @ piece.rotation - np.eye(r))
+    return float((1.0 + d_rotation) * (2.0 * d_frame + d_turn) + d_rotation)
+
+
+def _checked(clean: np.ndarray, noisy: np.ndarray, bases: Sequence[GeodesicPiece]) -> Scenario:
+    """The arrays and truth path as a read-only Scenario, after every check the generator promises.
+
+    Orthonormality is checked once per piece, and a failing piece names
+    its first frame. A point piece passes when its basis U has
+    ||U^T U - I||_F <= ORTHONORMALITY_TOL. Frame t of a geodesic piece has
+    the basis U_t = M K_t R, with M = [p g], K_t = [C_t; S_t] and R the
+    rotation. Write K_t = W L_t with W = diag(1, ..., 1, s_1, ..., s_r),
+    s_i the largest |sin| of column i over the piece's frames, so that
+    ||L_t||_2^2 <= 2. With d_M = ||W (M^T M - I) W||_F, d_K the largest
+    ||K_t^T K_t - I||_F (diagonal: cos^2 + sin^2 - 1, as rounded) and
+    d_R = ||R^T R - I||_F, every frame of the piece has
+
+        ||U_t^T U_t - I||_F <= (1 + d_R) (2 d_M + d_K) + d_R,
+
+    since U_t^T U_t - I = R^T (L_t^T W (M^T M - I) W L_t + K_t^T K_t - I) R
+    + R^T R - I; the piece passes when that bound is at most
+    ORTHONORMALITY_TOL. The weights let a column of g count by its sine:
+    one that geodesic left zero, or whose angle is too small to fix its
+    direction (where 2r > n), moves no basis. A factor that is not finite
+    fails. The clean states' membership is checked through
+    span_membership_residual.
+    """
+    stops = [piece.stop for piece in bases]
+    if (
+        noisy.shape != clean.shape
+        or [piece.start for piece in bases] != [0, *stops[:-1]]
+        or stops[-1:] != [len(clean)]
+        or any(piece.basis.shape[0] != clean.shape[1] for piece in bases)
+    ):
         raise DimensionMismatch(
-            f"clean {clean.shape}, noisy {noisy.shape} and bases {bases.shape} do not match"
+            f"clean {clean.shape}, noisy {noisy.shape} and the truth pieces' frames"
+            " and ambient dimension do not match"
         )
-    # a static subspace is one basis broadcast over the frames: check it once
-    distinct = bases[:1] if bases.strides[0] == 0 else bases
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.swapaxes(distinct, 1, 2) @ distinct - np.eye(bases.shape[2])
-        bad_bases = ~np.isfinite(distinct).all(axis=(1, 2)) | (
-            np.linalg.norm(defect, axis=(1, 2)) > ORTHONORMALITY_TOL
-        )
-        bad_bases = np.broadcast_to(bad_bases, bases.shape[:1])
+        bad_bases = np.zeros(len(clean), dtype=bool)
+        for piece in bases:
+            bad_bases[piece.start] = not _piece_defect(piece) <= ORTHONORMALITY_TOL
         outside = span_membership_residual(clean, bases) >= MEMBERSHIP_TOL
         checks = {
             "truth basis is not finite with orthonormal columns": bad_bases,
@@ -410,15 +475,15 @@ def _checked(clean: np.ndarray, noisy: np.ndarray, bases: np.ndarray) -> Scenari
             exc = InvalidScenario(f"frame {frame}: {what}")
             exc.frame = frame
             raise exc
-    for array in (clean, noisy, bases):
+    for array in (clean, noisy, *(a for piece in bases for a in piece[2:] if a is not None)):
         array.flags.writeable = False
-    return Scenario(clean, noisy, bases)
+    return Scenario(clean, noisy, tuple(bases))
 
 
 def generate_scenario(
     config: TrajectoryConfig, noise: NoiseModel, walk: np.ndarray | None = None
 ) -> Scenario:
-    """Full scenario: truth bases, clean states, corrupted states.
+    """Full scenario: clean states, corrupted states, truth path.
 
     Frame t's noise is sigma * g_t; the drift walk adds the running sum
     sigma * sum_{i <= t} g_i instead, so its expected error norm grows
@@ -431,7 +496,7 @@ def generate_scenario(
             or sigma * burst_scale overflows) or whose basis or clean state
             breaks its invariants.
     """
-    bases = _truth_bases(config)
+    bases = _truth_path(config)
     if walk is None:
         walk = _walks(config, [config.seed])[0]
     clean = _clean_states(bases, walk)

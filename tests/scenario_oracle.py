@@ -12,7 +12,9 @@ that reuse a waypoint, or a frozen state on a frozen subspace, reuse the
 same object, so static streams are bitwise constant.
 
 scenario_oracle stacks the frames into (clean, noisy, bases) arrays for
-comparison with generate_scenario.
+comparison with generate_scenario. frame_bases forms the per-frame bases
+of a generated truth path, frame_pieces turns per-frame bases into a
+path, and same_scenario compares two scenarios bit for bit.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from ssrlab.affinity import vector_norms
 from ssrlab.errors import DegenerateGeodesic, RankDeficient
 from ssrlab.grassmann import (
     ANGLE_DEGENERACY_MARGIN,
+    GeodesicPiece,
     geodesic,
     orthonormalize,
     principal_angles,
@@ -169,7 +172,8 @@ def scenario_oracle(config, noise):
     walk = None
     for t, (clean, subspace) in enumerate(zip(cleans, subspaces)):
         assert np.isfinite(clean).all()
-        assert span_membership_residual(clean[None], subspace[None])[0] < MEMBERSHIP_TOL
+        residual = span_membership_residual(clean[None], frame_pieces(subspace[None]))[0]
+        assert residual < MEMBERSHIP_TOL
         if noise.sigma == 0.0:
             noisy.append(clean)
             continue
@@ -187,4 +191,39 @@ def scenario_oracle(config, noise):
         np.array(cleans),
         np.array(noisy),
         np.array(subspaces),
+    )
+
+
+def frame_pieces(bases):
+    """A (T, n, r) stack of bases as a truth path: one point piece per frame, or one for all
+    frames where the stack is one basis broadcast with stride 0."""
+    if len(bases) > 0 and bases.strides[0] == 0:
+        return (GeodesicPiece(0, len(bases), bases[0]),)
+    return tuple(GeodesicPiece(t, t + 1, basis) for t, basis in enumerate(bases))
+
+
+def frame_bases(path):
+    """The (T, n, r) bases of a truth path, each frame's formed as the oracle forms it:
+    (p * cos + g * sin) @ rotation on a geodesic piece."""
+    out = []
+    for piece in path:
+        if piece.cos_sin is None:
+            out += [piece.basis] * (piece.stop - piece.start)
+            continue
+        r = piece.cos_sin.shape[2]
+        p, g = piece.basis[:, :r], piece.basis[:, r:]
+        out += [(p * cos + g * sin) @ piece.rotation for cos, sin in piece.cos_sin]
+    return np.array(out)
+
+
+def same_scenario(a, b):
+    """Two scenarios' states and truth pieces, bit for bit."""
+    def same(x, y):
+        return x is None and y is None or x is not None and y is not None and np.array_equal(x, y)
+
+    return (
+        np.array_equal(a.clean, b.clean)
+        and np.array_equal(a.noisy, b.noisy)
+        and len(a.bases) == len(b.bases)
+        and all(all(same(x, y) for x, y in zip(p, q)) for p, q in zip(a.bases, b.bases))
     )

@@ -18,6 +18,7 @@ import pytest
 import ssrlab.metrics as metrics_mod
 from ssrlab.affinity import MODE_RAW_SUM, MODE_SOFTMAX, compute_affinity
 from ssrlab.grassmann import (
+    GeodesicPiece,
     orthonormalize,
     principal_angles,
     projection_distance,
@@ -144,7 +145,7 @@ def test_corrected_state_stays_in_window_span():
         for t, out in enumerate(corrected):
             rows = held[max(0, t - window_k) : t + 1]
             span = orthonormalize(rows.T)
-            residual = float(span_membership_residual(out[None], span[None])[0])
+            residual = float(span_membership_residual(out[None], (GeodesicPiece(0, 1, span),))[0])
             assert residual < 1e-9
             worst = max(worst, residual)
             steps += 1
@@ -314,33 +315,53 @@ def test_drift_error_scaling():
     )
 
 
-def test_outputs_byte_identical_across_reruns(tmp_path):
+RERUN_CONFIGS = {
+    "static": [
+        "scenario.n = 16",
+        "scenario.r = 3",
+        "scenario.length = 48",
+        "scenario.seed = 1234",
+        "scenario.state_drift = 0.05",
+        "noise.kind = gaussian-iid",
+        "noise.sigma = 0.1",
+        "methods = ssr,ema,passthrough",
+        "trials = 4",
+        "ssr.window_k = 4",
+        "ema.alpha = 0.3",
+        "output.emit_heatmaps = true",
+        "output.heatmap_frames = 0,7,40",
+    ],
+    # a moving subspace (geodesic pieces) under drift noise, corrected with
+    # its outputs fed back into the window
+    "moving": [
+        "scenario.n = 16",
+        "scenario.r = 3",
+        "scenario.length = 48",
+        "scenario.seed = 1234",
+        "scenario.speed = 1.5",
+        "scenario.waypoints = 3",
+        "scenario.state_drift = 0.05",
+        "noise.kind = drift-random-walk",
+        "noise.sigma = 0.05",
+        "methods = ssr,ema,passthrough",
+        "trials = 4",
+        "ssr.window_k = 4",
+        "ssr.buffer_policy = store-corrected",
+        "ema.alpha = 0.3",
+        "output.emit_heatmaps = true",
+        "output.heatmap_frames = 0,7,40",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RERUN_CONFIGS, reverse=True))
+def test_outputs_byte_identical_across_reruns(tmp_path, kind):
     # identical config, two runs into the same directory: every payload
     # byte must match (the timestamp lives in run_meta.json, outside the
     # comparison)
     out_dir = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "\n".join(
-            [
-                "scenario.n = 16",
-                "scenario.r = 3",
-                "scenario.length = 48",
-                "scenario.seed = 1234",
-                "scenario.state_drift = 0.05",
-                "noise.kind = gaussian-iid",
-                "noise.sigma = 0.1",
-                "methods = ssr,ema,passthrough",
-                "trials = 4",
-                "ssr.window_k = 4",
-                "ema.alpha = 0.3",
-                "output.emit_heatmaps = true",
-                "output.heatmap_frames = 0,7,40",
-                f"output.dir = {out_dir}",
-            ]
-        )
-        + "\n"
-    )
+    cfg.write_text("\n".join([*RERUN_CONFIGS[kind], f"output.dir = {out_dir}"]) + "\n")
     names = ("results.csv", "summary.json", "affinity_f00000.csv",
              "affinity_f00007.csv", "affinity_f00040.csv")
 
@@ -370,7 +391,7 @@ def test_degenerate_row_failure_is_structured(tmp_path, monkeypatch, capsys):
     # clean ones fails before any correction)
     states = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     clean = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    crafted = Scenario(clean, states, np.broadcast_to(np.eye(3, 1), (2, 3, 1)))
+    crafted = Scenario(clean, states, (GeodesicPiece(0, 2, np.eye(3, 1)),))
     monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted)
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(

@@ -20,12 +20,14 @@ from ssrlab.errors import (
     RankMismatch,
 )
 from ssrlab.grassmann import (
+    GeodesicPiece,
     geodesic,
     orthonormalize,
     principal_angles,
     projection_distance,
     span_membership_residual,
 )
+from scenario_oracle import frame_bases, frame_pieces
 
 
 def gram_schmidt_oracle(m: np.ndarray) -> np.ndarray:
@@ -62,9 +64,23 @@ def point_at(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     return p * np.cos(s * theta) + g * np.sin(s * theta)
 
 
+def geodesic_path(rng: np.random.Generator, n: int, r: int, length: int) -> tuple:
+    """A truth path as synth builds one: frame 0 on a point, then frames on the
+    geodesic from it to another point, at sorted positions, under a random rotation."""
+    a, b = random_point(rng, n, r), random_point(rng, n, r)
+    p, g, theta = geodesic(a, b)
+    angles = np.sort(rng.uniform(0.0, 1.0, length - 1))[:, None] * theta
+    cos_sin = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    rotation = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    return (
+        GeodesicPiece(0, 1, a),
+        GeodesicPiece(1, length, np.concatenate([p, g], axis=1), cos_sin, rotation),
+    )
+
+
 def residual(v: np.ndarray, basis: np.ndarray) -> float:
     """span_membership_residual of one vector against one basis."""
-    return float(span_membership_residual(v[None], basis[None])[0])
+    return float(span_membership_residual(v[None], (GeodesicPiece(0, 1, basis),))[0])
 
 
 class TestOrthonormalize:
@@ -333,8 +349,9 @@ class TestSpanMembership:
         for stack in (bases, np.broadcast_to(np.full((2, 1), np.nan), (3, 2, 1))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert np.isnan(span_membership_residual(vectors, stack)).all()
-                assert np.isnan(span_membership_residual(vectors[:2], stack[:2])).all()
+                assert np.isnan(span_membership_residual(vectors, frame_pieces(stack))).all()
+                first_two = frame_pieces(stack[:2])
+                assert np.isnan(span_membership_residual(vectors[:2], first_two)).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,8 +460,8 @@ def test_property_geodesic_interpolates_the_metric(seed: int, s: float):
     inside=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
 )
 def test_property_one_basis_residual_is_the_per_frame_residual(seed, n, length, scale, inside):
-    # a stride-0 stack of one basis takes (V U) U^T for every frame at once;
-    # each value may round differently from the per-frame products, by a few
+    # one point piece takes (V U) U^T for every frame at once; each value
+    # may round differently from the one-frame pieces' products, by a few
     # units of the last bit of a value in [0, 1] (plus what underflow loses
     # next to the vector's norm)
     rng = np.random.default_rng(seed)
@@ -454,8 +471,8 @@ def test_property_one_basis_residual_is_the_per_frame_residual(seed, n, length, 
     vectors = np.ldexp(vectors, scale)
     vectors[rng.random(length) < 0.1] = 0.0
     static = np.broadcast_to(basis, (length, *basis.shape))
-    got = span_membership_residual(vectors, static)
-    want = span_membership_residual(vectors, np.ascontiguousarray(static))
+    got = span_membership_residual(vectors, frame_pieces(static))
+    want = span_membership_residual(vectors, frame_pieces(np.ascontiguousarray(static)))
     norms = np.linalg.norm(np.ldexp(vectors, -scale), axis=1) * 2.0**scale
     floor = np.divide(n * 2.0**-1070, norms, out=np.zeros(length), where=norms > 0.0)
     assert np.all(np.abs(got - want) <= 8 * n * 2.0**-53 + floor)
@@ -468,18 +485,24 @@ def test_property_one_basis_residual_is_the_per_frame_residual(seed, n, length, 
     n=st.integers(min_value=2, max_value=12),
     length=st.integers(min_value=1, max_value=8),
     exponent=st.integers(min_value=0, max_value=1023),
-    static=st.booleans(),
+    path=st.sampled_from(["static", "per-frame", "geodesic"]),
 )
-def test_property_residual_is_the_same_at_any_scale(seed, n, length, exponent, static):
+def test_property_residual_is_the_same_at_any_scale(seed, n, length, exponent, path):
     # scaling v by 2**e leaves its residual as it is, bit for bit, also
     # where ||v||, U^T v or v - U U^T v overflow and the row is measured
-    # again, against one basis broadcast over the frames or a moving one
+    # again, against one basis for every frame, a basis per frame, or a
+    # point and a geodesic piece
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, n))
-    if static:
-        bases = np.broadcast_to(random_point(rng, n, r), (length, n, r))
+    if path == "static":
+        bases = (GeodesicPiece(0, length, random_point(rng, n, r)),)
+    elif path == "per-frame":
+        bases = frame_pieces(np.stack([random_point(rng, n, r) for _ in range(length)]))
     else:
-        bases = np.stack([random_point(rng, n, r) for _ in range(length)])
+        try:
+            bases = geodesic_path(rng, n, r, length)
+        except DegenerateGeodesic:
+            assume(False)
     vectors = rng.uniform(0.5, 2.0, (length, n)) * rng.choice([-1.0, 1.0], (length, n))
     scaled = np.ldexp(vectors, exponent)
     assume(np.isfinite(scaled).all())
@@ -487,3 +510,37 @@ def test_property_residual_is_the_same_at_any_scale(seed, n, length, exponent, s
         warnings.simplefilter("error")
         got = span_membership_residual(scaled, bases)
     assert np.array_equal(got, span_membership_residual(vectors, bases))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=2, max_value=140),
+    length=st.integers(min_value=2, max_value=150),
+    scale=st.integers(min_value=-1000, max_value=1000),
+    inside=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_property_piece_residual_is_the_per_frame_residual(seed, n, length, scale, inside):
+    # a geodesic piece takes U U^T v as p (cos * y) + g (sin * y), with
+    # y = cos * p^T v + sin * g^T v, in chunks of frames; against each
+    # frame's basis formed on its own, the value (relative to ||v||) may
+    # round differently by at most 8 sqrt(n) r units of 2**-53 (plus what
+    # underflow loses next to the vector's norm)
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n))
+    try:
+        path = geodesic_path(rng, n, r, length)
+    except DegenerateGeodesic:
+        assume(False)
+    bases = frame_bases(path)
+    coefs = rng.standard_normal((length, r))
+    vectors = (bases @ coefs[:, :, None])[:, :, 0]
+    vectors += (1.0 - inside) * rng.standard_normal((length, n))
+    vectors = np.ldexp(vectors, scale)
+    vectors[rng.random(length) < 0.1] = 0.0
+    got = span_membership_residual(vectors, path)
+    want = span_membership_residual(vectors, frame_pieces(bases))
+    norms = np.linalg.norm(np.ldexp(vectors, -scale), axis=1) * 2.0**scale
+    floor = np.divide(n * 2.0**-1070, norms, out=np.zeros(length), where=norms > 0.0)
+    assert np.all(np.abs(got - want) <= 8 * np.sqrt(n) * r * 2.0**-53 + floor)
+    assert np.all((got >= 0.0) & (got <= 1.0))

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import platform
+import resource
 import stat
 import subprocess
 import sys
@@ -60,6 +61,7 @@ from ssrlab.harness import (
     summary_payload,
     write_experiment_outputs,
 )
+from ssrlab.grassmann import GeodesicPiece
 from ssrlab.metrics import SCORE_COLUMNS, ablate_window, score_run
 from ssrlab.regularizer import BUFFER_POLICIES, SsrConfig, ema_fuse, run_stream
 from ssrlab.synth import (
@@ -69,6 +71,7 @@ from ssrlab.synth import (
     derive_trial_seed,
     generate_scenario,
 )
+from scenario_oracle import frame_pieces
 from stream_oracle import list_oracle
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -102,12 +105,13 @@ BASE = {
 
 
 def crafted_scenario(clean, noisy=None, bases=None) -> Scenario:
-    """A hand-made scenario; noisy defaults to clean, bases to span(e1) at every frame."""
+    """A hand-made scenario; noisy defaults to clean, bases (one per frame) to span(e1) at
+    every frame."""
     clean = np.array(clean, dtype=np.float64)
     noisy = clean if noisy is None else np.array(noisy, dtype=np.float64)
     if bases is None:
-        bases = np.broadcast_to(np.eye(clean.shape[1], 1), clean.shape + (1,))
-    return Scenario(clean, noisy, np.array(bases, dtype=np.float64))
+        return Scenario(clean, noisy, (GeodesicPiece(0, len(clean), np.eye(clean.shape[1], 1)),))
+    return Scenario(clean, noisy, frame_pieces(np.array(bases, dtype=np.float64)))
 
 
 def near_cancelling_scenario() -> Scenario:
@@ -426,8 +430,8 @@ class TestWriters:
         with open(paths["meta"], encoding="utf-8") as fh:
             meta = json.load(fh)
         assert set(meta) == {
-            "command", "config_sha256", "timestamp_utc", "peak_rss_mb", "python_version",
-            "numpy_version", *STAGE_KEYS, "frames_per_s",
+            "command", "config_sha256", "timestamp_utc", "peak_rss_mb", "minor_faults",
+            "python_version", "numpy_version", *STAGE_KEYS, "frames_per_s",
         }
         assert meta["command"] == "simulate"
         assert meta["config_sha256"] is None  # built in code, from no file
@@ -452,10 +456,14 @@ class TestWriters:
 
     def test_run_meta_records_peak_rss_and_versions(self, tmp_path):
         bundle = run_experiment(make_config(tmp_path, trials=1))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         paths = write_experiment_outputs(bundle)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         with open(paths["meta"], encoding="utf-8") as fh:
             meta = json.load(fh)
         assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0.0
+        # the process's minor page faults so far, read while writing
+        assert isinstance(meta["minor_faults"], int) and before <= meta["minor_faults"] <= after
         assert meta["python_version"] == platform.python_version()
         assert meta["numpy_version"] == np.__version__
         with open(paths["summary"], encoding="utf-8") as fh:
@@ -913,8 +921,8 @@ class TestCli:
         assert sorted(os.listdir(out)) == ["ablation.csv", "ablation.json", "run_meta.json"]
         meta = json.loads((out / "run_meta.json").read_text())
         assert set(meta) == {
-            "command", "config_sha256", "timestamp_utc", "peak_rss_mb", "python_version",
-            "numpy_version", *STAGE_KEYS, "frames_per_s", "correct_s_by_k",
+            "command", "config_sha256", "timestamp_utc", "peak_rss_mb", "minor_faults",
+            "python_version", "numpy_version", *STAGE_KEYS, "frames_per_s", "correct_s_by_k",
         }
         assert meta["command"] == "ablate-window"
         stages = [meta[key] for key in STAGE_KEYS]

@@ -21,7 +21,7 @@ from ssrlab.errors import (
     annotated,
     frame_named,
 )
-from ssrlab.grassmann import span_membership_residual
+from ssrlab.grassmann import GeodesicPiece, span_membership_residual
 from ssrlab.metrics import (
     SCORE_COLUMNS,
     RunSummary,
@@ -32,6 +32,7 @@ from ssrlab.metrics import (
 )
 from ssrlab.regularizer import SsrConfig, run_stream
 from ssrlab.synth import NoiseModel, Scenario, TrajectoryConfig, generate_scenario
+from scenario_oracle import frame_bases
 
 RAW, CORRECTED, SUBSPACE, SE = range(len(SCORE_COLUMNS))
 CLEAN = np.array([1.0, 0.0, 0.0])
@@ -41,7 +42,7 @@ def line_scenario(*offsets) -> Scenario:
     """Clean state e1 in the line span(e1) at every frame, observed at e1 + offset."""
     offsets = np.array(offsets, dtype=np.float64).reshape(-1, 3)
     clean = np.tile(CLEAN, (len(offsets), 1))
-    return Scenario(clean, clean + offsets, np.broadcast_to(np.eye(3, 1), (len(offsets), 3, 1)))
+    return Scenario(clean, clean + offsets, (GeodesicPiece(0, len(offsets), np.eye(3, 1)),))
 
 
 class TestImprovementRatio:
@@ -246,8 +247,9 @@ def test_scenario_scoring_round_trip():
     scale=st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_property_score_run_matches_per_frame_reference(seed, length, scale):
-    # a moving subspace gives every frame its own basis; the corrected
-    # states are arbitrary, so they leave the subspace by any amount
+    # a moving subspace gives every frame its own basis, here formed frame
+    # by frame from the pieces; the corrected states are arbitrary, so they
+    # leave the subspace by any amount
     traj = TrajectoryConfig(n=9, r=2, length=length, seed=seed, speed=1.0, waypoint_count=3)
     scenario = generate_scenario(traj, NoiseModel(sigma=0.3))
     rng = np.random.default_rng(seed)
@@ -259,10 +261,12 @@ def test_property_score_run_matches_per_frame_reference(seed, length, scale):
             [
                 np.linalg.norm(noisy - clean),
                 np.linalg.norm(out - clean),
-                span_membership_residual(out[None], basis[None])[0],
+                span_membership_residual(out[None], (GeodesicPiece(0, 1, basis),))[0],
                 s,
             ]
-            for clean, noisy, basis, out, s in zip(*scenario, corrected, se)
+            for clean, noisy, basis, out, s in zip(
+                *scenario[:2], frame_bases(scenario.bases), corrected, se
+            )
         ]
     )
     np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0.0)
@@ -393,10 +397,10 @@ def overflowing_residuals():
     against span(e1), and U^T v beyond it inside span(u)."""
     clean = np.array([[1.5e308, 0.0], [1.0, 0.0]])
     corrected = np.array([[1.5e308, 1.5e308], [1.0, 0.5]])
-    e1 = Scenario(clean, clean * 0.9, np.broadcast_to(np.eye(2, 1), (2, 2, 1)))
+    e1 = Scenario(clean, clean * 0.9, (GeodesicPiece(0, 2, np.eye(2, 1)),))
     u = np.full(2, np.sqrt(0.5))
     clean = np.outer([1.5e308, 1.0], u)
-    inside = Scenario(clean, clean * 0.9, np.broadcast_to(u[:, None], (2, 2, 1)))
+    inside = Scenario(clean, clean * 0.9, (GeodesicPiece(0, 2, u[:, None]),))
     return [([e1], corrected[None]), ([inside], clean[None] * 1.2)]
 
 

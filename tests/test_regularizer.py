@@ -29,7 +29,7 @@ from ssrlab.errors import (
     NonFiniteAffinity,
     NumericError,
 )
-from ssrlab.grassmann import orthonormalize, span_membership_residual
+from ssrlab.grassmann import GeodesicPiece, orthonormalize, span_membership_residual
 from ssrlab.regularizer import (
     STORE_CORRECTED,
     STORE_RAW,
@@ -128,7 +128,7 @@ class TestSsrStep:
         for t, out in enumerate(corrected):
             window_rows = states[max(0, t - 5) : t + 1]
             span = orthonormalize(window_rows.T)
-            assert span_membership_residual(out[None], span[None])[0] < 1e-9
+            assert span_membership_residual(out[None], (GeodesicPiece(0, 1, span),))[0] < 1e-9
 
     def test_corrected_norm_bounded_by_window_max(self):
         # convex softmax weights cannot exceed the largest window norm

@@ -6,6 +6,7 @@ g ~ N(0, I_n), evaluated with math.gamma, not with the library.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -18,6 +19,10 @@ from hypothesis import strategies as st
 import ssrlab.synth as synth_mod
 from ssrlab.errors import DimensionMismatch, InvalidScenario
 from ssrlab.grassmann import (
+    _PIECE_CHUNK,
+    _SIN_FLOOR,
+    GeodesicPiece,
+    geodesic,
     principal_angles,
     projection_distance,
     span_membership_residual,
@@ -28,13 +33,19 @@ from ssrlab.synth import (
     NOISE_GAUSSIAN,
     NOISE_KINDS,
     NoiseModel,
-    Scenario,
     TrajectoryConfig,
     derive_trial_seed,
     generate_scenario,
     sample_waypoints,
 )
-from scenario_oracle import STREAM_NOISE, frame_rng, scenario_oracle
+from scenario_oracle import (
+    STREAM_NOISE,
+    frame_bases,
+    frame_pieces,
+    frame_rng,
+    same_scenario,
+    scenario_oracle,
+)
 
 STATIC = TrajectoryConfig(n=16, r=3, length=40, seed=99, speed=0.0)
 MOVING = TrajectoryConfig(
@@ -46,13 +57,39 @@ def chi_mean(n: int) -> float:
     return math.sqrt(2.0) * math.gamma((n + 1) / 2) / math.gamma(n / 2)
 
 
+def assert_matches_oracle(scenario, config, noise):
+    """generate_scenario against the per-frame oracle.
+
+    A static scenario matches bit for bit, and so does every frame's basis,
+    formed from the pieces as the oracle forms it. A moving clean state is
+    p (cos * z) + g (sin * z) with z = R c here, and (B_t R) c in the
+    oracle: the same unit-norm factors (orthonormal p, g and R, ||c|| = 1)
+    multiplied in another order. By the dot-product error bound
+    |fl(x^T y) - x^T y| <= gamma_k |x|^T |y| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1) the two differ per entry by at
+    most 4 (r + 1) sqrt(2r) units of 2**-53 times ||clean_t||; a noisy
+    state adds the same noise to each, so one more unit in the last place
+    of its entry.
+    """
+    clean, noisy, bases = scenario_oracle(config, noise)
+    assert np.array_equal(frame_bases(scenario.bases), bases)
+    if config.speed == 0.0 or config.length == 1:
+        assert len(scenario.bases) == 1 and scenario.bases[0].cos_sin is None
+        assert np.array_equal(scenario.clean, clean)
+        assert np.array_equal(scenario.noisy, noisy)
+        return
+    r = config.r
+    bound = 4 * (r + 1) * math.sqrt(2 * r) * 2.0**-53 * np.linalg.norm(clean, axis=1)[:, None]
+    assert np.all(np.abs(scenario.clean - clean) <= bound)
+    assert np.all(np.abs(scenario.noisy - noisy) <= bound + np.spacing(np.abs(noisy)))
+
+
 class TestDeterminism:
     def test_identical_configs_are_bitwise_identical(self):
         noise = NoiseModel(kind=NOISE_GAUSSIAN, sigma=0.2)
         a = generate_scenario(MOVING, noise)
         b = generate_scenario(MOVING, noise)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        assert same_scenario(a, b)
 
     def test_prefix_stable_under_length_extension(self):
         # counter-based streams: frame t's draws do not depend on length
@@ -81,8 +118,9 @@ class TestStaticScenario:
         clean, noisy, bases = generate_scenario(STATIC, NoiseModel(sigma=0.0))
         assert np.array_equal(clean, np.broadcast_to(clean[0], clean.shape))
         assert noisy is clean
-        # one basis, broadcast over the frames rather than copied
-        assert bases.shape == (40, 16, 3) and bases.strides[0] == 0
+        # one point piece for every frame, not a basis per frame
+        assert len(bases) == 1 and bases[0][:2] == (0, 40) and bases[0].basis.shape == (16, 3)
+        assert bases[0].cos_sin is None and bases[0].rotation is None
 
     def test_clean_states_are_unit_norm(self):
         clean = generate_scenario(STATIC, NoiseModel(sigma=0.0)).clean
@@ -99,7 +137,7 @@ class TestStaticScenario:
             scenario = generate_scenario(config, noise)
         norms = np.linalg.norm(scenario.clean, axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-12)
-        assert np.array_equal(scenario.clean, scenario_oracle(config, noise)[0])
+        assert_matches_oracle(scenario, config, noise)
 
     @pytest.mark.parametrize("drift", [0.0, 0.05])
     def test_clean_states_do_not_depend_on_the_first_draws_scale(self, monkeypatch, drift):
@@ -107,7 +145,7 @@ class TestStaticScenario:
         # from where its squares underflow to where they overflow, it must
         # give the same clean stream bit for bit
         config = TrajectoryConfig(n=6, r=3, length=5, seed=0, state_drift=drift)
-        bases = np.broadcast_to(np.eye(6, 3), (5, 6, 3))
+        bases = (GeodesicPiece(0, 5, np.eye(6, 3)),)
         first = np.array([0.8, -1.3, 0.4])
         later = list(np.random.default_rng(5).standard_normal((4, 3)))
 
@@ -139,8 +177,8 @@ class TestStaticScenario:
         clean, _, bases = generate_scenario(
             replace(STATIC, state_drift=0.05), NoiseModel(sigma=0.0)
         )
-        assert np.array_equal(bases, np.broadcast_to(bases[0], bases.shape))
-        assert (span_membership_residual(clean[1:], bases[1:]) < 1e-9).all()
+        assert len(bases) == 1
+        assert (span_membership_residual(clean, bases) < 1e-9).all()
         assert not np.array_equal(clean, np.broadcast_to(clean[0], clean.shape))
         steps = np.linalg.norm(np.diff(clean, axis=0), axis=1)
         # drift 0.05 with r=3: typical step 0.05 * sqrt(3), never huge
@@ -153,7 +191,7 @@ class TestMovingScenario:
         assert (span_membership_residual(clean, bases) < 1e-9).all()
 
     def test_subspace_steps_bounded_by_arc_step(self):
-        bases = generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases
+        bases = frame_bases(generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases)
         waypoints = sample_waypoints(MOVING)
         max_dist = max(
             projection_distance(a, b)
@@ -181,9 +219,39 @@ class TestMovingScenario:
             assert moved <= step * (1 + 1e-6) + 1e-12
 
     def test_trajectory_actually_moves(self):
-        bases = generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases
+        bases = frame_bases(generate_scenario(MOVING, NoiseModel(sigma=0.0)).bases)
         total = projection_distance(bases[0], bases[-1])
         assert total > 0.1
+
+    def test_shared_direction_leaves_a_zero_column_of_g(self):
+        # 2r > n: the waypoints share a direction whose sin(theta) is at or
+        # below _SIN_FLOOR, so geodesic leaves that column of g zero
+        config = TrajectoryConfig(n=6, r=4, length=12, seed=0, speed=1.0)
+        _, g, theta = geodesic(*sample_waypoints(config))
+        assert np.sin(theta).min() <= _SIN_FLOOR and not g.any(axis=0).all()
+        noise = NoiseModel(sigma=0.1)
+        scenario = generate_scenario(config, noise)
+        assert [piece[:2] for piece in scenario.bases] == [(0, 1), (1, 12)]
+        assert_matches_oracle(scenario, config, noise)
+
+    def test_generation_holds_no_per_frame_bases(self):
+        # moving_feedback's shape: a T x n x r array of bases would take
+        # 8 MiB, and the pieces' scenario must peak below half of that (the
+        # T x n states and the noise's draws take about 3 MiB of it)
+        config = TrajectoryConfig(
+            n=128, r=8, length=1024, seed=derive_trial_seed(1234, 0), speed=1.0,
+            waypoint_count=4, state_drift=0.05,
+        )
+        noise = NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.01)
+        generate_scenario(config, noise)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            scenario = generate_scenario(config, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scenario.bases) == 2
+        assert peak < config.length * config.n * config.r * 8 / 2
 
     def test_waypoints_admit_geodesics(self):
         waypoints = sample_waypoints(MOVING)
@@ -192,29 +260,29 @@ class TestMovingScenario:
             assert principal_angles(a, b)[-1] < np.pi / 2 - 1e-8
 
     def test_pieces_longer_than_a_chunk_match_per_frame_oracle(self):
-        # runs of 114 and 92 frames inside the two segments and 94 on the
+        # runs of 113 and 92 frames inside the two segments and 94 on the
         # last waypoint, each longer than one evaluation chunk
         config = TrajectoryConfig(
             n=12, r=3, length=300, seed=31, speed=3.5, waypoint_count=3, state_drift=0.02
         )
-        assert synth_mod._PIECE_CHUNK < 92
+        assert _PIECE_CHUNK < 92
         noise = NoiseModel(sigma=0.1)
-        for name, got, want in zip(
-            Scenario._fields, generate_scenario(config, noise), scenario_oracle(config, noise)
-        ):
-            assert np.array_equal(got, want), name
+        scenario = generate_scenario(config, noise)
+        assert [piece[:2] for piece in scenario.bases] == [(0, 1), (1, 114), (114, 206), (206, 300)]
+        assert_matches_oracle(scenario, config, noise)
 
     def test_overflowing_speed_starts_on_the_first_waypoint(self):
         # speed * D / T overflows to inf; the step is clamped at the path length
         config = TrajectoryConfig(n=64, r=4, length=6, seed=5, speed=1e308, waypoint_count=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bases = generate_scenario(config, NoiseModel()).bases
+            scenario = generate_scenario(config, NoiseModel())
+        bases = frame_bases(scenario.bases)
         waypoints = sample_waypoints(config)
         assert np.array_equal(bases[0], waypoints[0])
         for basis in bases[1:]:
             assert projection_distance(basis, waypoints[-1]) < 1e-12
-        assert np.array_equal(bases, scenario_oracle(config, NoiseModel())[2])
+        assert_matches_oracle(scenario, config, NoiseModel())
 
 
 class TestGaussianNoise:
@@ -296,7 +364,7 @@ class TestDriftWalk:
         clean, noisy, bases = generate_scenario(
             config, NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.1)
         )
-        assert clean.shape == noisy.shape == (1, 16) and bases.shape == (1, 16, 3)
+        assert clean.shape == noisy.shape == (1, 16) and len(bases) == 1
         err = np.linalg.norm(noisy[0] - clean[0])
         assert err > 0.0
 
@@ -305,8 +373,7 @@ class TestDriftWalk:
         walked = generate_scenario(
             MOVING, NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.1)
         )
-        assert np.array_equal(walked.clean, base.clean)
-        assert np.array_equal(walked.bases, base.bases)
+        assert same_scenario(walked._replace(noisy=base.noisy), base)
 
     def test_walk_is_running_sum_of_gaussian_draws(self):
         # both kinds read the same per-frame draws; the walk accumulates them
@@ -340,8 +407,10 @@ class TestValidation:
             TrajectoryConfig(n=4, r=2, length=10, seed=2**64)
 
     def test_shape_bounded_by_the_largest_numpy_array(self):
-        # the T x n x r float64 bases take 8 * T * n * r bytes, at most intp's max
+        # the T x n float64 states take 8 * T * n bytes, at most intp's max;
+        # the rank does not count, as no T x n x r array is formed
         TrajectoryConfig(n=2, r=1, length=2**59 - 1, seed=1)
+        TrajectoryConfig(n=3, r=2, length=2**58, seed=1)
         for n, r, length in ((2, 1, 2**59), (2**62, 1, 1), (8, 2, 2**62)):
             with pytest.raises(ValueError, match="largest array numpy can index"):
                 TrajectoryConfig(n=n, r=r, length=length, seed=1)
@@ -353,7 +422,10 @@ class TestValidation:
     def test_scenario_arrays_are_read_only(self):
         for noise in (NoiseModel(sigma=0.0), NoiseModel(sigma=0.1)):
             for config in (STATIC, MOVING):
-                for array in generate_scenario(config, noise):
+                clean, noisy, bases = generate_scenario(config, noise)
+                pieces = [array for piece in bases for array in piece[2:] if array is not None]
+                assert len(pieces) == (1 if config is STATIC else 4)
+                for array in (clean, noisy, *pieces):
                     assert not array.flags.writeable
                     with pytest.raises(ValueError):
                         array[0] = 1.0
@@ -363,7 +435,8 @@ class TestValidation:
         outside = np.zeros(16)
         outside[15] = 1.0
         # the static basis is random; e16 is outside it almost surely
-        assert span_membership_residual(outside[None], bases[:1])[0] > 1e-6
+        first = (GeodesicPiece(0, 1, bases[0].basis),)
+        assert span_membership_residual(outside[None], first)[0] > 1e-6
         states = np.array(clean)
         states[7] = outside
         with pytest.raises(InvalidScenario, match="frame 7: clean state leaves its subspace") as excinfo:
@@ -380,19 +453,32 @@ class TestValidation:
         ids=["bases", "clean", "noisy"],
     )
     def test_non_finite_arrays_are_rejected(self, field, what):
-        scenario = generate_scenario(MOVING, NoiseModel(sigma=0.1))
-        arrays = {name: np.array(value) for name, value in scenario._asdict().items()}
-        arrays[field][5, 0] = np.nan
-        with pytest.raises(InvalidScenario, match=f"frame 5: {what}") as excinfo:
-            synth_mod._checked(**arrays)
-        assert excinfo.value.frame == 5
+        # a basis is checked once per piece, which names its first frame
+        scenario = generate_scenario(replace(MOVING, speed=3.0), NoiseModel(sigma=0.1))
+        pieces = [piece._replace(basis=np.array(piece.basis)) for piece in scenario.bases]
+        arrays = {"clean": np.array(scenario.clean), "noisy": np.array(scenario.noisy)}
+        if field == "bases":
+            assert [piece[:2] for piece in pieces] == [(0, 1), (1, 28), (28, 51), (51, 60)]
+            pieces[2].basis[5, 0] = np.nan
+            frame = 28
+        else:
+            arrays[field][5, 0] = np.nan
+            frame = 5
+        with pytest.raises(InvalidScenario, match=f"frame {frame}: {what}") as excinfo:
+            synth_mod._checked(arrays["clean"], arrays["noisy"], pieces)
+        assert excinfo.value.frame == frame
 
     def test_non_orthonormal_basis_is_rejected(self):
+        # a waypoint's basis, a geodesic's frame [p g] or a rotation 1e-9 off
+        # fails its piece, at its first frame
         clean, noisy, bases = generate_scenario(MOVING, NoiseModel(sigma=0.1))
-        bases = np.array(bases)
-        bases[3] *= 1.0 + 1e-9
-        with pytest.raises(InvalidScenario, match="frame 3: truth basis"):
-            synth_mod._checked(clean, noisy, bases)
+        assert [piece[:2] for piece in bases] == [(0, 1), (1, 60)]
+        for index, field in ((0, "basis"), (1, "basis"), (1, "rotation")):
+            pieces = list(bases)
+            off = getattr(pieces[index], field) * (1.0 + 1e-9)
+            pieces[index] = pieces[index]._replace(**{field: off})
+            with pytest.raises(InvalidScenario, match=f"frame {index}: truth basis"):
+                synth_mod._checked(clean, noisy, pieces)
 
     def test_mismatched_dims_are_rejected(self):
         clean, noisy, bases = generate_scenario(STATIC, NoiseModel(sigma=0.1))
@@ -475,19 +561,39 @@ def scenario_cases(draw):
         NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.01),
     )
 )
+# moving_feedback's 8-plane in R^128 over short runs: one segment piece
+# after the first waypoint, and (at speed 40) three frames in each segment,
+# then an overshoot onto the last waypoint
+@example(
+    case=(
+        TrajectoryConfig(
+            n=128, r=8, length=70, seed=derive_trial_seed(1234, 1), speed=1.0,
+            waypoint_count=4, state_drift=0.05,
+        ),
+        NoiseModel(sigma=0.1),
+    )
+)
+@example(
+    case=(
+        TrajectoryConfig(
+            n=128, r=8, length=90, seed=derive_trial_seed(1234, 2), speed=40.0,
+            waypoint_count=3, state_drift=0.05,
+        ),
+        NoiseModel(kind=NOISE_DRIFT_WALK, sigma=0.01),
+    )
+)
+# 2r > n: the waypoints share directions, one with sin(theta) 0, at or
+# below _SIN_FLOOR (g's column left zero), and one at about 2.6e-8, whose
+# g column is rounding noise
+@example(case=(TrajectoryConfig(n=6, r=4, length=12, seed=0, speed=1.0), NoiseModel(sigma=0.1)))
 def test_property_generate_scenario_matches_per_frame_oracle(case):
     # static and moving paths (speed past 1 overshoots onto the last
     # waypoint), every noise kind, sigma 0 and not, drift 0 and not
     config, noise = case
     scenario = generate_scenario(config, noise)
-    expected = scenario_oracle(config, noise)
-    for name, got, want in zip(scenario._fields, scenario, expected):
-        assert got.shape == want.shape, name
-        assert np.array_equal(got, want), name
+    assert_matches_oracle(scenario, config, noise)
     if noise.sigma == 0.0:
         assert scenario.noisy is scenario.clean
-    if config.speed == 0.0 or config.length == 1:
-        assert scenario.bases.strides[0] == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -496,7 +602,7 @@ def test_property_aligned_bases_carry_no_rotation_between_frames(case):
     # each basis is rotated onto its predecessor: the polar factor of
     # B_t^T B_{t-1} (its Procrustes rotation) is the identity
     config, _ = case
-    bases = generate_scenario(config, NoiseModel()).bases
+    bases = frame_bases(generate_scenario(config, NoiseModel()).bases)
     u, _, vt = np.linalg.svd(np.swapaxes(bases[1:], 1, 2) @ bases[:-1])
     assert np.abs(u @ vt - np.eye(config.r)).max(initial=0.0) <= 1e-13
 
@@ -595,6 +701,6 @@ def test_coefficient_walks_are_the_walks_of_the_trials_scenarios():
         trial_config = replace(config, seed=derive_trial_seed(config.seed, trial))
         alone = generate_scenario(trial_config, noise)
         given_walk = generate_scenario(trial_config, noise, walk)
-        assert all(np.array_equal(a, b) for a, b in zip(alone, given_walk))
+        assert same_scenario(alone, given_walk)
     # a frozen walk is one row, held over every frame
     assert synth_mod.coefficient_walks(STATIC, range(2)).shape == (2, 1, STATIC.r)
