@@ -8,12 +8,16 @@ yields the heatmaps and residuals; the baselines are one ema_fuse or
 passthrough_step call) and scores each output against the same scenario
 with one score_run pass, which gives a T x 4 array of per-frame scores,
 appended to its method's list; metrics.mean_and_std aggregates the
-trials. A numeric error names its method, trial and frame. All emitted
-payloads (CSV, summary JSON, heatmap grids, ablation tables) are
-byte-identical across reruns; summary.json's provenance reads the seed
-from the config and the version from TOOL_VERSION, and the wall-clock
-timestamp lives in its own run_meta.json, outside the determinism
-guarantee. Every file is written to a temp name and atomically renamed.
+trials. A trial holds its scenario and one method's output at a time,
+beside the score rows kept for the writers: each output and its
+residuals are released once scored, before the next method runs, and
+the scenario before the next trial's is generated. A numeric error
+names its method, trial and frame. All emitted payloads (CSV, summary
+JSON, heatmap grids, ablation tables) are byte-identical across reruns;
+summary.json's provenance reads the seed from the config and the
+version from TOOL_VERSION, and the wall-clock timestamp lives in its
+own run_meta.json, outside the determinism guarantee. Every file is
+written to a temp name and atomically renamed.
 """
 
 from __future__ import annotations
@@ -133,8 +137,10 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
                 seconds["score_s"] += perf_counter() - scoring
             except NumericError as exc:
                 raise annotated(exc, frame_named(f"method={method}, trial={trial}", exc)) from exc
-        # free this trial's arrays before the next scenario is generated (peak RSS)
-        del scenario, corrected
+            # free the output before the next method runs (peak RSS)
+            del corrected, residuals
+        # free this trial's scenario before the next one is generated (peak RSS)
+        del scenario
     methods: dict[str, MethodResult] = {}
     for method, results in runs.items():
         scores, summaries = zip(*results)

@@ -47,7 +47,7 @@ from .errors import (
     frame_named,
 )
 from .grassmann import span_membership_residual
-from .regularizer import SsrConfig, run_stream
+from .regularizer import _CHUNK_ENTRIES, SsrConfig, run_stream
 from .synth import (
     NoiseModel,
     Scenario,
@@ -145,6 +145,10 @@ def score_run(
 ) -> tuple[np.ndarray, RunSummary]:
     """Score a corrected stream against its scenario in one array pass.
 
+    The raw and corrected distances to the clean states are taken in row
+    chunks of regularizer._CHUNK_ENTRIES entries, so neither forms a
+    T x n difference.
+
     Args:
         scenario: the scenario that produced the stream.
         corrected: the method's outputs, a T x d array aligned with frames.
@@ -176,9 +180,9 @@ def score_run(
             f"corrected states have shape {corrected.shape}, the scenario {clean.shape}"
         )
     scores = np.zeros((length, len(SCORE_COLUMNS)))
+    scores[:, 0] = _distances(noisy, clean)
+    scores[:, 1] = _distances(corrected, clean)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores[:, 0] = vector_norms(noisy - clean)
-        scores[:, 1] = vector_norms(corrected - clean)
         scores[:, 2] = span_membership_residual(corrected, bases)
     if se_residuals is not None:
         scores[:, 3] = se_residuals
@@ -202,6 +206,22 @@ def score_run(
         win_fraction=float(np.mean(corr < raw)),
     )
     return scores, summary
+
+
+def _distances(states: np.ndarray, clean: np.ndarray) -> np.ndarray:
+    """vector_norms(states - clean), bit for bit, taken in row chunks of _CHUNK_ENTRIES entries.
+
+    Each row's norm depends on that row alone, so the chunks keep every
+    bit, the rescaled pass for an overflowing row included, and no T x n
+    difference is formed.
+    """
+    distances = np.empty(len(states))
+    step = max(1, _CHUNK_ENTRIES // max(1, states.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(states), step):
+            rows = slice(start, start + step)
+            distances[rows] = vector_norms(states[rows] - clean[rows])
+    return distances
 
 
 def trial_scenarios(
@@ -261,8 +281,7 @@ def _sweep_ratio(scenario: Scenario, corrected: np.ndarray, mean_raw: float) -> 
     score_run passes (a Scenario's pieces are checked orthonormal);
     anywhere else score_run itself scores the trial.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        errors = vector_norms(corrected - scenario.clean)
+    errors = _distances(corrected, scenario.clean)
     if math.isfinite(mean_raw) and np.isfinite(errors).all():
         return improvement_ratio(mean_raw, scaled_stat(errors))
     return score_run(scenario, corrected)[1].improvement_ratio
@@ -312,8 +331,7 @@ def ablate_window(
     noisy.flags.writeable = False
     seconds = {"generate_s": perf_counter() - start, "correct_s": 0.0}
     start = perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_raws = [scaled_stat(vector_norms(sc.noisy - sc.clean)) for sc in scenarios]
+    mean_raws = [scaled_stat(_distances(sc.noisy, sc.clean)) for sc in scenarios]
     seconds["score_s"] = perf_counter() - start
     correct_s_by_k: dict[int, float] = {}
     rows = []

@@ -69,7 +69,7 @@ STORE_CORRECTED = "store-corrected"
 BUFFER_POLICIES = frozenset({STORE_RAW, STORE_CORRECTED})
 
 # float64 entries in each (frames, W, W) or (frames, L, d) temporary of the
-# residual pass: 256 kB.
+# residual pass, and in each row chunk of metrics' distances: 256 kB.
 _CHUNK_ENTRIES = 2**15
 # Gram traces outside this range go to the direct path: below it, underflow
 # in the bands is no longer far below the trace's last bit; above it, the
@@ -258,6 +258,9 @@ def _banded_residuals(buf, raw, k, tau, stop, feedback) -> np.ndarray:
     shorter one after W - L zero rows whose logits are -inf (weight
     exactly 0), W^2 entries per frame where the direct form takes L d.
     With D = I - C, ||S - CS||^2 = sum((D G) * D) needs no L x d product.
+    The bands of frames W - 1 on are taken over views of the stream's rows,
+    those of the first W - 1 frames over a head of at most 2W - 2 rows, so
+    the pass copies no T x d array (buf only where it is not C-contiguous).
 
     The value's error estimate (probabilistic rounding constants, sqrt(n)
     per n-term sum; Higham & Mary, SIAM J. Sci. Comput. 2019) covers the
@@ -277,16 +280,25 @@ def _banded_residuals(buf, raw, k, tau, stop, feedback) -> np.ndarray:
     if count == 0:
         return scores
     with np.errstate(all="ignore"):
-        # history[t] holds stream rows t - W + 1 .. t, zero rows before the start
-        padded = np.zeros((count + width - 1, d))
-        padded[width - 1 :] = buf[:count]
-        history = sliding_window_view(padded, width, axis=0).swapaxes(1, 2)
         # bands[W - 1 + s, i] = x_s . x_{s-W+1+i}: lag W - 1 - i, zero rows ahead
         bands = np.zeros((count + width - 1, width))
-        bands[width - 1 :] = (history @ buf[:count, :, None])[..., 0]
+        current = np.empty((count, width)) if feedback else None
+        # history[t] holds stream rows t - W + 1 .. t: views of the stream from
+        # frame W - 1 on, and before it of a head with W - 1 zero rows ahead
+        buf = np.ascontiguousarray(buf[:count])
+        lead = min(count, width - 1)
+        head = np.zeros((lead + width - 1, d))
+        head[width - 1 :] = buf[:lead]
+        for rows, first in ((head, 0), (buf, width - 1)):
+            if len(rows) < width:  # no frame before W - 1, or none from it on
+                continue
+            history = sliding_window_view(rows, width, axis=0).swapaxes(1, 2)
+            t = slice(first, first + len(history))
+            bands[width - 1 :][t] = (history @ buf[t, :, None])[..., 0]
+            if feedback:
+                # the raw current state against the corrected history, then itself
+                current[t] = (history @ raw[t, :, None])[..., 0]
         if feedback:
-            # the raw current state against the corrected history, then itself
-            current = (history @ raw[:count, :, None])[..., 0]
             current[:, -1] = np.einsum("ij,ij->i", raw[:count], raw[:count])
         index = np.arange(width)
         lag = np.abs(index[:, None] - index)

@@ -389,7 +389,11 @@ def _clean_states(bases: Sequence[GeodesicPiece], walk: np.ndarray) -> np.ndarra
 
 
 def _noisy_states(config: TrajectoryConfig, noise: NoiseModel, clean: np.ndarray) -> np.ndarray:
-    """Frame t is clean_t + sigma * g_t, or the walk's clean_t + sigma * sum_{i <= t} g_i."""
+    """Frame t is clean_t + sigma * g_t, or the walk's clean_t + sigma * sum_{i <= t} g_i.
+
+    The draws are scaled and the clean states added in place: the same two
+    roundings per entry as clean + scale * draws, with no T x n temporary.
+    """
     if noise.sigma == 0.0:
         return clean
     draws = np.empty_like(clean)
@@ -404,7 +408,9 @@ def _noisy_states(config: TrajectoryConfig, noise: NoiseModel, clean: np.ndarray
         )
         scale[hits < noise.burst_prob] = noise.sigma * noise.burst_scale
     with np.errstate(over="ignore", invalid="ignore"):
-        return clean + scale[:, None] * draws
+        draws *= scale[:, None]
+        draws += clean
+    return draws
 
 
 def _piece_defect(piece: GeodesicPiece) -> float:

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from dataclasses import MISSING, replace
 
@@ -101,6 +102,23 @@ BASE = {
     "trials": "3",
     "ssr.window_k": "4",
     "ema.alpha": "0.3",
+}
+
+# The benchmark's moving_feedback workload (perfbench/workloads.py), as
+# overrides of BASE: a moving 8-plane in R^128, 1,024 frames, fed back.
+MOVING_FEEDBACK = {
+    "scenario.n": "128",
+    "scenario.r": "8",
+    "scenario.length": "1024",
+    "scenario.seed": "1234",
+    "scenario.speed": "1.0",
+    "scenario.waypoints": "4",
+    "noise.kind": "drift-random-walk",
+    "noise.sigma": "0.01",
+    "ssr.window_k": "16",
+    "ssr.buffer_policy": "store-corrected",
+    "output.emit_heatmaps": "true",
+    "output.heatmap_frames": "0,256,512",
 }
 
 
@@ -354,6 +372,21 @@ class TestRunExperiment:
             b = second.methods[method]
             assert all(np.array_equal(x, y) for x, y in zip(a.scores, b.scores))
             assert a.aggregate_mean == b.aggregate_mean
+
+    def test_a_trial_holds_its_scenario_and_one_output(self, tmp_path):
+        # moving_feedback's config with one trial: the scenario's clean and
+        # noisy T x n states take 2 MiB and one method's output 1 MiB; with
+        # 2 MiB of headroom the run may hold no further T x n array (a noise
+        # temporary, a padded stream, a difference, the previous output)
+        config = make_config(tmp_path, trials=1, **MOVING_FEEDBACK)
+        run_experiment(config)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("policy", ["store-raw", "store-corrected"])
     def test_se_residual_matches_list_oracle(self, tmp_path, policy):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssrlab.metrics as metrics_mod
+from ssrlab.affinity import vector_norms
 from ssrlab.errors import (
     DimensionMismatch,
     InvalidScenario,
@@ -35,6 +36,8 @@ from ssrlab.synth import NoiseModel, Scenario, TrajectoryConfig, generate_scenar
 from scenario_oracle import frame_bases
 
 RAW, CORRECTED, SUBSPACE, SE = range(len(SCORE_COLUMNS))
+# Rows of R^9 in each chunk of score_run's distances.
+CHUNK_ROWS = metrics_mod._CHUNK_ENTRIES // 9
 CLEAN = np.array([1.0, 0.0, 0.0])
 
 
@@ -240,13 +243,28 @@ def test_scenario_scoring_round_trip():
     assert np.all(scores[:, RAW] > 0.0)
 
 
+def scaled_norm(v: np.ndarray) -> float:
+    """||v||, taken after exact scaling by the power of two above its largest |entry|."""
+    shift = np.frexp(np.abs(v).max())[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -shift)), shift)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     length=st.integers(min_value=1, max_value=150),
     scale=st.floats(min_value=1e-3, max_value=1e3),
+    # a corrected row times 2^600, whose squared distance overflows, so that
+    # vector_norms measures it again after scaling
+    far=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
 )
-def test_property_score_run_matches_per_frame_reference(seed, length, scale):
+# the distances are taken CHUNK_ROWS rows at a time: a stream one row short
+# of a chunk, one chunk, one row past it, and a far row in the second chunk
+@example(seed=1, length=CHUNK_ROWS - 1, scale=1.0, far=None)
+@example(seed=2, length=CHUNK_ROWS, scale=1.0, far=None)
+@example(seed=3, length=CHUNK_ROWS + 1, scale=1.0, far=None)
+@example(seed=4, length=CHUNK_ROWS + 2, scale=1.0, far=CHUNK_ROWS + 1)
+def test_property_score_run_matches_per_frame_reference(seed, length, scale, far):
     # a moving subspace gives every frame its own basis, here formed frame
     # by frame from the pieces; the corrected states are arbitrary, so they
     # leave the subspace by any amount
@@ -254,13 +272,15 @@ def test_property_score_run_matches_per_frame_reference(seed, length, scale):
     scenario = generate_scenario(traj, NoiseModel(sigma=0.3))
     rng = np.random.default_rng(seed)
     corrected = scale * rng.standard_normal((length, 9))
+    if far is not None:
+        corrected[far % length] *= 2.0**600
     se = rng.uniform(0.0, 2.0, length)
     scores, summary = score_run(scenario, corrected, se)
     expected = np.array(
         [
             [
-                np.linalg.norm(noisy - clean),
-                np.linalg.norm(out - clean),
+                scaled_norm(noisy - clean),
+                scaled_norm(out - clean),
                 span_membership_residual(out[None], (GeodesicPiece(0, 1, basis),))[0],
                 s,
             ]
@@ -272,6 +292,9 @@ def test_property_score_run_matches_per_frame_reference(seed, length, scale):
     np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0.0)
     assert summary.mean_raw_error == pytest.approx(expected[:, 0].mean(), rel=1e-12)
     assert summary.mean_corrected_error == pytest.approx(expected[:, 1].mean(), rel=1e-12)
+    # chunks change no bit of the distances: they are those of the whole difference
+    assert np.array_equal(scores[:, RAW], vector_norms(scenario.noisy - scenario.clean))
+    assert np.array_equal(scores[:, CORRECTED], vector_norms(corrected - scenario.clean))
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ssrlab.regularizer as regularizer_mod
@@ -39,7 +39,7 @@ from ssrlab.regularizer import (
     run_stream,
     ssr_step,
 )
-from stream_oracle import WindowFailure, list_oracle
+from stream_oracle import WindowFailure, list_oracle, padded_banded_residuals
 
 E = math.e
 # Frames per chunk of the residual pass that the properties below set, so
@@ -540,6 +540,43 @@ class TestDirectPath:
         assert not np.isnan(banded_residuals(states, config)[1:3]).any()
 
 
+def head_cases():
+    """(dim, length) at window_k = 6: W = min(7, dim) rows, T in {1, W - 2, W - 1, W, W + 1}."""
+    for dim in (1, 4, 9):  # W = 1; W = d < k + 1; W = k + 1 <= d
+        width = min(7, dim)
+        for length in sorted({max(1, t) for t in (1, width - 2, width - 1, width, width + 1)}):
+            yield dim, length
+
+
+def head_examples(test):
+    """@example at every head_cases shape, under both buffer policies."""
+    for dim, length in head_cases():
+        for policy in (STORE_RAW, STORE_CORRECTED):
+            test = example(
+                seed=length, length=length, dim=dim, window_k=6, mode="softmax", policy=policy,
+                temperature=None, noise=None, exponent=0,
+            )(test)
+    return test
+
+
+@pytest.mark.parametrize("policy", [STORE_RAW, STORE_CORRECTED])
+@pytest.mark.parametrize(("dim", "length"), list(head_cases()))
+def test_banded_head_gives_the_padded_streams_residuals_bit_for_bit(dim, length, policy):
+    # frames before W - 1 take their lag bands over a short zero-padded head,
+    # the rest over views of the stream; both must give what one zero-padded
+    # copy of the whole stream gives, and run_stream its residuals
+    states = random_states(np.random.default_rng(length), length, dim)
+    config = SsrConfig(window_k=6, buffer_policy=policy)
+    corrected, _, residuals = run_stream(config, states)
+    feedback = policy == STORE_CORRECTED
+    padded = padded_banded_residuals(
+        corrected if feedback else states, states, 6, default_temperature(dim), length, feedback
+    )
+    assert np.array_equal(banded_residuals(states, config), padded, equal_nan=True)
+    expected = np.where(np.isnan(padded), direct_residuals(states, config), padded)
+    assert np.array_equal(residuals, expected)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -553,6 +590,7 @@ class TestDirectPath:
     noise=st.one_of(st.none(), st.floats(min_value=1e-8, max_value=1.0)),
     exponent=st.sampled_from([0, 0, 0, -300, 300]),
 )
+@head_examples
 def test_property_banded_residuals_are_the_direct_ones_within_1e_12(
     seed, length, dim, window_k, mode, policy, temperature, noise, exponent
 ):
