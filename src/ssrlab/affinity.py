@@ -48,6 +48,9 @@ DEGENERATE_ROW_TOL = 1e-4
 # their sum is at least 2**-968, and the at most 2**-1075 that each
 # underflowing square loses lies far below the sum's last bit.
 _SCALED_NORM_BELOW = 2.0**-484
+# float64 entries per chunk of a T-long pass (256 kB): _CHUNK_ENTRIES // n
+# rows of R^n, or the residual pass's (frames, W, W) and (frames, L, d) blocks.
+_CHUNK_ENTRIES = 2**15
 
 
 def default_temperature(dim: int) -> float:

@@ -10,8 +10,8 @@ which equals sqrt(sum_i sin^2 theta_i) over the principal angles theta_i,
 so the metric and the angle decomposition cross-check each other.
 
 A path of subspaces, one per frame, is a sequence of GeodesicPieces:
-runs of frames on one point or on one geodesic, each held by its factors
-rather than by a basis per frame.
+runs of frames on one geodesic, each held by its factors rather than by
+a basis per frame; a point is a geodesic that does not move.
 
 Tolerances are module constants; tests may monkeypatch them, production
 code must not.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affinity import vector_norms
+from .affinity import _CHUNK_ENTRIES, vector_norms
 from .errors import (
     DegenerateGeodesic,
     DimensionMismatch,
@@ -52,27 +52,30 @@ ANGLE_DEGENERACY_MARGIN = 1e-8
 
 # Below this, sin(theta) is treated as zero in the geodesic construction.
 _SIN_FLOOR = 1e-12
-# Frames of one geodesic piece evaluated per array pass; bounds the temporaries.
-_PIECE_CHUNK = 64
 
 
 class GeodesicPiece(NamedTuple):
-    """Frames start .. stop - 1 of a path of r-planes in R^n, on one point or one geodesic.
+    """Frames start .. stop - 1 of a path of r-planes in R^n, on one geodesic.
 
-    On a point, basis is every frame's orthonormal (n, r) basis, and
-    cos_sin and rotation are None. On a geodesic with the frame
-    (p, g, theta) that geodesic returns, basis is [p g], n x 2r, and
-    cos_sin[t - start] holds cos(s_t theta) and sin(s_t theta) as its two
-    rows, for frame t at position s_t: frame t's basis is
-    (p C_t + g S_t) @ rotation, with C_t and S_t the diagonal matrices of
-    those rows and rotation an r x r orthogonal matrix.
+    basis is [m_1 .. m_j], n x jr, and cos_sin[t - start] a (j, r) array:
+    frame t's basis is (m_1 K_1 + ... + m_j K_j) @ rotation, with K_i the
+    diagonal matrix of its row i and rotation an r x r orthogonal matrix.
+    On the geodesic (p, g, theta) that geodesic returns, j = 2: basis is
+    [p g] and the rows are cos(s_t theta) and sin(s_t theta), for frame t
+    at position s_t. On a point (GeodesicPiece.point), j = 1: the rows are ones.
     """
 
     start: int
     stop: int
     basis: np.ndarray
-    cos_sin: np.ndarray | None = None
-    rotation: np.ndarray | None = None
+    cos_sin: np.ndarray
+    rotation: np.ndarray
+
+    @classmethod
+    def point(cls, start: int, stop: int, basis: np.ndarray) -> GeodesicPiece:
+        """Frames start .. stop - 1 on basis: cos_sin a read-only broadcast of ones, rotation I."""
+        r = basis.shape[1]
+        return cls(start, stop, basis, np.broadcast_to(1.0, (stop - start, 1, r)), np.eye(r))
 
 
 def orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -179,12 +182,12 @@ def span_membership_residual(vectors: np.ndarray, bases: Sequence[GeodesicPiece]
 
     bases is a path: GeodesicPieces covering frames 0 .. T - 1 in order.
     Row t is ||v - U U^T v|| / ||v|| for v = vectors[t] and U frame t's
-    basis; an exact zero vector gives 0. On a point piece U U^T v is taken
-    for all its frames at once, as (V U) U^T. On a geodesic piece the
-    rotation drops out: U U^T v = p (cos * y) + g (sin * y) with
-    y = cos * p^T v + sin * g^T v, taken _PIECE_CHUNK frames at a time as
-    products with [p g]. Both round differently from per-frame products
-    with formed bases, within a bound that scales with the data. A finite
+    basis; an exact zero vector gives 0. The rotation drops out: U U^T v is
+    p (cos * y) + g (sin * y), y = cos * p^T v + sin * g^T v, on a geodesic
+    and (v^T U) U^T on a point, taken affinity._CHUNK_ENTRIES // n frames
+    at a time as products with the piece's basis. These round differently
+    from per-frame products with formed bases, within a bound that scales
+    with the data. A finite
     vector whose norm or leftover v - U U^T v is not finite is measured
     once more, after exact scaling by the power of two just above its
     largest |entry|, as in affinity.vector_norms: a row is NaN only where
@@ -208,16 +211,12 @@ def _span_norms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The norms of v - U U^T v and of v, row by row, along a path of pieces."""
     leftover = np.empty(len(vectors))
+    step = max(1, _CHUNK_ENTRIES // vectors.shape[1])
     for piece in bases:
         a, b, basis = piece.start, piece.stop, piece.basis
-        if piece.cos_sin is None:
-            v = vectors[a:b]
-            leftover[a:b] = vector_norms(v - (v @ basis) @ basis.T)
-            continue
-        for c in range(a, b, _PIECE_CHUNK):
-            d = min(c + _PIECE_CHUNK, b)
+        for c in range(a, b, step):
+            d = min(c + step, b)
             v, cos_sin = vectors[c:d], piece.cos_sin[c - a : d - a]
-            coords = (v @ basis).reshape(cos_sin.shape) * cos_sin
-            y = coords[:, 0] + coords[:, 1]
+            y = ((v @ basis).reshape(cos_sin.shape) * cos_sin).sum(axis=1)
             leftover[c:d] = vector_norms(v - (cos_sin * y[:, None]).reshape(d - c, -1) @ basis.T)
     return leftover, vector_norms(vectors)

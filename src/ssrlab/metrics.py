@@ -36,7 +36,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .affinity import vector_norms
+from .affinity import _CHUNK_ENTRIES, vector_norms
 from .errors import (
     DimensionMismatch,
     InvalidScenario,
@@ -47,7 +47,7 @@ from .errors import (
     frame_named,
 )
 from .grassmann import span_membership_residual
-from .regularizer import _CHUNK_ENTRIES, SsrConfig, run_stream
+from .regularizer import SsrConfig, run_stream
 from .synth import (
     NoiseModel,
     Scenario,
@@ -67,10 +67,6 @@ __all__ = [
 ]
 
 SCORE_COLUMNS = ("raw_error", "corrected_error", "subspace_residual", "se_residual")
-
-# float64 entries of the coefficient walks stepped together (256 kB per
-# array): every trial of each benchmark workload fits in one block.
-_WALK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def score_run(
     """Score a corrected stream against its scenario in one array pass.
 
     The raw and corrected distances to the clean states are taken in row
-    chunks of regularizer._CHUNK_ENTRIES entries, so neither forms a
+    chunks of affinity._CHUNK_ENTRIES entries, so neither forms a
     T x n difference.
 
     Args:
@@ -229,10 +225,11 @@ def trial_scenarios(
 ) -> Iterator[Scenario]:
     """Trial i's scenario, seeded by derive_trial_seed(seed, i), for i = 0 .. trials - 1.
 
-    The coefficient walks of up to _WALK_ENTRIES / (T r) trials are
-    stepped together, one coefficient_walks call per block, so memory does
-    not grow with trials. Each trial's seed is derived just before its
-    scenario is built. A numeric error is re-raised as "(scenario
+    The coefficient walks of up to affinity._CHUNK_ENTRIES / (W r) trials
+    are stepped together, one coefficient_walks call per block, so memory
+    does not grow with trials; W is a walk's rows, T with a coefficient
+    walk (state_drift > 0), else 1. Each trial's seed is derived just
+    before its scenario is built. A numeric error is re-raised as "(scenario
     generation, trial=i): ...", keeping its frame. With noise_needed, a
     trial whose noisy states equal its clean ones bit for bit (every raw
     error exactly 0, at sigma 0 or where sigma rounds away) raises
@@ -240,7 +237,8 @@ def trial_scenarios(
     corrected error would have a finite improvement ratio. Shared with
     ssrlab.harness and ssrlab.cli, not in __all__.
     """
-    block = max(1, _WALK_ENTRIES // (trajectory.length * trajectory.r))
+    rows = trajectory.length if trajectory.state_drift > 0.0 else 1
+    block = max(1, _CHUNK_ENTRIES // (rows * trajectory.r))
     for first in range(0, trials, block):
         chunk = range(first, min(first + block, trials))
         for trial, walk in zip(chunk, coefficient_walks(trajectory, chunk)):

@@ -46,6 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .affinity import (
+    _CHUNK_ENTRIES,
     AFFINITY_MODES,
     MODE_SOFTMAX,
     compute_affinity,
@@ -68,9 +69,6 @@ STORE_RAW = "store-raw"
 STORE_CORRECTED = "store-corrected"
 BUFFER_POLICIES = frozenset({STORE_RAW, STORE_CORRECTED})
 
-# float64 entries in each (frames, W, W) or (frames, L, d) temporary of the
-# residual pass, and in each row chunk of metrics' distances: 256 kB.
-_CHUNK_ENTRIES = 2**15
 # Gram traces outside this range go to the direct path: below it, underflow
 # in the bands is no longer far below the trace's last bit; above it, the
 # products and error estimates of the Gram form might overflow.

@@ -13,9 +13,9 @@ generate_scenario holds the truth path as pieces, not as a basis per
 frame: each run of frames on one waypoint or inside one segment is one
 grassmann.GeodesicPiece, aligned by a single rotation (see _truth_path),
 with the segment's geodesic frame (grassmann.geodesic) computed once. The
-clean states and the checks take a few products per piece, or per chunk
-of _PIECE_CHUNK frames of one, and orthonormality is checked once per
-piece (see _checked).
+clean states and the checks take a few products per chunk of
+affinity._CHUNK_ENTRIES // n frames of a piece, and orthonormality is
+checked once per piece (see _checked).
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream, frame), so frame i's draws do not depend on the sequence
@@ -39,10 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affinity import _SCALED_NORM_BELOW, vector_norms
+from .affinity import _CHUNK_ENTRIES, _SCALED_NORM_BELOW, vector_norms
 from .errors import DegenerateGeodesic, DimensionMismatch, InvalidScenario, RankDeficient
 from .grassmann import (
-    _PIECE_CHUNK,
     ANGLE_DEGENERACY_MARGIN,
     ORTHONORMALITY_TOL,
     GeodesicPiece,
@@ -244,14 +243,14 @@ def _truth_path(config: TrajectoryConfig) -> tuple[GeodesicPiece, ...]:
     diag(cos((s - s') theta)), positive definite as theta < pi/2, so its
     Procrustes rotation (polar factor) is I: the rotation of a piece's
     first frame, from the SVD of B_first^T B_last of the previous piece,
-    is the per-frame rotation of every frame in it. A waypoint piece holds
-    its rotated waypoint; a segment piece the segment's geodesic frame,
-    the cos and sin of its frames' angles, and its rotation. Of a segment
-    piece, only the first and last frame's bases are formed.
+    is the per-frame rotation of every frame in it. A waypoint piece is a
+    point piece, a segment piece the segment's geodesic frame and the cos
+    and sin of its frames' angles, each with its rotation (I on the
+    first). Of a piece, only the first and last frame's bases are formed.
     """
     waypoints = sample_waypoints(config)
     if config.speed == 0.0 or config.length == 1:
-        return (GeodesicPiece(0, config.length, waypoints[0]),)
+        return (GeodesicPiece.point(0, config.length, waypoints[0]),)
     max_dist = max(
         projection_distance(a, b)
         for i, a in enumerate(waypoints)
@@ -289,22 +288,20 @@ def _truth_path(config: TrajectoryConfig) -> tuple[GeodesicPiece, ...]:
     path: list[GeodesicPiece] = []
     for a, b in zip(starts, [*starts[1:], config.length]):
         if on_waypoint[a] >= 0:
-            first = waypoints[on_waypoint[a]]
+            piece = GeodesicPiece.point(a, b, waypoints[on_waypoint[a]])
         else:
             p, g, theta = geodesic(waypoints[seg[a]], waypoints[seg[a] + 1])
             angles = local[a:b, None] * theta
             cos_sin = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            first = p * cos_sin[0, 0] + g * cos_sin[0, 1]
-        rotation = None
+            piece = GeodesicPiece(a, b, np.concatenate([p, g], axis=1), cos_sin, np.eye(config.r))
+        # a frame's basis before its rotation: m_1 K_1 + ... + m_j K_j
+        frames = piece.basis.reshape(config.n, -1, config.r) * piece.cos_sin[[0, -1], None]
+        first, final = frames.sum(axis=2)
         if path:
             v, _, wt = np.linalg.svd(first.T @ last)
-            rotation = v @ wt
-        if on_waypoint[a] >= 0:
-            last = first if rotation is None else first @ rotation
-            path.append(GeodesicPiece(a, b, last))
-        else:
-            last = (p * cos_sin[-1, 0] + g * cos_sin[-1, 1]) @ rotation
-            path.append(GeodesicPiece(a, b, np.concatenate([p, g], axis=1), cos_sin, rotation))
+            piece = piece._replace(rotation=v @ wt)
+        last = final @ piece.rotation
+        path.append(piece)
     return tuple(path)
 
 
@@ -364,27 +361,25 @@ def coefficient_walks(config: TrajectoryConfig, trials: Sequence[int]) -> np.nda
 def _clean_states(bases: Sequence[GeodesicPiece], walk: np.ndarray) -> np.ndarray:
     """Unit-norm states in each frame's subspace: the walk's rows, the last one held to the end.
 
-    A point piece's frames are one batched (n, r) @ (r, 1) product of its
-    basis. A geodesic piece's frame t is p (cos_t * z_t) + g (sin_t * z_t)
-    with z_t = rotation @ c_t, taken _PIECE_CHUNK frames at a time as one
-    product with [p g].
+    Frame t of a piece is [m_1 .. m_j] (K_t * z_t), with z_t = rotation @ c_t,
+    a batched (n, jr) @ (jr, 1) product taken affinity._CHUNK_ENTRIES // n
+    frames at a time: on a geodesic p (cos_t * z_t) + g (sin_t * z_t), on
+    a point under the identity rotation U c_t, bit for bit.
     """
-    length = bases[-1].stop
+    length, n = bases[-1].stop, bases[0].basis.shape[0]
     coefs = np.empty((length, walk.shape[1]))
     coefs[: len(walk)] = walk
     coefs[len(walk) :] = walk[-1]
-    clean = np.empty((length, bases[0].basis.shape[0]))
+    clean = np.empty((length, n))
+    step = max(1, _CHUNK_ENTRIES // n)
     for piece in bases:
         a, b, basis = piece.start, piece.stop, piece.basis
-        if piece.cos_sin is None:
-            stack = np.broadcast_to(basis, (b - a, *basis.shape))
-            np.matmul(stack, coefs[a:b, :, None], out=clean[a:b, :, None])
-            continue
-        for c in range(a, b, _PIECE_CHUNK):
-            d = min(c + _PIECE_CHUNK, b)
+        for c in range(a, b, step):
+            d = min(c + step, b)
             cos_sin = piece.cos_sin[c - a : d - a]
-            z = coefs[c:d] @ piece.rotation.T
-            clean[c:d] = (cos_sin * z[:, None]).reshape(d - c, -1) @ basis.T
+            z = cos_sin * (coefs[c:d] @ piece.rotation.T)[:, None]
+            stack = np.broadcast_to(basis, (d - c, *basis.shape))
+            np.matmul(stack, z.reshape(d - c, -1, 1), out=clean[c:d, :, None])
     return clean
 
 
@@ -418,37 +413,35 @@ def _piece_defect(piece: GeodesicPiece) -> float:
 
     NaN or inf where a factor is not finite.
     """
-    basis, r = piece.basis, piece.basis.shape[1]
-    if piece.cos_sin is None:
-        return float(np.linalg.norm(basis.T @ basis - np.eye(r)))
-    r //= 2
-    cos, sin = piece.cos_sin[:, 0], piece.cos_sin[:, 1]
-    weights = np.concatenate([np.ones(r), np.abs(sin).max(axis=0)])
-    d_frame = np.linalg.norm((basis.T @ basis - np.eye(2 * r)) * np.outer(weights, weights))
-    d_turn = np.sqrt(((cos**2 + sin**2 - 1.0) ** 2).sum(axis=1)).max()
-    d_rotation = np.linalg.norm(piece.rotation.T @ piece.rotation - np.eye(r))
-    return float((1.0 + d_rotation) * (2.0 * d_frame + d_turn) + d_rotation)
+    basis, cos_sin, rotation = piece[2:]
+    j, r = cos_sin.shape[1:]
+    weights = np.abs(cos_sin).max(axis=0).ravel()
+    d_frame = np.linalg.norm((basis.T @ basis - np.eye(j * r)) * np.outer(weights, weights))
+    d_turn = np.sqrt((((cos_sin**2).sum(axis=1) - 1.0) ** 2).sum(axis=1)).max()
+    d_rotation = np.linalg.norm(rotation.T @ rotation - np.eye(r))
+    return float((1.0 + d_rotation) * (j * d_frame + d_turn) + d_rotation)
 
 
 def _checked(clean: np.ndarray, noisy: np.ndarray, bases: Sequence[GeodesicPiece]) -> Scenario:
     """The arrays and truth path as a read-only Scenario, after every check the generator promises.
 
     Orthonormality is checked once per piece, and a failing piece names
-    its first frame. A point piece passes when its basis U has
-    ||U^T U - I||_F <= ORTHONORMALITY_TOL. Frame t of a geodesic piece has
-    the basis U_t = M K_t R, with M = [p g], K_t = [C_t; S_t] and R the
-    rotation. Write K_t = W L_t with W = diag(1, ..., 1, s_1, ..., s_r),
-    s_i the largest |sin| of column i over the piece's frames, so that
-    ||L_t||_2^2 <= 2. With d_M = ||W (M^T M - I) W||_F, d_K the largest
-    ||K_t^T K_t - I||_F (diagonal: cos^2 + sin^2 - 1, as rounded) and
-    d_R = ||R^T R - I||_F, every frame of the piece has
+    its first frame. Frame t of a piece has the basis U_t = M K_t R, with
+    M = [m_1 .. m_j], K_t the jr x r stack of the diagonal matrices of
+    cos_sin's rows (on a geodesic [C_t; S_t], on a point I) and R the
+    rotation. Write K_t = W L_t with W = diag(w), w the largest |entry| of
+    each row's column over the piece's frames, so that ||L_t||_2^2 <= j.
+    With d_M = ||W (M^T M - I) W||_F, d_K the largest ||K_t^T K_t - I||_F
+    (diagonal: cos^2 + sin^2 - 1, as rounded) and d_R = ||R^T R - I||_F,
+    every frame of the piece has
 
-        ||U_t^T U_t - I||_F <= (1 + d_R) (2 d_M + d_K) + d_R,
+        ||U_t^T U_t - I||_F <= (1 + d_R) (j d_M + d_K) + d_R,
 
     since U_t^T U_t - I = R^T (L_t^T W (M^T M - I) W L_t + K_t^T K_t - I) R
     + R^T R - I; the piece passes when that bound is at most
-    ORTHONORMALITY_TOL. The weights let a column of g count by its sine:
-    one that geodesic left zero, or whose angle is too small to fix its
+    ORTHONORMALITY_TOL. On a point under the identity it is exactly
+    ||U^T U - I||_F. The weights let a column of g count by its sine: one
+    that geodesic left zero, or whose angle is too small to fix its
     direction (where 2r > n), moves no basis. A factor that is not finite
     fails. The clean states' membership is checked through
     span_membership_residual.
@@ -481,7 +474,7 @@ def _checked(clean: np.ndarray, noisy: np.ndarray, bases: Sequence[GeodesicPiece
             exc = InvalidScenario(f"frame {frame}: {what}")
             exc.frame = frame
             raise exc
-    for array in (clean, noisy, *(a for piece in bases for a in piece[2:] if a is not None)):
+    for array in (clean, noisy, *(a for piece in bases for a in piece[2:])):
         array.flags.writeable = False
     return Scenario(clean, noisy, tuple(bases))
 

@@ -195,35 +195,26 @@ def scenario_oracle(config, noise):
 
 
 def frame_pieces(bases):
-    """A (T, n, r) stack of bases as a truth path: one point piece per frame, or one for all
-    frames where the stack is one basis broadcast with stride 0."""
-    if len(bases) > 0 and bases.strides[0] == 0:
-        return (GeodesicPiece(0, len(bases), bases[0]),)
-    return tuple(GeodesicPiece(t, t + 1, basis) for t, basis in enumerate(bases))
+    """A (T, n, r) stack of bases as a truth path: one point piece per frame."""
+    return tuple(GeodesicPiece.point(t, t + 1, basis) for t, basis in enumerate(bases))
 
 
 def frame_bases(path):
     """The (T, n, r) bases of a truth path, each frame's formed as the oracle forms it:
-    (p * cos + g * sin) @ rotation on a geodesic piece."""
+    (p * cos + g * sin) @ rotation on a geodesic piece, basis @ rotation on a point."""
     out = []
     for piece in path:
-        if piece.cos_sin is None:
-            out += [piece.basis] * (piece.stop - piece.start)
-            continue
-        r = piece.cos_sin.shape[2]
-        p, g = piece.basis[:, :r], piece.basis[:, r:]
-        out += [(p * cos + g * sin) @ piece.rotation for cos, sin in piece.cos_sin]
+        j, r = piece.cos_sin.shape[1:]
+        columns = piece.basis.reshape(-1, j, r)
+        out += [(columns * rows).sum(axis=1) @ piece.rotation for rows in piece.cos_sin]
     return np.array(out)
 
 
 def same_scenario(a, b):
     """Two scenarios' states and truth pieces, bit for bit."""
-    def same(x, y):
-        return x is None and y is None or x is not None and y is not None and np.array_equal(x, y)
-
     return (
         np.array_equal(a.clean, b.clean)
         and np.array_equal(a.noisy, b.noisy)
         and len(a.bases) == len(b.bases)
-        and all(all(same(x, y) for x, y in zip(p, q)) for p, q in zip(a.bases, b.bases))
+        and all(all(map(np.array_equal, p, q)) for p, q in zip(a.bases, b.bases))
     )

@@ -145,7 +145,8 @@ def test_corrected_state_stays_in_window_span():
         for t, out in enumerate(corrected):
             rows = held[max(0, t - window_k) : t + 1]
             span = orthonormalize(rows.T)
-            residual = float(span_membership_residual(out[None], (GeodesicPiece(0, 1, span),))[0])
+            path = (GeodesicPiece.point(0, 1, span),)
+            residual = float(span_membership_residual(out[None], path)[0])
             assert residual < 1e-9
             worst = max(worst, residual)
             steps += 1
@@ -391,7 +392,7 @@ def test_degenerate_row_failure_is_structured(tmp_path, monkeypatch, capsys):
     # clean ones fails before any correction)
     states = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     clean = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    crafted = Scenario(clean, states, (GeodesicPiece(0, 2, np.eye(3, 1)),))
+    crafted = Scenario(clean, states, (GeodesicPiece.point(0, 2, np.eye(3, 1)),))
     monkeypatch.setattr(metrics_mod, "generate_scenario", lambda cfg, noise, walk: crafted)
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(

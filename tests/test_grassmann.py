@@ -5,14 +5,17 @@ hand geometry for axis-aligned planes, and a plain modified Gram-Schmidt
 as a second opinion on orthonormalization.
 """
 
+import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ssrlab.grassmann as grassmann_mod
 from ssrlab.errors import (
     DegenerateGeodesic,
     DimensionMismatch,
@@ -73,14 +76,21 @@ def geodesic_path(rng: np.random.Generator, n: int, r: int, length: int) -> tupl
     cos_sin = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     rotation = np.linalg.qr(rng.standard_normal((r, r)))[0]
     return (
-        GeodesicPiece(0, 1, a),
+        GeodesicPiece.point(0, 1, a),
         GeodesicPiece(1, length, np.concatenate([p, g], axis=1), cos_sin, rotation),
     )
 
 
+def chunk_rows(rows: int | None, n: int):
+    """The residual's chunk budget at rows frames of R^n; None leaves it as it is."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(grassmann_mod, "_CHUNK_ENTRIES", rows * n)
+
+
 def residual(v: np.ndarray, basis: np.ndarray) -> float:
     """span_membership_residual of one vector against one basis."""
-    return float(span_membership_residual(v[None], (GeodesicPiece(0, 1, basis),))[0])
+    return float(span_membership_residual(v[None], (GeodesicPiece.point(0, 1, basis),))[0])
 
 
 class TestOrthonormalize:
@@ -346,11 +356,14 @@ class TestSpanMembership:
         u = axis_span(2, [0])
         vectors = np.array([[np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308]])
         bases = np.stack([u, u, np.full((2, 1), np.nan)])
-        for stack in (bases, np.broadcast_to(np.full((2, 1), np.nan), (3, 2, 1))):
+        nan = np.full((2, 1), np.nan)
+        for path, first_two in (
+            (frame_pieces(bases), frame_pieces(bases[:2])),
+            ((GeodesicPiece.point(0, 3, nan),), (GeodesicPiece.point(0, 2, nan),)),
+        ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert np.isnan(span_membership_residual(vectors, frame_pieces(stack))).all()
-                first_two = frame_pieces(stack[:2])
+                assert np.isnan(span_membership_residual(vectors, path)).all()
                 assert np.isnan(span_membership_residual(vectors[:2], first_two)).all()
 
 
@@ -458,21 +471,26 @@ def test_property_geodesic_interpolates_the_metric(seed: int, s: float):
     length=st.integers(min_value=1, max_value=40),
     scale=st.integers(min_value=-1000, max_value=1000),
     inside=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    rows=st.none(),
 )
-def test_property_one_basis_residual_is_the_per_frame_residual(seed, n, length, scale, inside):
-    # one point piece takes (V U) U^T for every frame at once; each value
-    # may round differently from the one-frame pieces' products, by a few
-    # units of the last bit of a value in [0, 1] (plus what underflow loses
-    # next to the vector's norm)
+# a point piece of 40 frames in chunks of 3
+@example(seed=5, n=9, length=40, scale=0, inside=0.5, rows=3)
+def test_property_one_basis_residual_is_the_per_frame_residual(
+    seed, n, length, scale, inside, rows
+):
+    # one point piece takes (V U) U^T for a chunk of frames at once; each
+    # value may round differently from the one-frame pieces' products, by a
+    # few units of the last bit of a value in [0, 1] (plus what underflow
+    # loses next to the vector's norm)
     rng = np.random.default_rng(seed)
     basis = orthonormalize(rng.standard_normal((n, rng.integers(1, n))))
     vectors = basis @ rng.standard_normal((basis.shape[1], length))
     vectors = vectors.T + (1.0 - inside) * rng.standard_normal((length, n))
     vectors = np.ldexp(vectors, scale)
     vectors[rng.random(length) < 0.1] = 0.0
-    static = np.broadcast_to(basis, (length, *basis.shape))
-    got = span_membership_residual(vectors, frame_pieces(static))
-    want = span_membership_residual(vectors, frame_pieces(np.ascontiguousarray(static)))
+    with chunk_rows(rows, n):
+        got = span_membership_residual(vectors, (GeodesicPiece.point(0, length, basis),))
+    want = span_membership_residual(vectors, frame_pieces([basis] * length))
     norms = np.linalg.norm(np.ldexp(vectors, -scale), axis=1) * 2.0**scale
     floor = np.divide(n * 2.0**-1070, norms, out=np.zeros(length), where=norms > 0.0)
     assert np.all(np.abs(got - want) <= 8 * n * 2.0**-53 + floor)
@@ -495,7 +513,7 @@ def test_property_residual_is_the_same_at_any_scale(seed, n, length, exponent, p
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, n))
     if path == "static":
-        bases = (GeodesicPiece(0, length, random_point(rng, n, r)),)
+        bases = (GeodesicPiece.point(0, length, random_point(rng, n, r)),)
     elif path == "per-frame":
         bases = frame_pieces(np.stack([random_point(rng, n, r) for _ in range(length)]))
     else:
@@ -519,8 +537,11 @@ def test_property_residual_is_the_same_at_any_scale(seed, n, length, exponent, p
     length=st.integers(min_value=2, max_value=150),
     scale=st.integers(min_value=-1000, max_value=1000),
     inside=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    rows=st.none(),
 )
-def test_property_piece_residual_is_the_per_frame_residual(seed, n, length, scale, inside):
+# a geodesic piece of 79 frames in chunks of 4
+@example(seed=5, n=9, length=80, scale=0, inside=0.5, rows=4)
+def test_property_piece_residual_is_the_per_frame_residual(seed, n, length, scale, inside, rows):
     # a geodesic piece takes U U^T v as p (cos * y) + g (sin * y), with
     # y = cos * p^T v + sin * g^T v, in chunks of frames; against each
     # frame's basis formed on its own, the value (relative to ||v||) may
@@ -538,7 +559,8 @@ def test_property_piece_residual_is_the_per_frame_residual(seed, n, length, scal
     vectors += (1.0 - inside) * rng.standard_normal((length, n))
     vectors = np.ldexp(vectors, scale)
     vectors[rng.random(length) < 0.1] = 0.0
-    got = span_membership_residual(vectors, path)
+    with chunk_rows(rows, n):
+        got = span_membership_residual(vectors, path)
     want = span_membership_residual(vectors, frame_pieces(bases))
     norms = np.linalg.norm(np.ldexp(vectors, -scale), axis=1) * 2.0**scale
     floor = np.divide(n * 2.0**-1070, norms, out=np.zeros(length), where=norms > 0.0)

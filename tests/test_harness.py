@@ -128,7 +128,8 @@ def crafted_scenario(clean, noisy=None, bases=None) -> Scenario:
     clean = np.array(clean, dtype=np.float64)
     noisy = clean if noisy is None else np.array(noisy, dtype=np.float64)
     if bases is None:
-        return Scenario(clean, noisy, (GeodesicPiece(0, len(clean), np.eye(clean.shape[1], 1)),))
+        path = (GeodesicPiece.point(0, len(clean), np.eye(clean.shape[1], 1)),)
+        return Scenario(clean, noisy, path)
     return Scenario(clean, noisy, frame_pieces(np.array(bases, dtype=np.float64)))
 
 

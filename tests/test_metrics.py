@@ -4,6 +4,7 @@ The two-frame ratio example: raw errors (2, 2), corrected errors (1, 1),
 so the corrector removed exactly half the mean error.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +33,15 @@ from ssrlab.metrics import (
     score_run,
 )
 from ssrlab.regularizer import SsrConfig, run_stream
-from ssrlab.synth import NoiseModel, Scenario, TrajectoryConfig, generate_scenario
-from scenario_oracle import frame_bases
+from ssrlab.synth import (
+    NoiseModel,
+    Scenario,
+    TrajectoryConfig,
+    coefficient_walks,
+    derive_trial_seed,
+    generate_scenario,
+)
+from scenario_oracle import frame_bases, same_scenario
 
 RAW, CORRECTED, SUBSPACE, SE = range(len(SCORE_COLUMNS))
 # Rows of R^9 in each chunk of score_run's distances.
@@ -45,7 +53,7 @@ def line_scenario(*offsets) -> Scenario:
     """Clean state e1 in the line span(e1) at every frame, observed at e1 + offset."""
     offsets = np.array(offsets, dtype=np.float64).reshape(-1, 3)
     clean = np.tile(CLEAN, (len(offsets), 1))
-    return Scenario(clean, clean + offsets, (GeodesicPiece(0, len(offsets), np.eye(3, 1)),))
+    return Scenario(clean, clean + offsets, (GeodesicPiece.point(0, len(offsets), np.eye(3, 1)),))
 
 
 class TestImprovementRatio:
@@ -140,6 +148,23 @@ class TestScoreRun:
         _, summary = score_run(scenario, corrected)
         # one tie (no win), one strict win
         assert summary.win_fraction == 0.5
+
+    def test_a_long_static_run_is_scored_in_chunks(self):
+        # a static subspace is one point piece over every frame; its inputs
+        # take 8 MiB each at T = 16,384 and n = 64, and scoring may add no
+        # T x n array to them: the distances and the subspace residual both
+        # take affinity._CHUNK_ENTRIES entries at a time
+        config = TrajectoryConfig(n=64, r=4, length=16384, seed=7, state_drift=0.05)
+        scenario = generate_scenario(config, NoiseModel(sigma=0.1))
+        corrected = np.ascontiguousarray(scenario.clean + 0.5 * (scenario.noisy - scenario.clean))
+        score_run(scenario, corrected)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            score_run(scenario, corrected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSummaryValidation:
@@ -243,6 +268,26 @@ def test_scenario_scoring_round_trip():
     assert np.all(scores[:, RAW] > 0.0)
 
 
+def test_frozen_coefficients_step_every_trial_in_one_block(monkeypatch):
+    # without a coefficient walk (state_drift 0) each trial's walk is one
+    # row, so its block holds every trial, however long the run; each
+    # scenario is still the one generate_scenario builds for its seed
+    config = TrajectoryConfig(n=8, r=4, length=2048, seed=3)
+    noise = NoiseModel(sigma=0.1)
+    calls = []
+
+    def counted(trajectory, trials):
+        calls.append(list(trials))
+        return coefficient_walks(trajectory, trials)
+
+    monkeypatch.setattr(metrics_mod, "coefficient_walks", counted)
+    scenarios = list(metrics_mod.trial_scenarios(config, noise, 5))
+    assert calls == [[0, 1, 2, 3, 4]]
+    for trial, scenario in enumerate(scenarios):
+        alone = generate_scenario(replace(config, seed=derive_trial_seed(3, trial)), noise)
+        assert same_scenario(scenario, alone)
+
+
 def scaled_norm(v: np.ndarray) -> float:
     """||v||, taken after exact scaling by the power of two above its largest |entry|."""
     shift = np.frexp(np.abs(v).max())[1]
@@ -281,7 +326,7 @@ def test_property_score_run_matches_per_frame_reference(seed, length, scale, far
             [
                 scaled_norm(noisy - clean),
                 scaled_norm(out - clean),
-                span_membership_residual(out[None], (GeodesicPiece(0, 1, basis),))[0],
+                span_membership_residual(out[None], (GeodesicPiece.point(0, 1, basis),))[0],
                 s,
             ]
             for clean, noisy, basis, out, s in zip(
@@ -420,10 +465,10 @@ def overflowing_residuals():
     against span(e1), and U^T v beyond it inside span(u)."""
     clean = np.array([[1.5e308, 0.0], [1.0, 0.0]])
     corrected = np.array([[1.5e308, 1.5e308], [1.0, 0.5]])
-    e1 = Scenario(clean, clean * 0.9, (GeodesicPiece(0, 2, np.eye(2, 1)),))
+    e1 = Scenario(clean, clean * 0.9, (GeodesicPiece.point(0, 2, np.eye(2, 1)),))
     u = np.full(2, np.sqrt(0.5))
     clean = np.outer([1.5e308, 1.0], u)
-    inside = Scenario(clean, clean * 0.9, (GeodesicPiece(0, 2, u[:, None]),))
+    inside = Scenario(clean, clean * 0.9, (GeodesicPiece.point(0, 2, u[:, None]),))
     return [([e1], corrected[None]), ([inside], clean[None] * 1.2)]
 
 

@@ -5,21 +5,23 @@ E||sigma g|| = sigma * sqrt(2) * Gamma((n+1)/2) / Gamma(n/2) for
 g ~ N(0, I_n), evaluated with math.gamma, not with the library.
 """
 
+import contextlib
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ssrlab.grassmann as grassmann_mod
 import ssrlab.synth as synth_mod
 from ssrlab.errors import DimensionMismatch, InvalidScenario
 from ssrlab.grassmann import (
-    _PIECE_CHUNK,
     _SIN_FLOOR,
     GeodesicPiece,
     geodesic,
@@ -57,6 +59,18 @@ def chi_mean(n: int) -> float:
     return math.sqrt(2.0) * math.gamma((n + 1) / 2) / math.gamma(n / 2)
 
 
+@contextlib.contextmanager
+def chunk_rows(rows: int | None, n: int):
+    """The one chunk budget, as the generator and the subspace residual read it, at rows
+    frames of R^n; None leaves it as it is."""
+    if rows is None:
+        yield
+        return
+    with mock.patch.object(synth_mod, "_CHUNK_ENTRIES", rows * n):
+        with mock.patch.object(grassmann_mod, "_CHUNK_ENTRIES", rows * n):
+            yield
+
+
 def assert_matches_oracle(scenario, config, noise):
     """generate_scenario against the per-frame oracle.
 
@@ -74,7 +88,8 @@ def assert_matches_oracle(scenario, config, noise):
     clean, noisy, bases = scenario_oracle(config, noise)
     assert np.array_equal(frame_bases(scenario.bases), bases)
     if config.speed == 0.0 or config.length == 1:
-        assert len(scenario.bases) == 1 and scenario.bases[0].cos_sin is None
+        (piece,) = scenario.bases
+        assert piece.cos_sin.shape[1] == 1 and np.array_equal(piece.rotation, np.eye(config.r))
         assert np.array_equal(scenario.clean, clean)
         assert np.array_equal(scenario.noisy, noisy)
         return
@@ -120,7 +135,9 @@ class TestStaticScenario:
         assert noisy is clean
         # one point piece for every frame, not a basis per frame
         assert len(bases) == 1 and bases[0][:2] == (0, 40) and bases[0].basis.shape == (16, 3)
-        assert bases[0].cos_sin is None and bases[0].rotation is None
+        # on the point itself: a one-row broadcast of ones and the identity rotation
+        assert bases[0].cos_sin.shape == (40, 1, 3) and bases[0].cos_sin.strides == (0, 0, 0)
+        assert (bases[0].cos_sin == 1.0).all() and np.array_equal(bases[0].rotation, np.eye(3))
 
     def test_clean_states_are_unit_norm(self):
         clean = generate_scenario(STATIC, NoiseModel(sigma=0.0)).clean
@@ -145,7 +162,7 @@ class TestStaticScenario:
         # from where its squares underflow to where they overflow, it must
         # give the same clean stream bit for bit
         config = TrajectoryConfig(n=6, r=3, length=5, seed=0, state_drift=drift)
-        bases = (GeodesicPiece(0, 5, np.eye(6, 3)),)
+        bases = (GeodesicPiece.point(0, 5, np.eye(6, 3)),)
         first = np.array([0.8, -1.3, 0.4])
         later = list(np.random.default_rng(5).standard_normal((4, 3)))
 
@@ -183,6 +200,17 @@ class TestStaticScenario:
         steps = np.linalg.norm(np.diff(clean, axis=0), axis=1)
         # drift 0.05 with r=3: typical step 0.05 * sqrt(3), never huge
         assert max(steps) < 0.5
+
+    @pytest.mark.parametrize("rows", [40, None], ids=["patched", "default"])
+    def test_point_longer_than_a_chunk_matches_per_frame_oracle_bit_for_bit(self, rows):
+        # one point piece over 1,100 frames: 28 chunks of 40 frames, or 3 of
+        # the default 512 frames of R^64
+        config = TrajectoryConfig(n=64, r=4, length=1100, seed=31, state_drift=0.05)
+        noise = NoiseModel(sigma=0.1)
+        with chunk_rows(rows, config.n):
+            scenario = generate_scenario(config, noise)
+            assert len(scenario.bases) == 1
+            assert_matches_oracle(scenario, config, noise)
 
 
 class TestMovingScenario:
@@ -262,15 +290,17 @@ class TestMovingScenario:
 
     def test_pieces_longer_than_a_chunk_match_per_frame_oracle(self):
         # runs of 113 and 92 frames inside the two segments and 94 on the
-        # last waypoint, each longer than one evaluation chunk
+        # last waypoint, each spanning three chunks of 40 frames
         config = TrajectoryConfig(
             n=12, r=3, length=300, seed=31, speed=3.5, waypoint_count=3, state_drift=0.02
         )
-        assert _PIECE_CHUNK < 92
         noise = NoiseModel(sigma=0.1)
-        scenario = generate_scenario(config, noise)
-        assert [piece[:2] for piece in scenario.bases] == [(0, 1), (1, 114), (114, 206), (206, 300)]
-        assert_matches_oracle(scenario, config, noise)
+        with chunk_rows(40, config.n):
+            scenario = generate_scenario(config, noise)
+            assert [piece[:2] for piece in scenario.bases] == [
+                (0, 1), (1, 114), (114, 206), (206, 300)
+            ]
+            assert_matches_oracle(scenario, config, noise)
 
     def test_overflowing_speed_starts_on_the_first_waypoint(self):
         # speed * D / T overflows to inf; the step is clamped at the path length
@@ -424,8 +454,9 @@ class TestValidation:
         for noise in (NoiseModel(sigma=0.0), NoiseModel(sigma=0.1)):
             for config in (STATIC, MOVING):
                 clean, noisy, bases = generate_scenario(config, noise)
-                pieces = [array for piece in bases for array in piece[2:] if array is not None]
-                assert len(pieces) == (1 if config is STATIC else 4)
+                pieces = [array for piece in bases for array in piece[2:]]
+                # basis, cos_sin and rotation of each piece: one point, or a point and a segment
+                assert len(pieces) == (3 if config is STATIC else 6)
                 for array in (clean, noisy, *pieces):
                     assert not array.flags.writeable
                     with pytest.raises(ValueError):
@@ -436,7 +467,7 @@ class TestValidation:
         outside = np.zeros(16)
         outside[15] = 1.0
         # the static basis is random; e16 is outside it almost surely
-        first = (GeodesicPiece(0, 1, bases[0].basis),)
+        first = (GeodesicPiece.point(0, 1, bases[0].basis),)
         assert span_membership_residual(outside[None], first)[0] > 1e-6
         states = np.array(clean)
         states[7] = outside
@@ -470,11 +501,11 @@ class TestValidation:
         assert excinfo.value.frame == frame
 
     def test_non_orthonormal_basis_is_rejected(self):
-        # a waypoint's basis, a geodesic's frame [p g] or a rotation 1e-9 off
-        # fails its piece, at its first frame
+        # a waypoint's basis, a geodesic's frame [p g] or either's rotation
+        # 1e-9 off fails its piece, at its first frame
         clean, noisy, bases = generate_scenario(MOVING, NoiseModel(sigma=0.1))
         assert [piece[:2] for piece in bases] == [(0, 1), (1, 60)]
-        for index, field in ((0, "basis"), (1, "basis"), (1, "rotation")):
+        for index, field in ((0, "basis"), (0, "rotation"), (1, "basis"), (1, "rotation")):
             pieces = list(bases)
             off = getattr(pieces[index], field) * (1.0 + 1e-9)
             pieces[index] = pieces[index]._replace(**{field: off})
