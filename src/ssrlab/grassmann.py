@@ -187,11 +187,11 @@ def span_membership_residual(vectors: np.ndarray, bases: Sequence[GeodesicPiece]
     and (v^T U) U^T on a point, taken affinity._CHUNK_ENTRIES // n frames
     at a time as products with the piece's basis. These round differently
     from per-frame products with formed bases, within a bound that scales
-    with the data. A finite
-    vector whose norm or leftover v - U U^T v is not finite is measured
-    once more, after exact scaling by the power of two just above its
-    largest |entry|, as in affinity.vector_norms: a row is NaN only where
-    its vector or basis is not finite, and no overflow warns.
+    with the data. A finite vector whose norm or leftover v - U U^T v is
+    not finite is measured once more, after exact scaling by the power of
+    two just above its largest |entry|, as in affinity.vector_norms: a row
+    is NaN only where its vector or basis is not finite, and no overflow
+    warns.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         leftover, norms = _span_norms(vectors, bases)
